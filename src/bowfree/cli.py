@@ -185,6 +185,9 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_condition(args) -> int:
+    if args.trials < 1:
+        print(f"bowfree condition: error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return USAGE_EXIT
     g = load_graph(args.graph)
     sigma = load_matrix_csv(args.sigma)
     n = g.n
@@ -193,8 +196,7 @@ def _cmd_condition(args) -> int:
     estimate = estimate_condition_number(
         g, sigma, args.trials, gammas, args.seed, enforce_tight=args.tight, strict=strict
     )
-    base = recover_all(g, sigma)
-    profile = check_assumptions(g, sigma, base.lambda_hat)
+    profile = check_assumptions(g, sigma, estimate.base_lambda)
     premise = stability_premise(profile)
     eta = bound = None
     if premise.holds:

@@ -9,6 +9,7 @@ is byte-identical across re-runs and across graph-range splits.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ from .generators import (
     sample_observations,
 )
 from .lsem import ParamSet, forward_map, sample_covariance
-from .recovery import recover_all
+from .recovery import recover_all, recover_many
 from .robustness import check_assumptions, relative_distance
 
 SCHEMA_VERSION = 1
@@ -116,6 +117,29 @@ def gene_standin_dataset(m: int = 118, v: int = 13, seed: int = 0) -> np.ndarray
 # -- pipelines ----------------------------------------------------------------
 
 
+def _perturbation_ratios(graph, sigma: np.ndarray, perturbed, record: dict) -> dict:
+    """Recover ``sigma`` and each covariance of the iterable ``perturbed``
+    together and fill the record: a failed ``sigma`` marks
+    ``recovery_failed``; otherwise, unless every recovered weight is zero,
+    failed perturbations count in ``run_failures`` and each other one adds
+    the ratio Rel(lam, lam~) / Rel(sigma, sigma~), skipped when
+    Rel(sigma, sigma~) = 0.
+    """
+    recovered = recover_many(graph, itertools.chain([sigma], perturbed))
+    _, base, failed = next(recovered)
+    if failed >= 0:
+        record["recovery_failed"] = True
+    elif np.any(base != 0):
+        for draw, lam, failed in recovered:
+            if failed >= 0:
+                record["run_failures"] += 1
+                continue
+            rel_sig = relative_distance(sigma, draw)
+            if rel_sig != 0.0:
+                record["ratios"].append(relative_distance(base, lam) / rel_sig)
+    return record
+
+
 def run_gene_style(cfg: ExperimentConfig) -> dict:
     """Condition-number study on an observation matrix.
 
@@ -137,7 +161,14 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
             graph = gen_random_bowfree_graph(
                 RandomGraphConfig(n, p, seed=_derived_seed(cfg.seed, 1, pi, gidx))
             )
-            sigma = sample_covariance(x, normalize_rows=cfg.normalize)
+            sigma = sample_covariance(x, normalize_rows=cfg.normalize).sigma
+
+            def noisy():
+                for run in range(0 if degenerate else cfg.runs_per_graph):
+                    rng = np.random.default_rng(_derived_seed(cfg.seed, 2, pi, gidx, run))
+                    yield sample_covariance(x + rng.normal(0.0, cfg.noise_eps, size=x.shape),
+                                            normalize_rows=cfg.normalize).sigma
+
             record = {
                 "p": p,
                 "graph": gidx,
@@ -145,29 +176,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
                 "recovery_failed": False,
                 "run_failures": 0,
             }
-            try:
-                base = recover_all(graph, sigma)
-            except NearSingularError:
-                record["recovery_failed"] = True
-                records.append(record)
-                continue
-            if not degenerate and np.any(base.lambda_hat != 0):
-                for run in range(cfg.runs_per_graph):
-                    rng = np.random.default_rng(_derived_seed(cfg.seed, 2, pi, gidx, run))
-                    noisy = x + rng.normal(0.0, cfg.noise_eps, size=x.shape)
-                    sigma_noisy = sample_covariance(noisy, normalize_rows=cfg.normalize)
-                    try:
-                        perturbed = recover_all(graph, sigma_noisy)
-                    except NearSingularError:
-                        record["run_failures"] += 1
-                        continue
-                    rel_sig = relative_distance(sigma.sigma, sigma_noisy.sigma)
-                    if rel_sig == 0.0:
-                        continue
-                    record["ratios"].append(
-                        relative_distance(base.lambda_hat, perturbed.lambda_hat) / rel_sig
-                    )
-            records.append(record)
+            records.append(_perturbation_ratios(graph, sigma, noisy(), record))
 
     summary = {}
     for pi, p in enumerate(cfg.p_grid):
@@ -201,7 +210,13 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                     )
                     lam = gen_lambda_range(graph, SDDNoiseConfig(weight_range, _derived_seed(*cell_seed, 1)))
                     omega = gen_omega_sdd(graph, SDDNoiseConfig(weight_range, _derived_seed(*cell_seed, 2)))
-                    sigma = forward_map(graph, ParamSet(lam, omega))
+                    sigma = forward_map(graph, ParamSet(lam, omega)).sigma
+                    sampled = (
+                        sample_covariance(
+                            sample_observations(sigma, cfg.samples, _derived_seed(*cell_seed, 4, run))
+                        ).sigma
+                        for run in range(cfg.runs_per_graph)
+                    )
                     record = {
                         "n": n,
                         "p": p,
@@ -211,31 +226,7 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                         "recovery_failed": False,
                         "run_failures": 0,
                     }
-                    try:
-                        base = recover_all(graph, sigma)
-                    except NearSingularError:
-                        record["recovery_failed"] = True
-                        records.append(record)
-                        continue
-                    if np.any(base.lambda_hat != 0):
-                        for run in range(cfg.runs_per_graph):
-                            draws = sample_observations(
-                                sigma, cfg.samples, _derived_seed(*cell_seed, 4, run)
-                            )
-                            sampled = sample_covariance(draws)
-                            try:
-                                perturbed = recover_all(graph, sampled)
-                            except NearSingularError:
-                                record["run_failures"] += 1
-                                continue
-                            rel_sig = relative_distance(sigma.sigma, sampled.sigma)
-                            if rel_sig == 0.0:
-                                continue
-                            record["ratios"].append(
-                                relative_distance(base.lambda_hat, perturbed.lambda_hat)
-                                / rel_sig
-                            )
-                    records.append(record)
+                    records.append(_perturbation_ratios(graph, sigma, sampled, record))
 
     summary = {}
     for n in cfg.n_grid:

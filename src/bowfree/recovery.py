@@ -17,10 +17,20 @@ A parent whose incoming edges are all forced is a deterministic copy of a
 unique upstream "source" vertex; its equation row is taken at that source,
 which is what makes recovery on reduced graphs solve the same systems as on
 the original graph.
+
+Every function here also accepts a stack of covariances of shape (T, n, n),
+a leading trial axis such as the Monte Carlo draws of one graph produce.
+The systems of one vertex differ across trials only in their numbers, so a
+single layer-ordered pass assembles them with one gather and solves them
+with one batched call. A near-singular system raises NearSingularError for
+a single covariance; on a stack it fails only its own trial, whose weights
+become NaN, and the other trials go on. recover_many feeds any number of
+covariances through such passes in stacks of bounded size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +45,8 @@ from .lsem import (
 )
 
 DEFAULT_SING_TOL = 1e-10
+# recover_many stacks at most this many bytes of covariances and weights.
+STACK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,8 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class RecoverySystem:
-    """The linear system determining the unforced incoming weights of one vertex."""
+    """The linear system determining the unforced incoming weights of one
+    vertex; ``a_matrix`` and ``b_vector`` keep the covariance's trial axis."""
 
     vertex: int
     y_set: tuple[int, ...]
@@ -62,6 +75,7 @@ class RecoverySystem:
 
 @dataclass(frozen=True)
 class VertexDiagnostics:
+    # residual and condition are per-trial arrays when recovering a stack
     residual: float
     condition: float
     used_partial_form: bool
@@ -72,6 +86,9 @@ class RecoveryResult:
     lambda_hat: np.ndarray
     per_vertex: dict[int, VertexDiagnostics] = field(default_factory=dict)
     forced_edges_respected: bool = True
+    # Stacks only: per trial, the first vertex (in recovery order) whose
+    # system was near-singular, or -1 when the trial recovered.
+    failed_vertex: np.ndarray | None = None
 
 
 def source_vertex(g: MixedGraph, v: int) -> int:
@@ -91,16 +108,6 @@ def source_vertex(g: MixedGraph, v: int) -> int:
         v = parents[0]
 
 
-def _transformed_row(g, sig, lam, y, columns):
-    """Row of (I - lam)^T sigma at y, restricted to the given columns."""
-    row = sig[y, columns].astype(float, copy=True)
-    pa_y = g.parents(y)
-    if pa_y:
-        pa_y = list(pa_y)
-        row -= lam[pa_y, y] @ sig[np.ix_(pa_y, columns)]
-    return row
-
-
 def build_system(
     g: MixedGraph,
     sigma,
@@ -111,15 +118,16 @@ def build_system(
     """Assemble the square system for vertex v given upstream weights.
 
     ``lambda_partial`` must already hold recovered weights for every vertex
-    in strictly lower layers (and all forced weights). The default equation
-    rows are the sources of v's unforced parents, each transformed; an
-    explicit ``y_set`` instead applies the half-trek membership test per
-    row and records rows where that test would disagree with the
-    all-transformed default.
+    in strictly lower layers (and all forced weights), with the same trial
+    axis as ``sigma`` if it has one. The default equation rows are the
+    sources of v's unforced parents, each transformed; an explicit
+    ``y_set`` instead applies the half-trek membership test per row and
+    records rows where that test would disagree with the all-transformed
+    default.
     """
     sig = as_matrix(sigma)
     lam = np.asarray(lambda_partial, dtype=float)
-    if lam.shape != (g.n, g.n):
+    if lam.shape[-2:] != (g.n, g.n):
         raise OrderingError(
             f"partial weight matrix of shape {lam.shape} does not match n={g.n}"
         )
@@ -141,106 +149,163 @@ def build_system(
         flags = [y in htr for y in rows]
         conflicts = tuple(y for y, f in zip(rows, flags) if not f)
 
-    cols = unknown + known + [v]
-    a = np.zeros((len(rows), len(unknown)))
-    b = np.zeros(len(rows))
-    for i, (y, use_transform) in enumerate(zip(rows, flags)):
-        if use_transform:
-            full = _transformed_row(g, sig, lam, y, cols)
-        else:
-            full = sig[y, cols].astype(float, copy=True)
-        a[i, :] = full[: len(unknown)]
-        b[i] = full[-1]
-        for j, p in enumerate(known):
-            b[i] -= forced[(p, v)] * full[len(unknown) + j]
+    cols = np.array(unknown + known + [v], dtype=int)
+    row_idx = np.array(rows, dtype=int)[:, None]
+    full = sig[..., row_idx, cols]
+    # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols]; the
+    # parent lists are padded to one width with zero weights.
+    upstream = [g.parents(y) if use else () for y, use in zip(rows, flags)]
+    width = max(map(len, upstream), default=0)
+    if width:
+        pa_idx = np.zeros((len(rows), width), dtype=int)
+        live = np.zeros((len(rows), width))
+        for i, pa_y in enumerate(upstream):
+            pa_idx[i, : len(pa_y)] = pa_y
+            live[i, : len(pa_y)] = 1.0
+        weights = lam[..., pa_idx, row_idx] * live
+        full = full - np.einsum("...rp,...rpc->...rc", weights, sig[..., pa_idx[:, :, None], cols])
 
+    m = len(unknown)
+    b = full[..., -1]
+    if known:
+        b = b - full[..., m:-1] @ np.array([forced[(p, v)] for p in known])
     return RecoverySystem(
         vertex=v,
         y_set=tuple(rows),
         parents=tuple(unknown),
-        a_matrix=a,
+        a_matrix=full[..., :m],
         b_vector=b,
         transformed=tuple(flags),
         convention_conflicts=conflicts,
     )
 
 
-def recover_vertex(system: RecoverySystem, sing_tol: float = DEFAULT_SING_TOL) -> np.ndarray:
-    """Solve the per-vertex system; NearSingularError when A is degenerate."""
-    a, b = system.a_matrix, system.b_vector
-    if a.size == 0:
-        return np.zeros(0)
+def _solve(a, b, sing_tol, vertex, diagnostics):
+    """Solve A x = b, with or without a trial axis.
+
+    One SVD per system gives both the near-singular test and the condition
+    number. Near-singular trials of a stack get NaN weights; a single
+    near-singular system raises.
+    """
+    m = a.shape[-1]
+    if m == 0:
+        weights = np.zeros(a.shape[:-1])
+        return (weights, np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])) if diagnostics else weights
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= sing_tol * svals[0]:
+    s_max, s_min = svals[..., 0], svals[..., -1]
+    singular = s_min <= sing_tol * s_max
+    if singular.ndim == 0 and singular:
         raise NearSingularError(
-            f"vertex {system.vertex}: system is numerically singular "
-            f"(sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e})",
-            vertex=system.vertex,
+            f"vertex {vertex}: system is numerically singular "
+            f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})",
+            vertex=vertex,
         )
-    return np.linalg.solve(a, b)
+    # Singular trials of a stack solve the identity instead and report NaN.
+    weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
+    weights[singular] = np.nan
+    if not diagnostics:
+        return weights
+    residual = np.linalg.norm((a @ weights[..., None])[..., 0] - b, axis=-1)
+    condition = np.divide(s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min > 0)
+    return weights, residual, condition
 
 
-def recover_first_layers(g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT_SING_TOL) -> np.ndarray:
+def recover_vertex(system: RecoverySystem, sing_tol: float = DEFAULT_SING_TOL, *, diagnostics: bool = False):
+    """Solve the per-vertex system; NearSingularError when A is degenerate,
+    NaN weights for the degenerate trials of a stack.
+
+    With ``diagnostics`` the result is ``(weights, residual, condition)``,
+    the condition number taken from the SVD of the singularity test.
+    """
+    return _solve(system.a_matrix, system.b_vector, sing_tol, system.vertex, diagnostics)
+
+
+def recover_first_layers(
+    g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT_SING_TOL, *, diagnostics: bool = False
+):
     """Closed form for vertices without grandparents:
-    sigma[pa, pa]^{-1} @ sigma[pa, v]."""
+    sigma[pa, pa]^{-1} @ sigma[pa, v]; ``diagnostics`` as in recover_vertex."""
     if g.spa(v):
         raise OrderingError(f"vertex {v} has grandparents; use the general system")
     sig = as_matrix(sigma)
-    pa = list(g.parents(v))
-    if not pa:
-        return np.zeros(0)
-    a = sig[np.ix_(pa, pa)]
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= sing_tol * svals[0]:
-        raise NearSingularError(
-            f"vertex {v}: parent covariance block is numerically singular", vertex=v
-        )
-    return np.linalg.solve(a, sig[pa, v])
+    pa = np.array(g.parents(v), dtype=int)
+    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], sing_tol, v, diagnostics)
 
 
 def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> RecoveryResult:
     """Recover the full weight matrix, processing layers in increasing order.
 
+    ``sigma`` is one covariance (n, n) or a stack (T, n, n); a stack is
+    recovered in the same single pass and gives a (T, n, n) ``lambda_hat``.
     Forced edges are copied verbatim; per-vertex diagnostics carry the
-    solve residual and the condition number of the system matrix.
+    solve residual and the condition number of the system matrix, per
+    trial on a stack. A near-singular system raises NearSingularError on a
+    single covariance. On a stack it fails its trial instead:
+    ``failed_vertex[t]`` names the vertex a single recovery of trial t
+    would raise for, and ``lambda_hat[t]`` is NaN throughout.
     """
     config = config or RecoveryConfig()
     g.require_bow_free()
     sig = as_matrix(sigma)
-    if sig.shape != (g.n, g.n):
+    if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
 
-    lam = np.zeros((g.n, g.n))
-    for (u, v), w in g.forced_weights.items():
-        lam[u, v] = w
-
-    decomposition = g.layer_decomposition()
     forced = g.forced_weights
+    forced_u, forced_v = np.array(list(forced), dtype=int).reshape(-1, 2).T
+    forced_w = np.array(list(forced.values()), dtype=float)
+    lam = np.zeros(sig.shape)
+    lam[..., forced_u, forced_v] = forced_w
+    failed = np.full(sig.shape[:-2], -1)
+
     per_vertex: dict[int, VertexDiagnostics] = {}
-    for _, members in sorted(decomposition.layers.items()):
+    for _, members in sorted(g.layer_decomposition().layers.items()):
         for v in members:
-            unknown = [p for p in g.parents(v) if (p, v) not in forced]
+            parents = g.parents(v)
+            unknown = [p for p in parents if (p, v) not in forced]
             if not unknown:
                 continue
-            partial_form = not g.spa(v) and not any((p, v) in forced for p in g.parents(v))
+            partial_form = len(unknown) == len(parents) and not g.spa(v)
             if partial_form:
-                weights = recover_first_layers(g, sig, v, config.sing_tol)
-                pa = list(g.parents(v))
-                a = sig[np.ix_(pa, pa)]
-                residual = float(np.linalg.norm(a @ weights - sig[pa, v]))
-                svals = np.linalg.svd(a, compute_uv=False)
+                weights, residual, condition = recover_first_layers(
+                    g, sig, v, config.sing_tol, diagnostics=True
+                )
             else:
                 y_override = config.y_sets.get(v) if config.y_sets else None
                 system = build_system(g, sig, lam, v, y_set=y_override)
-                weights = recover_vertex(system, config.sing_tol)
-                residual = float(np.linalg.norm(system.a_matrix @ weights - system.b_vector))
-                svals = np.linalg.svd(system.a_matrix, compute_uv=False)
-            lam[unknown, v] = weights
-            condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
+                weights, residual, condition = recover_vertex(system, config.sing_tol, diagnostics=True)
+            singular = np.isnan(weights[..., 0])
+            if singular.any():
+                failed[singular & (failed < 0)] = v
+                # Zero weights keep the failed trials' later systems finite.
+                weights = np.where(singular[..., None], 0.0, weights)
+            lam[..., unknown, v] = weights
+            if sig.ndim == 2:
+                residual, condition = float(residual), float(condition)
             per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
 
-    forced_ok = all(lam[u, v] == w for (u, v), w in g.forced_weights.items())
-    return RecoveryResult(lambda_hat=lam, per_vertex=per_vertex, forced_edges_respected=forced_ok)
+    forced_ok = bool(np.all(lam[..., forced_u, forced_v] == forced_w))
+    if sig.ndim == 2:
+        return RecoveryResult(lam, per_vertex, forced_ok)
+    lam[failed >= 0] = np.nan
+    return RecoveryResult(lam, per_vertex, forced_ok, failed)
+
+
+def recover_many(g: MixedGraph, covariances, config: RecoveryConfig | None = None):
+    """Recover each covariance of an iterable, several per recover_all call.
+
+    Yields ``(sigma, lambda_hat, failed_vertex)`` per covariance, in order,
+    with ``failed_vertex`` -1 when it recovered; see recover_all for the
+    masking of near-singular ones. Covariances are taken lazily and
+    stacked up to STACK_BYTES at a time, so memory stays bounded however
+    many there are.
+    """
+    per_stack = max(1, STACK_BYTES // (16 * max(g.n, 1) ** 2))
+    remaining = iter(covariances)
+    while chunk := list(itertools.islice(remaining, per_stack)):
+        stack = np.stack([as_matrix(s) for s in chunk])
+        del chunk
+        result = recover_all(g, stack, config)
+        yield from zip(stack, result.lambda_hat, result.failed_vertex)
 
 
 def recover_full_params(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> ParamSet:

@@ -11,6 +11,7 @@ mirroring the upper triangle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .errors import ConfigError, ConvergenceError, NearSingularError, PremiseErr
 from .graphs import MixedGraph
 from .linalg import snorm
 from .lsem import Covariance, as_matrix
-from .recovery import RecoveryConfig, recover_all
+from .recovery import RecoveryConfig, recover_many
 
 
 def relative_distance(a, b) -> float:
@@ -331,6 +332,7 @@ class ConditionTrial:
     rel_sigma: float | None
     rel_lambda: float | None
     failed: bool
+    vertex: int | None = None  # the near-singular vertex of a failed draw
 
 
 @dataclass(frozen=True)
@@ -340,6 +342,8 @@ class ConditionEstimate:
     trials: int
     failures: int
     records: tuple[ConditionTrial, ...]
+    # Weights recovered from the unperturbed covariance; not part of the report.
+    base_lambda: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -363,36 +367,46 @@ def estimate_condition_number(
     """Seeded Monte Carlo lower estimate of the relative condition number.
 
     kappa_hat is the max over draws of Rel(lam, lam~) / Rel(sigma, sigma~).
-    Recovery failures on perturbed draws are counted and excluded from the
-    max. Trial seeds are derived from (seed, gamma index, trial index) so
-    a longer run extends a shorter one.
+    Recovery failures on perturbed draws are counted, with the vertex that
+    failed, and excluded from the max. Trial seeds are derived from
+    (seed, gamma index, trial index) so a longer run extends a shorter one.
+    The unperturbed covariance and the draws are recovered together, in as
+    few passes as recover_many's memory bound allows; NearSingularError is
+    raised when the unperturbed one fails.
     """
     sig = as_matrix(sigma)
-    base = recover_all(g, sig, config)
     k = max(g.max_degree(), 1)
-    records = []
-    failures = 0
-    kappa_hat = 0.0
-    for gi, gamma in enumerate(gammas):
-        for t in range(trials):
+    draws = [(gamma, gi, t) for gi, gamma in enumerate(gammas) for t in range(trials)]
+
+    def perturbed():
+        for gamma, gi, t in draws:
             child_seed = np.random.SeedSequence([int(seed), gi, t]).generate_state(1)[0]
-            spec = PerturbationSpec(gamma, k, int(child_seed), enforce_tight, strict)
-            perturbed = sample_perturbation(sig, spec)
-            rel_sig = relative_distance(sig, perturbed.sigma)
-            try:
-                recovered = recover_all(g, perturbed, config)
-            except NearSingularError:
-                failures += 1
-                records.append(ConditionTrial(gamma, t, None, rel_sig, None, True))
-                continue
-            if np.all(base.lambda_hat == 0) or rel_sig == 0:
-                records.append(ConditionTrial(gamma, t, None, rel_sig, None, False))
-                continue
-            rel_lam = relative_distance(base.lambda_hat, recovered.lambda_hat)
-            ratio = rel_lam / rel_sig
-            kappa_hat = max(kappa_hat, ratio)
-            records.append(ConditionTrial(gamma, t, ratio, rel_sig, rel_lam, False))
-    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records))
+            yield sample_perturbation(sig, PerturbationSpec(gamma, k, int(child_seed), enforce_tight, strict)).sigma
+
+    recovered = recover_many(g, itertools.chain([sig], perturbed()), config)
+    _, base, failed = next(recovered)
+    base = base.copy()  # a view would keep its whole stack alive
+    if failed >= 0:
+        raise NearSingularError(
+            f"vertex {failed}: system is numerically singular on the unperturbed covariance",
+            vertex=int(failed),
+        )
+    records = []
+    kappa_hat = 0.0
+    for (gamma, _, t), (draw, lam, failed) in zip(draws, recovered):
+        rel_sig = relative_distance(sig, draw)
+        if failed >= 0:
+            records.append(ConditionTrial(gamma, t, None, rel_sig, None, True, int(failed)))
+            continue
+        if np.all(base == 0) or rel_sig == 0:
+            records.append(ConditionTrial(gamma, t, None, rel_sig, None, False))
+            continue
+        rel_lam = relative_distance(base, lam)
+        ratio = rel_lam / rel_sig
+        kappa_hat = max(kappa_hat, ratio)
+        records.append(ConditionTrial(gamma, t, ratio, rel_sig, rel_lam, False))
+    failures = sum(rec.failed for rec in records)
+    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), base)
 
 
 @dataclass(frozen=True)
@@ -414,26 +428,27 @@ def per_vertex_error_check(
     config: RecoveryConfig | None = None,
 ) -> list[VertexErrorCheck]:
     """Per-vertex check that recovered-weight perturbations stay within
-    eta * gamma in 2-norm, for every vertex with parents."""
+    eta * gamma in 2-norm, for every vertex with parents; trials are
+    recovered together through recover_many."""
     sig = as_matrix(sigma)
     lam_true = np.asarray(lambda_true, dtype=float)
     bound = constants.eta * spec.gamma
+
+    def perturbed():
+        for t in range(trials):
+            child_seed = np.random.SeedSequence([int(spec.seed), t]).generate_state(1)[0]
+            trial_spec = PerturbationSpec(spec.gamma, spec.k, int(child_seed), spec.enforce_tight, spec.strict)
+            yield sample_perturbation(sig, trial_spec).sigma
+
     out = []
-    for t in range(trials):
-        child_seed = np.random.SeedSequence([int(spec.seed), t]).generate_state(1)[0]
-        trial_spec = PerturbationSpec(spec.gamma, spec.k, int(child_seed), spec.enforce_tight, spec.strict)
-        perturbed = sample_perturbation(sig, trial_spec)
-        try:
-            recovered = recover_all(g, perturbed, config)
-        except NearSingularError:
-            for v in range(g.n):
-                if g.parents(v):
-                    out.append(VertexErrorCheck(v, t, None, bound, None))
-            continue
+    for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed(), config)):
         for v in range(g.n):
             pa = list(g.parents(v))
             if not pa:
                 continue
-            err = float(np.linalg.norm(lam_true[pa, v] - recovered.lambda_hat[pa, v]))
+            if failed >= 0:
+                out.append(VertexErrorCheck(v, t, None, bound, None))
+                continue
+            err = float(np.linalg.norm(lam_true[pa, v] - recovered[pa, v]))
             out.append(VertexErrorCheck(v, t, err, bound, err <= bound))
     return out

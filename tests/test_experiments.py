@@ -240,6 +240,21 @@ def test_cli_condition_and_check(tmp_path):
     assert profile["all_pass"] is True
 
 
+def test_cli_condition_rejects_fewer_than_one_trial(tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["generate", "--kind", "generative", "--n", "12", "--k", "2",
+          "--p", "0.7", "--seed", "5", "--out-dir", str(out)])
+    capsys.readouterr()
+    report = tmp_path / "cond.json"
+    code = main([
+        "condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
+        "--trials", "0", "--seed", "1", "--out", str(report),
+    ])
+    assert code == 64
+    assert capsys.readouterr().err == "bowfree condition: error: --trials must be at least 1, got 0\n"
+    assert not report.exists()
+
+
 def test_cli_experiment_determinism(tmp_path):
     args = [
         "experiment", "--mode", "simulated", "--k", "2", "--p", "0.8", "--n", "20",

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowfree.errors import NearSingularError, OrderingError
-from bowfree.generators import gen_generative_instance
+from bowfree.generators import (
+    RandomGraphConfig,
+    SDDNoiseConfig,
+    gen_generative_instance,
+    gen_lambda_range,
+    gen_omega_sdd,
+    gen_random_bowfree_graph,
+)
 from bowfree.graphs import MixedGraph
 from bowfree.lsem import ParamSet, forward_map, project_omega_pattern
+from bowfree import recovery
 from bowfree.recovery import (
     RecoveryConfig,
     RecoverySystem,
@@ -12,10 +22,12 @@ from bowfree.recovery import (
     recover_all,
     recover_first_layers,
     recover_full_params,
+    recover_many,
     recover_vertex,
     recovery_to_dict,
     source_vertex,
 )
+from bowfree.reduction import reduce_covariance, reduce_instance
 from bowfree.robustness import PerturbationSpec, sample_perturbation
 
 from conftest import graph_from_lambda
@@ -218,3 +230,128 @@ def test_recovery_to_dict_schema():
     assert set(payload) == {"lambda", "diagnostics", "forced_edges_respected"}
     assert set(payload["diagnostics"]) == {"2", "3"}
     assert set(payload["diagnostics"]["2"]) == {"residual", "condition", "partial_form"}
+
+
+# -- stacks of covariances along a trial axis ------------------------------------
+
+
+def _per_draw(g, stack, config=None):
+    """Reference loop: one recover_all per covariance; (weights, failed vertex)."""
+    out = []
+    for sigma in stack:
+        try:
+            out.append((recover_all(g, sigma, config).lambda_hat, -1))
+        except NearSingularError as exc:
+            out.append((None, exc.vertex))
+    return out
+
+
+def _assert_stack_matches_per_draw(g, stack, config=None):
+    result = recover_all(g, stack, config)
+    assert result.lambda_hat.shape == stack.shape
+    assert result.failed_vertex.shape == stack.shape[:1]
+    for t, (want, vertex) in enumerate(_per_draw(g, stack, config)):
+        assert result.failed_vertex[t] == vertex
+        got = result.lambda_hat[t]
+        if want is None:
+            assert np.isnan(got).all()
+            continue
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    return result
+
+
+def _perturbed_stack(sigma, trials, seed, gamma=1e-3):
+    draws = [sample_perturbation(sigma, PerturbationSpec(gamma, 2, seed + t, strict=False)).sigma
+             for t in range(trials)]
+    return np.stack([sigma] + draws)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    p=st.floats(0.2, 0.8),
+    seed=st.integers(0, 10_000),
+    trials=st.integers(1, 4),
+    mode=st.sampled_from(["plain", "y_sets", "reduced"]),
+)
+def test_stack_recovery_matches_per_covariance(n, p, seed, trials, mode):
+    g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
+    omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))
+    sigma = forward_map(g, ParamSet(lam, omega)).sigma
+    stack = _perturbed_stack(sigma, trials, seed)
+    config = None
+    if mode == "y_sets":
+        # Explicit rows at the parents: rows not half-trek reachable from v
+        # stay untransformed, so some systems differ from the default.
+        config = RecoveryConfig(y_sets={v: g.parents(v) for v in range(n) if g.parents(v)})
+    elif mode == "reduced":
+        red = reduce_instance(g, sigma)
+        stack = np.stack([
+            reduce_covariance(g, s, red.g_prime, red.gadgets, red.r)[0].sigma for s in stack
+        ])
+        g = red.g_prime
+    _assert_stack_matches_per_draw(g, stack, config)
+
+
+def test_stack_with_a_singular_trial_fails_only_that_trial():
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
+    stack = _perturbed_stack(inst.sigma.sigma, 3, seed=5, gamma=1e-6)
+    # Trial 2: two parents of one vertex become perfectly correlated copies.
+    v = next(v for v in range(g.n) if len(g.parents(v)) >= 2)
+    p1, p2 = g.parents(v)[:2]
+    stack[2][p2, :] = stack[2][p1, :]
+    stack[2][:, p2] = stack[2][:, p1]
+    stack[2][p2, p2] = stack[2][p1, p1]
+    with pytest.raises(NearSingularError):
+        recover_all(g, stack[2])
+    result = _assert_stack_matches_per_draw(g, stack)
+    assert (result.failed_vertex >= 0).sum() == 1
+    assert result.failed_vertex[2] >= 0
+    for t in (0, 1, 3):
+        np.testing.assert_allclose(result.lambda_hat[t], inst.params.lam, atol=1e-4)
+
+
+def test_stack_diagnostics_are_per_trial():
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=3)
+    stack = _perturbed_stack(inst.sigma.sigma, 2, seed=1, gamma=1e-6)
+    batched = recover_all(inst.graph, stack)
+    for v, diag in batched.per_vertex.items():
+        assert diag.condition.shape == (3,) and diag.residual.shape == (3,)
+        single = recover_all(inst.graph, stack[1]).per_vertex[v]
+        assert diag.condition[1] == pytest.approx(single.condition, rel=1e-12)
+        assert diag.used_partial_form == single.used_partial_form
+    assert batched.forced_edges_respected
+
+
+def test_recover_vertex_masks_singular_trials_of_a_stack():
+    a = np.array([[[2.0]], [[0.0]]])
+    system = RecoverySystem(3, (0,), (0,), a, np.array([[4.0], [1.0]]), (True,))
+    weights = recover_vertex(system)
+    assert weights[0, 0] == 2.0 and np.isnan(weights[1, 0])
+
+
+def test_recover_many_splits_into_bounded_stacks(monkeypatch):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
+    stack = _perturbed_stack(inst.sigma.sigma, 4, seed=5, gamma=1e-6)
+    stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
+    whole = list(recover_many(g, stack))
+    calls = []
+
+    def counting(g, sigma, config=None):
+        calls.append(len(sigma))
+        return recover_all(g, sigma, config)
+
+    monkeypatch.setattr(recovery, "recover_all", counting)
+    monkeypatch.setattr(recovery, "STACK_BYTES", 2 * 16 * g.n**2)
+    split = list(recover_many(g, iter(stack)))
+    assert calls == [2, 2, 1]
+    assert [int(f) for _, _, f in split] == [int(f) for _, _, f in whole]
+    assert split[3][2] >= 0
+    for (sig_a, lam_a, _), (sig_b, lam_b, _), sigma in zip(whole, split, stack):
+        np.testing.assert_array_equal(sig_a, sigma)
+        np.testing.assert_array_equal(sig_b, sigma)
+        np.testing.assert_allclose(lam_b, lam_a, rtol=1e-12, atol=1e-14)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bowfree.errors import ConfigError, PremiseError
+from bowfree.errors import ConfigError, NearSingularError, PremiseError
 from bowfree.generators import gen_generative_instance
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import ParamSet, forward_map
-from bowfree.recovery import recover_all
+from bowfree.recovery import RecoveryConfig, recover_all
 from bowfree.robustness import (
     AssumptionProfile,
     PerturbationSpec,
@@ -236,6 +236,38 @@ def test_condition_estimate_matches_directional_derivative():
 
 def record_seed(trial, seed=0, gamma_index=0):
     return int(np.random.SeedSequence([seed, gamma_index, trial]).generate_state(1)[0])
+
+
+def test_condition_estimate_records_the_vertex_of_failed_draws():
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    g, sigma = inst.graph, inst.sigma.sigma
+    base = recover_all(g, sigma)
+    worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
+    # A tolerance just inside the base's worst system: draws that raise that
+    # system's condition number fail, the others recover.
+    config = RecoveryConfig(sing_tol=(1 - 1e-9) / base.per_vertex[worst].condition)
+    est = estimate_condition_number(g, sigma, 12, [1e-4], seed=3, strict=False, config=config)
+    assert 0 < est.failures < 12
+    np.testing.assert_allclose(est.base_lambda, base.lambda_hat, rtol=0, atol=1e-12)
+    assert "base_lambda" not in est.to_dict()
+    k = max(g.max_degree(), 1)
+    for rec in est.records:
+        draw = sample_perturbation(sigma, PerturbationSpec(1e-4, k, record_seed(rec.trial, seed=3), strict=False))
+        try:
+            recover_all(g, draw, config)
+            vertex = None
+        except NearSingularError as exc:
+            vertex = exc.vertex
+        assert rec.failed == (vertex is not None)
+        assert rec.vertex == vertex
+    assert {rec.vertex for rec in est.records if rec.failed} == {worst}
+
+
+def test_condition_estimate_raises_when_the_base_is_singular():
+    g = MixedGraph(3, [(0, 2), (1, 2)])
+    with pytest.raises(NearSingularError) as err:
+        estimate_condition_number(g, np.ones((3, 3)), 2, [1e-3], seed=0, strict=False)
+    assert err.value.vertex == 2
 
 
 def test_condition_estimate_within_error_rate_bound():
