@@ -62,6 +62,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count of at least 1; argparse names it in the
+    message for a non-integer, hence no leading underscore."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_dir(path_arg) -> Path:
     base = path_arg or os.environ.get("BOWFREE_OUT_DIR", ".")
     out = Path(base)
@@ -100,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     cond = sub.add_parser("condition", help="Monte Carlo condition-number estimate")
     cond.add_argument("--graph", required=True)
     cond.add_argument("--sigma", required=True)
-    cond.add_argument("--trials", type=int, default=20)
+    cond.add_argument("--trials", type=positive_int, default=20)
     cond.add_argument("--gammas", type=float, nargs="+", default=None)
     cond.add_argument("--tight", action="store_true")
     cond.add_argument("--no-strict", action="store_true")
@@ -185,9 +194,6 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    if args.trials < 1:
-        print(f"bowfree condition: error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return USAGE_EXIT
     g = load_graph(args.graph)
     sigma = load_matrix_csv(args.sigma)
     n = g.n

@@ -127,6 +127,7 @@ def _perturbation_ratios(graph, sigma: np.ndarray, perturbed, record: dict) -> d
     """
     recovered = recover_many(graph, itertools.chain([sigma], perturbed))
     _, base, failed = next(recovered)
+    base = base.copy()  # a view would keep its whole stack alive
     if failed >= 0:
         record["recovery_failed"] = True
     elif np.any(base != 0):

@@ -46,7 +46,10 @@ from .lsem import (
 
 DEFAULT_SING_TOL = 1e-10
 # recover_many stacks at most this many bytes of covariances and weights.
-STACK_BYTES = 32 * 2**20
+# Peak memory grows by up to about twice this over recovering one covariance
+# at a time. 8 MiB holds 23 covariances of n = 150, enough to amortise the
+# Python layer walk: larger stacks were barely faster there.
+STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,9 @@ def build_system(
     )
 
 
-def _solve(a, b, sing_tol, vertex, diagnostics):
-    """Solve A x = b, with or without a trial axis.
+def _solve(a, b, sing_tol, vertex):
+    """Solve A x = b, with or without a trial axis, and return
+    ``(weights, residual, condition)``.
 
     One SVD per system gives both the near-singular test and the condition
     number. Near-singular trials of a stack get NaN weights; a single
@@ -189,8 +193,7 @@ def _solve(a, b, sing_tol, vertex, diagnostics):
     """
     m = a.shape[-1]
     if m == 0:
-        weights = np.zeros(a.shape[:-1])
-        return (weights, np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])) if diagnostics else weights
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])
     svals = np.linalg.svd(a, compute_uv=False)
     s_max, s_min = svals[..., 0], svals[..., -1]
     singular = s_min <= sing_tol * s_max
@@ -203,33 +206,28 @@ def _solve(a, b, sing_tol, vertex, diagnostics):
     # Singular trials of a stack solve the identity instead and report NaN.
     weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
     weights[singular] = np.nan
-    if not diagnostics:
-        return weights
     residual = np.linalg.norm((a @ weights[..., None])[..., 0] - b, axis=-1)
     condition = np.divide(s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min > 0)
     return weights, residual, condition
 
 
-def recover_vertex(system: RecoverySystem, sing_tol: float = DEFAULT_SING_TOL, *, diagnostics: bool = False):
-    """Solve the per-vertex system; NearSingularError when A is degenerate,
-    NaN weights for the degenerate trials of a stack.
+def recover_vertex(system: RecoverySystem, sing_tol: float = DEFAULT_SING_TOL):
+    """Solve the per-vertex system for ``(weights, residual, condition)``.
 
-    With ``diagnostics`` the result is ``(weights, residual, condition)``,
-    the condition number taken from the SVD of the singularity test.
+    NearSingularError when A is degenerate, NaN weights for the degenerate
+    trials of a stack; the condition number comes from the SVD of that test.
     """
-    return _solve(system.a_matrix, system.b_vector, sing_tol, system.vertex, diagnostics)
+    return _solve(system.a_matrix, system.b_vector, sing_tol, system.vertex)
 
 
-def recover_first_layers(
-    g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT_SING_TOL, *, diagnostics: bool = False
-):
-    """Closed form for vertices without grandparents:
-    sigma[pa, pa]^{-1} @ sigma[pa, v]; ``diagnostics`` as in recover_vertex."""
+def recover_first_layers(g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT_SING_TOL):
+    """Closed form for vertices without grandparents,
+    sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
     if g.spa(v):
         raise OrderingError(f"vertex {v} has grandparents; use the general system")
     sig = as_matrix(sigma)
     pa = np.array(g.parents(v), dtype=int)
-    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], sing_tol, v, diagnostics)
+    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], sing_tol, v)
 
 
 def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> RecoveryResult:
@@ -266,13 +264,11 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
                 continue
             partial_form = len(unknown) == len(parents) and not g.spa(v)
             if partial_form:
-                weights, residual, condition = recover_first_layers(
-                    g, sig, v, config.sing_tol, diagnostics=True
-                )
+                weights, residual, condition = recover_first_layers(g, sig, v, config.sing_tol)
             else:
                 y_override = config.y_sets.get(v) if config.y_sets else None
                 system = build_system(g, sig, lam, v, y_set=y_override)
-                weights, residual, condition = recover_vertex(system, config.sing_tol, diagnostics=True)
+                weights, residual, condition = recover_vertex(system, config.sing_tol)
             singular = np.isnan(weights[..., 0])
             if singular.any():
                 failed[singular & (failed < 0)] = v

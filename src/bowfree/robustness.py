@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, NearSingularError, PremiseError
+from .errors import ConfigError, ConvergenceError, PremiseError
 from .graphs import MixedGraph
 from .linalg import snorm
 from .lsem import Covariance, as_matrix
-from .recovery import RecoveryConfig, recover_many
+from .recovery import RecoveryConfig, recover_all, recover_many
 
 
 def relative_distance(a, b) -> float:
@@ -371,8 +371,9 @@ def estimate_condition_number(
     failed, and excluded from the max. Trial seeds are derived from
     (seed, gamma index, trial index) so a longer run extends a shorter one.
     The unperturbed covariance and the draws are recovered together, in as
-    few passes as recover_many's memory bound allows; NearSingularError is
-    raised when the unperturbed one fails.
+    few passes as recover_many's memory bound allows. NearSingularError is
+    raised when the unperturbed one fails, before any invalid gamma is
+    reported.
     """
     sig = as_matrix(sigma)
     k = max(g.max_degree(), 1)
@@ -384,13 +385,16 @@ def estimate_condition_number(
             yield sample_perturbation(sig, PerturbationSpec(gamma, k, int(child_seed), enforce_tight, strict)).sigma
 
     recovered = recover_many(g, itertools.chain([sig], perturbed()), config)
-    _, base, failed = next(recovered)
-    base = base.copy()  # a view would keep its whole stack alive
+    try:
+        _, base, failed = next(recovered)
+    except ConfigError:
+        recover_all(g, sig, config)  # a singular base is reported before a bad gamma
+        raise
     if failed >= 0:
-        raise NearSingularError(
-            f"vertex {failed}: system is numerically singular on the unperturbed covariance",
-            vertex=int(failed),
-        )
+        # Alone, the base raises NearSingularError with its singular values.
+        base = recover_all(g, sig, config).lambda_hat
+    else:
+        base = base.copy()  # a view would keep its whole stack alive
     records = []
     kappa_hat = 0.0
     for (gamma, _, t), (draw, lam, failed) in zip(draws, recovered):

@@ -246,12 +246,14 @@ def test_cli_condition_rejects_fewer_than_one_trial(tmp_path, capsys):
           "--p", "0.7", "--seed", "5", "--out-dir", str(out)])
     capsys.readouterr()
     report = tmp_path / "cond.json"
-    code = main([
-        "condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
-        "--trials", "0", "--seed", "1", "--out", str(report),
-    ])
-    assert code == 64
-    assert capsys.readouterr().err == "bowfree condition: error: --trials must be at least 1, got 0\n"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
+            "--trials", "0", "--seed", "1", "--out", str(report),
+        ])
+    assert exc.value.code == 64
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == "bowfree condition: error: argument --trials: must be at least 1, got 0"
     assert not report.exists()
 
 
@@ -297,3 +299,16 @@ def test_cli_numerical_error_is_2(tmp_path):
     np.savetxt(sigma, np.ones((3, 3)), delimiter=",")  # singular parent block
     assert main(["recover", "--graph", str(graph), "--sigma", str(sigma),
                  "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_cli_condition_singular_base_beats_strict_gamma(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 3], [2, 3]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    np.savetxt(sigma, np.ones((3, 3)), delimiter=",")  # singular parent block
+    # gamma=0.5 also breaks the strict bound n^-4; the singular input wins.
+    code = main(["condition", "--graph", str(graph), "--sigma", str(sigma), "--gammas", "0.5",
+                 "--seed", "1", "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bowfree: numerical failure: vertex 2: system is numerically singular (sigma_min=")

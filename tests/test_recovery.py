@@ -77,7 +77,7 @@ def test_build_system_all_forced_is_empty():
     system = build_system(g, np.eye(2), np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
     assert system.parents == ()
     assert system.a_matrix.shape == (0, 0)
-    assert recover_vertex(system).size == 0
+    assert recover_vertex(system)[0].size == 0
 
 
 def test_build_system_shape_guard():
@@ -88,7 +88,7 @@ def test_build_system_shape_guard():
 
 def test_recover_vertex_scalar():
     system = RecoverySystem(0, (0,), (0,), np.array([[2.0]]), np.array([4.0]), (True,))
-    np.testing.assert_allclose(recover_vertex(system), [2.0])
+    np.testing.assert_allclose(recover_vertex(system)[0], [2.0])
 
 
 def test_recover_vertex_singular():
@@ -108,12 +108,12 @@ def test_recover_first_layers_two_node_closed_form():
     w = 0.37
     g = MixedGraph(2, [(0, 1)])
     sigma = np.array([[1.0, w], [w, 1.0 + w**2]])
-    np.testing.assert_allclose(recover_first_layers(g, sigma, 1), [w], atol=1e-12)
+    np.testing.assert_allclose(recover_first_layers(g, sigma, 1)[0], [w], atol=1e-12)
 
 
 def test_recover_first_layers_no_parents():
     g = MixedGraph(2, [(0, 1)])
-    assert recover_first_layers(g, np.eye(2), 0).size == 0
+    assert recover_first_layers(g, np.eye(2), 0)[0].size == 0
 
 
 def test_recover_first_layers_identity_block():
@@ -121,7 +121,7 @@ def test_recover_first_layers_identity_block():
     sigma = np.eye(3)
     sigma[0, 2] = sigma[2, 0] = 0.4
     sigma[1, 2] = sigma[2, 1] = -0.2
-    np.testing.assert_allclose(recover_first_layers(g, sigma, 2), [0.4, -0.2])
+    np.testing.assert_allclose(recover_first_layers(g, sigma, 2)[0], [0.4, -0.2])
 
 
 def test_recover_first_layers_requires_no_grandparents(chain3):
@@ -134,9 +134,9 @@ def test_both_forms_agree_when_no_grandparents():
     lam = np.zeros((3, 3))
     lam[0, 2], lam[1, 2] = 0.5, -0.7
     sigma = forward_map(g, ParamSet(lam, np.eye(3))).sigma
-    direct = recover_first_layers(g, sigma, 2)
+    direct = recover_first_layers(g, sigma, 2)[0]
     system = build_system(g, sigma, np.zeros((3, 3)), 2)
-    np.testing.assert_allclose(recover_vertex(system), direct, atol=1e-12)
+    np.testing.assert_allclose(recover_vertex(system)[0], direct, atol=1e-12)
 
 
 def test_recover_all_generative_round_trip():
@@ -329,8 +329,9 @@ def test_stack_diagnostics_are_per_trial():
 def test_recover_vertex_masks_singular_trials_of_a_stack():
     a = np.array([[[2.0]], [[0.0]]])
     system = RecoverySystem(3, (0,), (0,), a, np.array([[4.0], [1.0]]), (True,))
-    weights = recover_vertex(system)
+    weights, residual, condition = recover_vertex(system)
     assert weights[0, 0] == 2.0 and np.isnan(weights[1, 0])
+    assert residual[0] == 0.0 and condition[0] == 1.0 and np.isinf(condition[1])
 
 
 def test_recover_many_splits_into_bounded_stacks(monkeypatch):

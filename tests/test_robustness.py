@@ -268,6 +268,17 @@ def test_condition_estimate_raises_when_the_base_is_singular():
     with pytest.raises(NearSingularError) as err:
         estimate_condition_number(g, np.ones((3, 3)), 2, [1e-3], seed=0, strict=False)
     assert err.value.vertex == 2
+    assert "sigma_min=" in str(err.value) and "sigma_max=" in str(err.value)
+
+
+def test_singular_base_is_reported_before_a_strict_gamma_error():
+    g = MixedGraph(3, [(0, 2), (1, 2)])
+    # gamma=0.5 breaks the strict bound n^-4 on its first draw.
+    with pytest.raises(ConfigError):
+        estimate_condition_number(g, np.eye(3), 2, [1e-3, 0.5], seed=0)
+    with pytest.raises(NearSingularError) as err:
+        estimate_condition_number(g, np.ones((3, 3)), 2, [1e-3, 0.5], seed=0)
+    assert err.value.vertex == 2
 
 
 def test_condition_estimate_within_error_rate_bound():
