@@ -1,84 +1,14 @@
-"""Robust parameter recovery for linear SEMs on bow-free mixed graphs."""
+"""Robust parameter recovery for linear SEMs on bow-free mixed graphs.
 
-from .errors import (
-    BowfreeError,
-    BowViolationError,
-    ConfigError,
-    ConvergenceError,
-    CycleError,
-    DefinitenessError,
-    GraphStructureError,
-    IngestionError,
-    NearSingularError,
-    OrderingError,
-    PatternError,
-    PremiseError,
-    SampleSizeError,
-)
-from .graphs import DirectedEdge, LayerDecomposition, MixedGraph, graph_from_dict, graph_to_dict, load_graph, save_graph
-from .linalg import NormReport, spectral_norm, snorm, symmetrize
-from .lsem import (
-    Covariance,
-    ParamSet,
-    forward_map,
-    load_matrix_csv,
-    neumann_inverse,
-    project_omega_pattern,
-    recover_omega,
-    sample_covariance,
-    save_matrix_csv,
-)
-from .recovery import (
-    RecoveryConfig,
-    RecoveryResult,
-    RecoverySystem,
-    build_system,
-    recover_all,
-    recover_first_layers,
-    recover_full_params,
-    recover_vertex,
-)
-from .robustness import (
-    AssumptionProfile,
-    ConditionEstimate,
-    ErrorRateConstants,
-    PerturbationSpec,
-    PremiseCheck,
-    check_assumptions,
-    condition_bound,
-    estimate_condition_number,
-    eta_bound,
-    per_vertex_error_check,
-    relative_distance,
-    sample_perturbation,
-    stability_premise,
-)
-from .generators import (
-    GenerativeConfig,
-    Instance,
-    RandomGraphConfig,
-    SDDNoiseConfig,
-    d_min,
-    gen_generative_instance,
-    gen_lambda_range,
-    gen_lambda_uniform,
-    gen_layered_bowfree_graph,
-    gen_omega_sdd,
-    gen_omega_spherical,
-    gen_random_bowfree_graph,
-    gen_sdd_instance,
-    gram_tail_bound,
-    sample_observations,
-)
-from .reduction import (
-    GadgetSpec,
-    ReductionOutput,
-    ReductionReport,
-    build_gadget,
-    reduce_graph,
-    reduce_covariance,
-    reduce_instance,
-    verify_reduction,
-)
+The root exports the main entry points of each module; everything else is
+imported from its submodule (``bowfree.recovery``, ``bowfree.reduction``, ...).
+"""
+
+from .errors import BowfreeError, NearSingularError
+from .graphs import MixedGraph, load_graph, save_graph
+from .lsem import ParamSet, forward_map, sample_covariance
+from .recovery import RecoveryConfig, recover_all, recover_full_params
+from .robustness import check_assumptions, estimate_condition_number, eta_bound
+from .reduction import reduce_instance, verify_reduction
 
 __version__ = "0.1.0"

@@ -9,13 +9,10 @@ output directory can be set through BOWFREE_OUT_DIR.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     BowfreeError,
@@ -24,30 +21,16 @@ from .errors import (
     NearSingularError,
     PremiseError,
 )
-from .experiments import (
-    ExperimentConfig,
-    report_bytes,
-    run_experiment,
-    summary_csv_lines,
-)
+from .experiments import ExperimentConfig, run_experiment, summary_csv_lines, write_report
 from .generators import (
     RandomGraphConfig,
-    SDDNoiseConfig,
     gen_generative_instance,
-    gen_lambda_range,
     gen_layered_bowfree_graph,
-    gen_omega_sdd,
     gen_random_bowfree_graph,
+    gen_sdd_instance,
 )
 from .graphs import load_graph, save_graph
-from .lsem import (
-    ParamSet,
-    forward_map,
-    load_matrix_csv,
-    load_params,
-    save_matrix_csv,
-    save_params,
-)
+from .lsem import load_matrix_csv, load_params, save_matrix_csv, save_params
 from .recovery import recover_all, recovery_to_dict
 from .reduction import reduce_instance, save_reduction
 from .robustness import check_assumptions, condition_bound, estimate_condition_number, eta_bound, stability_premise
@@ -76,13 +59,6 @@ def _out_dir(path_arg) -> Path:
     out = Path(base)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path, payload):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,24 +140,19 @@ def _cmd_generate(args) -> int:
     elif args.kind == "layered":
         g = gen_layered_bowfree_graph(args.n, args.k, args.p, args.seed, args.extra_bidirected_p)
         save_graph(g, out / "graph.json")
-    elif args.kind == "generative":
-        inst = gen_generative_instance(args.n, args.k, args.p, args.seed, mu=args.mu, d=args.d)
-        manifest.update({"mu": args.mu, "d": args.d})
+    else:
+        if args.kind == "generative":
+            inst = gen_generative_instance(args.n, args.k, args.p, args.seed, mu=args.mu, d=args.d)
+            manifest.update({"mu": args.mu, "d": args.d})
+        else:  # sdd
+            inst = gen_sdd_instance(
+                args.n, args.k, args.p, args.weight_range, args.seed, extra_bidirected_p=args.extra_bidirected_p
+            )
+            manifest.update({"range": args.weight_range})
         save_graph(inst.graph, out / "graph.json")
         save_params(inst.params, out / "params.json")
         save_matrix_csv(inst.sigma.sigma, out / "sigma.csv")
-    else:  # sdd
-        root = np.random.SeedSequence(args.seed)
-        seeds = [int(s.generate_state(1)[0]) for s in root.spawn(3)]
-        g = gen_layered_bowfree_graph(args.n, args.k, args.p, seeds[0], args.extra_bidirected_p)
-        lam = gen_lambda_range(g, SDDNoiseConfig(args.weight_range, seeds[1]))
-        omega = gen_omega_sdd(g, SDDNoiseConfig(args.weight_range, seeds[2]))
-        params = ParamSet(lam, omega)
-        manifest.update({"range": args.weight_range})
-        save_graph(g, out / "graph.json")
-        save_params(params, out / "params.json")
-        save_matrix_csv(forward_map(g, params).sigma, out / "sigma.csv")
-    _write_json(out / "manifest.json", manifest)
+    write_report(manifest, out / "manifest.json")
     return 0
 
 
@@ -189,7 +160,7 @@ def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
     sigma = load_matrix_csv(args.sigma)
     result = recover_all(g, sigma)
-    _write_json(args.out, recovery_to_dict(result))
+    write_report(recovery_to_dict(result), args.out)
     return 0
 
 
@@ -221,7 +192,7 @@ def _cmd_condition(args) -> int:
             "bound": bound,
         }
     )
-    _write_json(args.out, report)
+    write_report(report, args.out)
     if args.trials_csv:
         lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed"]
         for rec in estimate.records:
@@ -246,7 +217,7 @@ def _cmd_check(args) -> int:
     profile = check_assumptions(g, sigma, lam)
     payload = profile.to_dict()
     payload["premise"] = stability_premise(profile).to_dict()
-    _write_json(args.out, payload)
+    write_report(payload, args.out)
     return 0
 
 
@@ -277,8 +248,7 @@ def _cmd_experiment(args) -> int:
     start = time.monotonic()
     report = run_experiment(cfg)
     elapsed = time.monotonic() - start
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_bytes(report_bytes(report))
+    write_report(report, args.out)
     if args.summary_csv:
         Path(args.summary_csv).write_text(
             "\n".join(summary_csv_lines(report)) + "\n", encoding="utf-8"

@@ -20,6 +20,7 @@ from .errors import ConfigError, IngestionError, NearSingularError
 from .generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
+    derived_seed,
     gen_lambda_range,
     gen_omega_sdd,
     gen_random_bowfree_graph,
@@ -57,10 +58,6 @@ class ExperimentConfig:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
         if self.graphs < 1 or self.runs_per_graph < 0:
             raise ConfigError("graphs must be >= 1 and runs_per_graph >= 0")
-
-
-def _derived_seed(*parts) -> int:
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
 def _stats(values: list[float]) -> dict:
@@ -101,7 +98,7 @@ def gene_standin_dataset(m: int = 118, v: int = 13, seed: int = 0) -> np.ndarray
     """
     from .graphs import MixedGraph
 
-    rng = np.random.default_rng(_derived_seed(seed, 0))
+    rng = np.random.default_rng(derived_seed(seed, 0))
     driver_edges = [(0, j) for j in range(1, v)]
     g = MixedGraph(v, driver_edges, [])
     lam = np.zeros((v, v))
@@ -111,7 +108,7 @@ def gene_standin_dataset(m: int = 118, v: int = 13, seed: int = 0) -> np.ndarray
         lam[u, w] = weight
         noise_var[w] = 1.0 - weight**2  # unit column variances
     sigma = forward_map(g, ParamSet(lam, np.diag(noise_var)))
-    return sample_observations(sigma, m, _derived_seed(seed, 3))
+    return sample_observations(sigma, m, derived_seed(seed, 3))
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -155,18 +152,18 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
     x = load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
     n = x.shape[1]
     degenerate = cfg.noise_eps == 0.0
+    sigma = sample_covariance(x, normalize_rows=cfg.normalize).sigma
 
     records = []
     for pi, p in enumerate(cfg.p_grid):
         for gidx in range(cfg.graph_offset, cfg.graph_offset + cfg.graphs):
             graph = gen_random_bowfree_graph(
-                RandomGraphConfig(n, p, seed=_derived_seed(cfg.seed, 1, pi, gidx))
+                RandomGraphConfig(n, p, seed=derived_seed(cfg.seed, 1, pi, gidx))
             )
-            sigma = sample_covariance(x, normalize_rows=cfg.normalize).sigma
 
             def noisy():
                 for run in range(0 if degenerate else cfg.runs_per_graph):
-                    rng = np.random.default_rng(_derived_seed(cfg.seed, 2, pi, gidx, run))
+                    rng = np.random.default_rng(derived_seed(cfg.seed, 2, pi, gidx, run))
                     yield sample_covariance(x + rng.normal(0.0, cfg.noise_eps, size=x.shape),
                                             normalize_rows=cfg.normalize).sigma
 
@@ -179,11 +176,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
             }
             records.append(_perturbation_ratios(graph, sigma, noisy(), record))
 
-    summary = {}
-    for pi, p in enumerate(cfg.p_grid):
-        ratios = [r for rec in records if rec["p"] == p for r in rec["ratios"]]
-        summary[f"p={p:g}"] = _stats(ratios)
-    return {
+    return summarise({
         "schema": SCHEMA_VERSION,
         "mode": "gene",
         "perturbation": "observation-noise",
@@ -191,8 +184,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
         "dataset_shape": list(x.shape),
         "config": asdict(cfg),
         "records": records,
-        "summary": summary,
-    }
+    })
 
 
 def run_simulated(cfg: ExperimentConfig) -> dict:
@@ -207,14 +199,14 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                 for gidx in range(cfg.graph_offset, cfg.graph_offset + cfg.graphs):
                     cell_seed = (cfg.seed, 3, ni, pi, ri, gidx)
                     graph = gen_layered_bowfree_graph(
-                        n, cfg.k, p, _derived_seed(*cell_seed, 0)
+                        n, cfg.k, p, derived_seed(*cell_seed, 0)
                     )
-                    lam = gen_lambda_range(graph, SDDNoiseConfig(weight_range, _derived_seed(*cell_seed, 1)))
-                    omega = gen_omega_sdd(graph, SDDNoiseConfig(weight_range, _derived_seed(*cell_seed, 2)))
+                    lam = gen_lambda_range(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 1)))
+                    omega = gen_omega_sdd(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 2)))
                     sigma = forward_map(graph, ParamSet(lam, omega)).sigma
                     sampled = (
                         sample_covariance(
-                            sample_observations(sigma, cfg.samples, _derived_seed(*cell_seed, 4, run))
+                            sample_observations(sigma, cfg.samples, derived_seed(*cell_seed, 4, run))
                         ).sigma
                         for run in range(cfg.runs_per_graph)
                     )
@@ -229,25 +221,13 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                     }
                     records.append(_perturbation_ratios(graph, sigma, sampled, record))
 
-    summary = {}
-    for n in cfg.n_grid:
-        for p in cfg.p_grid:
-            for weight_range in cfg.range_grid:
-                ratios = [
-                    r
-                    for rec in records
-                    if rec["n"] == n and rec["p"] == p and rec["range"] == weight_range
-                    for r in rec["ratios"]
-                ]
-                summary[f"n={n},p={p:g},range={weight_range:g}"] = _stats(ratios)
-    return {
+    return summarise({
         "schema": SCHEMA_VERSION,
         "mode": "simulated",
         "perturbation": "sample-covariance",
         "config": asdict(cfg),
         "records": records,
-        "summary": summary,
-    }
+    })
 
 
 def run_assumption_survey(cfg: ExperimentConfig) -> dict:
@@ -262,7 +242,7 @@ def run_assumption_survey(cfg: ExperimentConfig) -> dict:
     p = cfg.p_grid[0]
     for gidx in range(cfg.graph_offset, cfg.graph_offset + cfg.graphs):
         graph = gen_random_bowfree_graph(
-            RandomGraphConfig(n, p, seed=_derived_seed(cfg.seed, 4, gidx))
+            RandomGraphConfig(n, p, seed=derived_seed(cfg.seed, 4, gidx))
         )
         record = {"graph": gidx, "recovery_failed": False}
         try:
@@ -282,22 +262,12 @@ def run_assumption_survey(cfg: ExperimentConfig) -> dict:
         record["kappa0"] = profile.kappa0 if np.isfinite(profile.kappa0) else None
         records.append(record)
 
-    evaluated = [r for r in records if not r["recovery_failed"]]
-    summary = {
-        "graphs": len(records),
-        "evaluated": len(evaluated),
-        "pass_a1": sum(bool(r["pass_a1"]) for r in evaluated),
-        "pass_a2": sum(bool(r["pass_a2"]) for r in evaluated),
-        "pass_a3": sum(bool(r["pass_a3"]) for r in evaluated),
-        "all_pass": sum(bool(r["all_pass"]) for r in evaluated),
-    }
-    return {
+    return summarise({
         "schema": SCHEMA_VERSION,
         "mode": "survey",
         "config": asdict(cfg),
         "records": records,
-        "summary": summary,
-    }
+    })
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -309,6 +279,36 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return run_assumption_survey(cfg)
 
 
+def summarise(report: dict) -> dict:
+    """Set ``report["summary"]`` from the report's mode, config grid and
+    records, and return the report.
+
+    A survey counts the graphs passing each assumption. The condition
+    studies give the ratio statistics of each grid cell, matching records
+    on their own grid values.
+    """
+    cfg, records = report["config"], report["records"]
+    if report["mode"] == "survey":
+        evaluated = [r for r in records if not r["recovery_failed"]]
+        summary = {"graphs": len(records), "evaluated": len(evaluated)}
+        for key in ("pass_a1", "pass_a2", "pass_a3", "all_pass"):
+            summary[key] = sum(bool(r[key]) for r in evaluated)
+    else:
+        if report["mode"] == "gene":
+            cells = {f"p={p:g}": {"p": p} for p in cfg["p_grid"]}
+        else:
+            cells = {
+                f"n={n},p={p:g},range={w:g}": {"n": n, "p": p, "range": w}
+                for n, p, w in itertools.product(cfg["n_grid"], cfg["p_grid"], cfg["range_grid"])
+            }
+        summary = {
+            key: _stats([x for r in records if all(r[f] == v for f, v in cell.items()) for x in r["ratios"]])
+            for key, cell in cells.items()
+        }
+    report["summary"] = summary
+    return report
+
+
 def merge_reports(first: dict, second: dict) -> dict:
     """Merge two reports produced from disjoint graph ranges of one config."""
     for key in ("schema", "mode"):
@@ -316,38 +316,8 @@ def merge_reports(first: dict, second: dict) -> dict:
             raise ConfigError(f"cannot merge reports with different {key}")
     merged = dict(first)
     merged["records"] = first["records"] + second["records"]
-    merged["config"] = dict(first["config"])
-    merged["config"]["graphs"] = first["config"]["graphs"] + second["config"]["graphs"]
-
-    if first["mode"] == "survey":
-        evaluated = [r for r in merged["records"] if not r["recovery_failed"]]
-        merged["summary"] = {
-            "graphs": len(merged["records"]),
-            "evaluated": len(evaluated),
-            "pass_a1": sum(bool(r["pass_a1"]) for r in evaluated),
-            "pass_a2": sum(bool(r["pass_a2"]) for r in evaluated),
-            "pass_a3": sum(bool(r["pass_a3"]) for r in evaluated),
-            "all_pass": sum(bool(r["all_pass"]) for r in evaluated),
-        }
-        return merged
-
-    summary = {}
-    for key in first["summary"]:
-        def _matches(rec, key=key):
-            parts = dict(item.split("=") for item in key.split(","))
-            ok = True
-            if "p" in parts:
-                ok &= rec["p"] == float(parts["p"])
-            if "n" in parts:
-                ok &= rec["n"] == int(parts["n"])
-            if "range" in parts:
-                ok &= rec["range"] == float(parts["range"])
-            return ok
-
-        ratios = [r for rec in merged["records"] if _matches(rec) for r in rec["ratios"]]
-        summary[key] = _stats(ratios)
-    merged["summary"] = summary
-    return merged
+    merged["config"] = dict(first["config"], graphs=first["config"]["graphs"] + second["config"]["graphs"])
+    return summarise(merged)
 
 
 def report_bytes(report: dict) -> bytes:

@@ -77,6 +77,11 @@ class SDDNoiseConfig:
             raise ConfigError("weight range must be positive")
 
 
+def derived_seed(*parts) -> int:
+    """One seed from integer parts such as (seed, stage, index, ...)."""
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
 def _attach_bidirected(n, directed_pairs, rng, extra_p):
     """One mandatory bidirected partner per vertex plus extras; never on a
     pair that already carries a directed edge."""
@@ -274,11 +279,13 @@ def gen_generative_instance(
     return Instance(g, params, forward_map(g, params))
 
 
-def gen_sdd_instance(n: int, k: int, p: float, weight_range: float, seed: int) -> Instance:
+def gen_sdd_instance(
+    n: int, k: int, p: float, weight_range: float, seed: int, extra_bidirected_p: float = 0.1
+) -> Instance:
     """Layered instance with uniform weights and diagonally dominant noise."""
     root = np.random.SeedSequence(seed)
     graph_seed, lam_seed, omega_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
-    g = gen_layered_bowfree_graph(n, k, p, graph_seed)
+    g = gen_layered_bowfree_graph(n, k, p, graph_seed, extra_bidirected_p)
     lam = gen_lambda_range(g, SDDNoiseConfig(weight_range, lam_seed))
     omega = gen_omega_sdd(g, SDDNoiseConfig(weight_range, omega_seed))
     params = ParamSet(lam, omega)

@@ -153,12 +153,6 @@ class MixedGraph:
     def has_bidirected(self, u, v) -> bool:
         return (min(u, v), max(u, v)) in self.bidirected
 
-    def in_degree(self, v) -> int:
-        return len(self.parents(v))
-
-    def out_degree(self, v) -> int:
-        return len(self.children(v))
-
     def max_degree(self) -> int:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
         if self.n == 0:
@@ -292,11 +286,6 @@ class MixedGraph:
                     prev[c] = x
                     queue.append(c)
         return None
-
-    # -- derived constructors -----------------------------------------------
-
-    def with_bidirected(self, pairs) -> "MixedGraph":
-        return MixedGraph(self.n, self.directed, set(self.bidirected) | set(pairs))
 
 
 def graph_to_dict(g: MixedGraph) -> dict:

@@ -1,96 +1,18 @@
-"""Small dense-matrix utilities: spectral norms, symmetrization, PSD checks."""
+"""Small dense-matrix utilities: the spectral norm and symmetrization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DefinitenessError
-
-# Exact SVD below this dimension; power iteration on A^T A above.
-_EXACT_SVD_MAX_DIM = 64
-
-
-@dataclass(frozen=True)
-class NormReport:
-    spectral_norm: float
-    method: str  # "exact-svd" | "power-iteration(iters,tol)"
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def spectral_norm(a) -> NormReport:
-    """Largest singular value of ``a``.
-
-    Uses exact SVD for dimensions up to 64 and power iteration on A^T A
-    (relative tolerance 1e-10) above that.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.size == 0:
-        return NormReport(0.0, "exact-svd")
-    if max(a.shape) <= _EXACT_SVD_MAX_DIM:
-        return NormReport(float(np.linalg.svd(a, compute_uv=False)[0]), "exact-svd")
-    value, iters, tol = _power_iteration_sigma_max(a)
-    return NormReport(value, f"power-iteration({iters},{tol:g})")
-
-
 def snorm(a) -> float:
-    """Shorthand for the spectral-norm value; empty matrices have norm 0."""
-    return spectral_norm(a).spectral_norm
-
-
-def _power_iteration_sigma_max(a, tol=1e-10, max_iter=10_000):
-    gram_side = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(gram_side.shape[0])
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        y = gram_side @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0, it, tol
-        lam_new = float(x @ y)
-        x = y / norm_y
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0))), it, tol
-
-
-def min_eigenvalue(sym: np.ndarray) -> float:
-    if sym.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(symmetrize(sym))[0])
-
-
-def require_positive_definite(sym: np.ndarray, floor_scale: float = 1e-12, what="matrix"):
-    """Raise DefinitenessError unless min eigenvalue > floor_scale * ||sym||."""
-    sym = np.asarray(sym, dtype=float)
-    if sym.size == 0:
-        return
-    scale = snorm(sym)
-    if min_eigenvalue(sym) <= floor_scale * scale:
-        raise DefinitenessError(
-            f"{what} is not positive definite within floor {floor_scale:g} * norm"
-        )
-
-
-def cholesky_factor(sym: np.ndarray, what="matrix") -> np.ndarray:
-    try:
-        return np.linalg.cholesky(symmetrize(np.asarray(sym, dtype=float)))
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"{what} admits no Cholesky factor: {exc}") from exc
-
-
-def gershgorin_intervals(sym: np.ndarray) -> list[tuple[float, float]]:
-    """Row intervals [a_ii - R_i, a_ii + R_i] with R_i the off-diagonal abs sum."""
-    sym = np.asarray(sym, dtype=float)
-    radii = np.sum(np.abs(sym), axis=1) - np.abs(np.diag(sym))
-    return [(float(sym[i, i] - radii[i]), float(sym[i, i] + radii[i])) for i in range(sym.shape[0])]
+    """Largest singular value of ``a``, exact at every size; a vector is
+    read as a single row and an empty matrix has norm 0."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    # The largest value of one SVD: np.linalg.norm(a, 2) computes the same
+    # bits with twice the overhead on the small blocks the checks pass in.
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DefinitenessError, PatternError, SampleSizeError
+from .errors import ConvergenceError, DefinitenessError, PatternError, SampleSizeError
 from .graphs import MixedGraph
 from .linalg import snorm, symmetrize
-from .errors import ConvergenceError
 
 PATTERN_ATOL = 1e-9
 PD_FLOOR_SCALE = 1e-12

@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError
-from .graphs import MixedGraph, graph_to_dict
-from .lsem import Covariance, as_matrix
+from .errors import ConfigError, GraphStructureError, NearSingularError
+from .graphs import MixedGraph, save_graph
+from .lsem import Covariance, as_matrix, save_matrix_csv
 from .recovery import RecoveryConfig, build_system, recover_all
 
 
@@ -57,10 +58,6 @@ class ReductionOutput:
     r: int
     k_layers: int
     gadgets: tuple[GadgetSpec, ...]
-    # Entries where the literal per-entry covariance formula (factor 1/r for
-    # every new vertex) disagrees with the equivalent-system derivation
-    # (collectors carry factor 1). Stored as (row, col) pairs, truncated.
-    formula_discrepancies: tuple[tuple[int, int], ...] = ()
 
 
 class _IdAllocator:
@@ -149,55 +146,34 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     return g_prime, tuple(gadgets), r
 
 
-def reduce_covariance(
-    g: MixedGraph,
-    sigma,
-    g_prime: MixedGraph,
-    gadgets: tuple[GadgetSpec, ...],
-    r: int,
-    max_reported_discrepancies: int = 64,
-) -> tuple[Covariance, tuple[tuple[int, int], ...]]:
+def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...], r: int) -> Covariance:
     """Covariance of the reduced model via the equivalent linear system.
 
     Every new variable is factor * X_head with factor 1/r on inner stages
     and 1 on collectors, so sigma'[a, b] =
-    factor(a) * factor(b) * sigma[head(a), head(b)]. Also cross-checks the
-    literal per-entry formula (factor 1/r for every new vertex) and
-    reports where the two disagree - exactly the collector entries.
+    factor(a) * factor(b) * sigma[head(a), head(b)].
     """
     sig = as_matrix(sigma)
-    n, n_prime = g.n, g_prime.n
-    head = np.arange(n_prime)
-    factor = np.ones(n_prime)
+    head = np.arange(g_prime.n)
+    factor = np.ones(g_prime.n)
     for spec in gadgets:
         for stage in spec.inner_layers:
             for x in stage:
                 head[x] = spec.head
                 factor[x] = 1.0 / r
         head[spec.collector] = spec.head
-        factor[spec.collector] = 1.0
-
-    scale = np.outer(factor, factor)
-    sigma_prime = scale * sig[np.ix_(head, head)]
-
-    literal_factor = np.where(np.arange(n_prime) < n, 1.0, 1.0 / r)
-    literal = np.outer(literal_factor, literal_factor) * sig[np.ix_(head, head)]
-    diff = np.argwhere(~np.isclose(sigma_prime, literal, rtol=1e-12, atol=0.0))
-    discrepancies = tuple(
-        (int(a), int(b)) for a, b in diff[:max_reported_discrepancies]
-    )
-    return Covariance(sigma_prime, "reduced"), discrepancies
+    return Covariance(np.outer(factor, factor) * sig[np.ix_(head, head)], "reduced")
 
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
     """Full reduction: layered graph, matching covariance, gadget manifest."""
     g_prime, gadgets, r = reduce_graph(g)
     if gadgets:
-        cov, discrepancies = reduce_covariance(g, sigma, g_prime, gadgets, r)
+        cov = reduce_covariance(sigma, g_prime, gadgets, r)
     else:
-        cov, discrepancies = Covariance(as_matrix(sigma), "reduced"), ()
+        cov = Covariance(as_matrix(sigma), "reduced")
     k_layers = g_prime.layer_decomposition().depth
-    return ReductionOutput(g_prime, cov, g.n, r, k_layers, gadgets, discrepancies)
+    return ReductionOutput(g_prime, cov, g.n, r, k_layers, gadgets)
 
 
 # -- verification -------------------------------------------------------------
@@ -235,8 +211,6 @@ def verify_reduction(
     config: RecoveryConfig | None = None,
 ) -> ReductionReport:
     """Itemized checks that the reduction preserves structure and recovery."""
-    from .errors import NearSingularError
-
     notes = []
     bow_free = not red.g_prime.bow_violations()
     layered = red.g_prime.is_k_layered()
@@ -322,21 +296,13 @@ def reduction_manifest(red: ReductionOutput) -> dict:
             }
             for spec in red.gadgets
         ],
-        "formula_discrepancy_count": len(red.formula_discrepancies),
-        "formula_discrepancies": [[a + 1, b + 1] for a, b in red.formula_discrepancies],
     }
 
 
 def save_reduction(red: ReductionOutput, out_dir):
-    from pathlib import Path
-
-    from .lsem import save_matrix_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "g_prime.json", "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(red.g_prime), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_graph(red.g_prime, out / "g_prime.json")
     save_matrix_csv(red.sigma_prime.sigma, out / "sigma_prime.csv")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(reduction_manifest(red), fh, indent=2, sort_keys=True)

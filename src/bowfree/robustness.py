@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PremiseError
+from .generators import derived_seed
 from .graphs import MixedGraph
 from .linalg import snorm
 from .lsem import Covariance, as_matrix
@@ -381,8 +382,8 @@ def estimate_condition_number(
 
     def perturbed():
         for gamma, gi, t in draws:
-            child_seed = np.random.SeedSequence([int(seed), gi, t]).generate_state(1)[0]
-            yield sample_perturbation(sig, PerturbationSpec(gamma, k, int(child_seed), enforce_tight, strict)).sigma
+            spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
+            yield sample_perturbation(sig, spec).sigma
 
     recovered = recover_many(g, itertools.chain([sig], perturbed()), config)
     try:
@@ -440,8 +441,7 @@ def per_vertex_error_check(
 
     def perturbed():
         for t in range(trials):
-            child_seed = np.random.SeedSequence([int(spec.seed), t]).generate_state(1)[0]
-            trial_spec = PerturbationSpec(spec.gamma, spec.k, int(child_seed), spec.enforce_tight, spec.strict)
+            trial_spec = replace(spec, seed=derived_seed(spec.seed, t))
             yield sample_perturbation(sig, trial_spec).sigma
 
     out = []

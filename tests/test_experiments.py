@@ -140,11 +140,16 @@ def test_reports_are_byte_identical():
 
 
 def test_merge_matches_single_run():
-    whole = ExperimentConfig(mode="simulated", seed=4, p_grid=(0.5,), n_grid=(12,), graphs=4, runs_per_graph=3)
-    first = replace(whole, graphs=2)
-    second = replace(whole, graphs=2, graph_offset=2)
-    merged = merge_reports(run_experiment(first), run_experiment(second))
-    assert report_bytes(merged) == report_bytes(run_experiment(whole))
+    # 0.55555555 prints as "p=0.555556" in the summary keys; the merge must
+    # still find its records.
+    for mode, p in (("simulated", 0.5), ("simulated", 0.55555555), ("gene", 0.55555555)):
+        whole = ExperimentConfig(mode=mode, seed=4, p_grid=(p,), n_grid=(12,), graphs=4, runs_per_graph=3)
+        first = replace(whole, graphs=2)
+        second = replace(whole, graphs=2, graph_offset=2)
+        merged = merge_reports(run_experiment(first), run_experiment(second))
+        single = run_experiment(whole)
+        assert sum(cell["count"] for cell in single["summary"].values()) > 0
+        assert report_bytes(merged) == report_bytes(single)
 
 
 def test_merge_survey_reports():
@@ -186,6 +191,27 @@ def test_cli_generate_recover_round_trip(tmp_path):
     payload = _read_json(result)
     truth = _read_json(out / "params.json")
     assert np.max(np.abs(np.array(payload["lambda"]) - np.array(truth["lambda"]))) <= 1e-8
+
+
+def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
+    from bowfree.generators import gen_sdd_instance
+    from bowfree.graphs import graph_to_dict, save_graph
+    from bowfree.lsem import save_matrix_csv, save_params
+
+    assert main([
+        "generate", "--kind", "sdd", "--n", "15", "--k", "3", "--p", "0.6", "--range", "0.7",
+        "--extra-bidirected-p", "0.3", "--seed", "5", "--out-dir", str(tmp_path / "cli"),
+    ]) == 0
+    inst = gen_sdd_instance(15, 3, 0.6, 0.7, 5, extra_bidirected_p=0.3)
+    want = tmp_path / "direct"
+    want.mkdir()
+    save_graph(inst.graph, want / "graph.json")
+    save_params(inst.params, want / "params.json")
+    save_matrix_csv(inst.sigma.sigma, want / "sigma.csv")
+    for name in ("graph.json", "params.json", "sigma.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (want / name).read_bytes()
+    # the flag reaches the graph: the default 0.1 gives other bidirected edges
+    assert graph_to_dict(gen_sdd_instance(15, 3, 0.6, 0.7, 5).graph) != _read_json(want / "graph.json")
 
 
 def test_cli_reduce_writes_artifacts(tmp_path):

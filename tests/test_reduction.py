@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
 )
 from bowfree.graphs import MixedGraph
-from bowfree.lsem import ParamSet, forward_map, neumann_inverse
+from bowfree.lsem import Covariance, ParamSet, forward_map, neumann_inverse
 from bowfree.recovery import build_system, recover_all
 from bowfree.reduction import (
     _IdAllocator,
@@ -92,7 +93,6 @@ def test_reduce_layered_graph_is_identity():
     assert gadgets == ()
     red = reduce_instance(g, np.eye(3))
     np.testing.assert_array_equal(red.sigma_prime.sigma, np.eye(3))
-    assert red.formula_discrepancies == ()
 
 
 def test_reduce_four_node_skip_edge():
@@ -113,15 +113,13 @@ def test_reduce_covariance_factor_map():
     spec, g_prime = _gadget_graph(0, 1, q=1, r=2)
     g = MixedGraph(2, [(0, 1)], [])
     sigma = np.array([[2.0, 0.6], [0.6, 1.5]])
-    cov, discrepancies = reduce_covariance(g, sigma, g_prime, (spec,), r=2)
+    cov = reduce_covariance(sigma, g_prime, (spec,), r=2)
     inner = spec.inner_layers[0][0]
     assert cov.sigma[0, inner] == pytest.approx(sigma[0, 0] / 2)
     assert cov.sigma[0, spec.collector] == pytest.approx(sigma[0, 0])
     assert cov.sigma[inner, inner] == pytest.approx(sigma[0, 0] / 4)
+    assert cov.sigma[spec.collector, spec.collector] == pytest.approx(sigma[0, 0])
     np.testing.assert_allclose(cov.sigma[:2, :2], sigma)
-    # the literal per-entry formula disagrees exactly on collector entries
-    assert discrepancies
-    assert all(spec.collector in pair for pair in discrepancies)
 
 
 def _random_instance(seed, n=8):
@@ -164,15 +162,7 @@ def test_corrupted_reduced_covariance_is_detected():
     corrupted = red.sigma_prime.sigma.copy()
     collector = red.gadgets[0].collector
     corrupted[0, collector] = corrupted[collector, 0] = 0.0
-    bad = red.__class__(
-        red.g_prime,
-        red.sigma_prime.__class__(corrupted, "reduced"),
-        red.original_n,
-        red.r,
-        red.k_layers,
-        red.gadgets,
-        red.formula_discrepancies,
-    )
+    bad = dataclasses.replace(red, sigma_prime=Covariance(corrupted, "reduced"))
     report = verify_reduction(g, sigma, bad)
     assert not report.all_ok
     assert not report.systems_match or not report.collector_weights_ok
@@ -194,4 +184,4 @@ def test_manifest_round_trip(tmp_path):
     assert manifest["original_n"] == 4
     assert manifest["n_prime"] == red.g_prime.n
     assert manifest["gadgets"][0]["head"] == 1  # 1-based
-    assert manifest["formula_discrepancy_count"] == len(red.formula_discrepancies)
+    assert set(manifest) == {"original_n", "n_prime", "r", "k_layers", "gadgets"}
