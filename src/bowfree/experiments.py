@@ -58,6 +58,12 @@ class ExperimentConfig:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
         if self.graphs < 1 or self.runs_per_graph < 0:
             raise ConfigError("graphs must be >= 1 and runs_per_graph >= 0")
+        for name, values in (("p_grid", self.p_grid), ("range_grid", self.range_grid)):
+            labels = [f"{x:g}" for x in values]  # the keys of the summary cells
+            if len(set(labels)) < len(labels):
+                raise ConfigError(f"{name} values {list(values)} print alike under {{:g}}: {labels}")
+        if self.mode == "survey" and len(self.p_grid) > 1:
+            raise ConfigError(f"survey mode takes one edge probability, got p_grid={list(self.p_grid)}")
 
 
 def _stats(values: list[float]) -> dict:

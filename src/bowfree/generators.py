@@ -84,25 +84,21 @@ def derived_seed(*parts) -> int:
 
 def _attach_bidirected(n, directed_pairs, rng, extra_p):
     """One mandatory bidirected partner per vertex plus extras; never on a
-    pair that already carries a directed edge."""
-    adjacent = set()
-    for u, v in directed_pairs:
-        adjacent.add((min(u, v), max(u, v)))
-    bidirected = set()
+    pair that already carries a directed edge. The extras draw once per
+    eligible pair u < v, in one bulk call in row-major order."""
+    adjacent = np.eye(n, dtype=bool)
+    pairs = np.asarray(directed_pairs, dtype=int).reshape(-1, 2)
+    adjacent[pairs[:, 0], pairs[:, 1]] = adjacent[pairs[:, 1], pairs[:, 0]] = True
+    bidirected = np.zeros((n, n), dtype=bool)
     for j in range(n):
-        candidates = [
-            i for i in range(n) if i != j and (min(i, j), max(i, j)) not in adjacent
-        ]
-        if candidates:
-            i = candidates[rng.integers(len(candidates))]
-            bidirected.add((min(i, j), max(i, j)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in adjacent or (u, v) in bidirected:
-                continue
-            if rng.random() < extra_p:
-                bidirected.add((u, v))
-    return bidirected
+        candidates = np.flatnonzero(~adjacent[j])
+        if candidates.size:
+            i = candidates[rng.integers(candidates.size)]
+            bidirected[min(i, j), max(i, j)] = True
+    us, vs = np.nonzero(np.triu(~adjacent & ~bidirected))
+    extra = rng.random(us.size) < extra_p
+    bidirected[us[extra], vs[extra]] = True
+    return set(map(tuple, np.argwhere(bidirected).tolist()))
 
 
 def gen_random_bowfree_graph(cfg: RandomGraphConfig) -> MixedGraph:
@@ -112,11 +108,9 @@ def gen_random_bowfree_graph(cfg: RandomGraphConfig) -> MixedGraph:
     order = rng.permutation(cfg.n)
     rank = np.empty(cfg.n, dtype=int)
     rank[order] = np.arange(cfg.n)
-    directed = []
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            if i != j and rank[i] < rank[j] and rng.random() < cfg.p:
-                directed.append((i, j))
+    sources, targets = np.nonzero(rank[:, None] < rank[None, :])
+    keep = rng.random(sources.size) < cfg.p
+    directed = list(zip(sources[keep].tolist(), targets[keep].tolist()))
     bidirected = _attach_bidirected(cfg.n, directed, rng, cfg.extra_bidirected_p)
     return MixedGraph(cfg.n, directed, bidirected)
 
@@ -202,9 +196,8 @@ def gen_omega_sdd(g: MixedGraph, cfg: SDDNoiseConfig) -> np.ndarray:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     omega = np.zeros((g.n, g.n))
-    for u, v in sorted(g.bidirected):
-        w = rng.standard_normal()
-        omega[u, v] = omega[v, u] = w
+    us, vs = np.array(sorted(g.bidirected), dtype=int).reshape(-1, 2).T
+    omega[us, vs] = omega[vs, us] = rng.standard_normal(us.size)
     diag = np.abs(omega).sum(axis=1) + rng.chisquare(1, size=g.n)
     np.fill_diagonal(omega, diag)
     return omega

@@ -6,8 +6,8 @@ noise covariance on the bidirected part. The observational covariance is
 
     sigma = (I - lam)^{-T} @ omega @ (I - lam)^{-1}
 
-computed through the finite Neumann sum, which is exact because lam is
-nilpotent on a DAG.
+computed through one linear solve: taken in a topological order, I - lam
+is unit upper triangular, so the solve is plain back-substitution.
 """
 
 from __future__ import annotations
@@ -73,18 +73,16 @@ def as_matrix(sigma) -> np.ndarray:
     return np.asarray(sigma, dtype=float)
 
 
-def neumann_inverse(lam: np.ndarray) -> np.ndarray:
-    """(I - lam)^{-1} as I + lam + ... + lam^{n-1}; exact for nilpotent lam."""
+def dag_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
+    """(I - lam)^{-1} by one solve in the topological order of g, where
+    I - lam is unit upper triangular: the LU factorisation does not pivot,
+    the solve is back-substitution and its cost does not depend on depth."""
     lam = np.asarray(lam, dtype=float)
-    n = lam.shape[0]
-    total = np.eye(n)
-    power = np.eye(n)
-    for _ in range(n - 1):
-        power = power @ lam
-        if not power.any():
-            break
-        total += power
-    return total
+    order = g.topological_order()
+    block = np.ix_(order, order)
+    inv = np.empty_like(lam)
+    inv[block] = np.linalg.solve(np.eye(g.n) - lam[block], np.eye(g.n))
+    return inv
 
 
 def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
@@ -117,15 +115,15 @@ def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> Covarian
     """Observational covariance of the model (lam, omega) on graph g.
 
     Verifies the zero patterns and that omega is positive semidefinite,
-    then evaluates the congruence through the Neumann sum and symmetrizes
-    the result.
+    then evaluates the congruence through the triangular solve of
+    ``dag_inverse`` and symmetrizes the result.
     """
     if check:
         check_pattern(g, params)
         eigs = np.linalg.eigvalsh(symmetrize(params.omega))
         if eigs.size and eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
             raise DefinitenessError("omega must be positive semidefinite")
-    inv = neumann_inverse(params.lam)
+    inv = dag_inverse(g, params.lam)
     sigma = symmetrize(inv.T @ params.omega @ inv)
     return Covariance(sigma, "exact")
 

@@ -318,6 +318,32 @@ def test_cli_validation_error_is_1(tmp_path):
                  "--sigma", str(sigma), "--out", str(tmp_path / "o.json")]) == 1
 
 
+def test_cli_experiment_rejects_grid_values_that_print_alike(tmp_path, capsys):
+    # both print as 0.555556, the key of their summary cell
+    out = tmp_path / "r.json"
+    code = main(["experiment", "--mode", "simulated", "--p", "0.55555555", "0.5555556", "--n", "12",
+                 "--graphs", "2", "--runs-per-graph", "3", "--seed", "4", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "bowfree: p_grid values [0.55555555, 0.5555556] print alike under {:g}: ['0.555556', '0.555556']"
+    ]
+    assert main(["experiment", "--mode", "gene", "--range", "1", "1.0000001", "--graphs", "1",
+                 "--seed", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bowfree: range_grid values [1.0, 1.0000001] print alike")
+    assert not out.exists()
+
+
+def test_cli_survey_rejects_more_than_one_p(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["experiment", "--mode", "survey", "--p", "0.2", "0.7", "--graphs", "2",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "bowfree: survey mode takes one edge probability, got p_grid=[0.2, 0.7]"
+    ]
+    assert not out.exists()
+
+
 def test_cli_numerical_error_is_2(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "directed": [[1, 3], [2, 3]], "bidirected": []}))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -19,7 +21,7 @@ from bowfree.generators import (
     gram_tail_bound,
     sample_observations,
 )
-from bowfree.graphs import MixedGraph
+from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.linalg import snorm
 
 
@@ -230,3 +232,58 @@ def test_generative_instance_is_reproducible():
     assert a.graph == b.graph
     np.testing.assert_array_equal(a.params.lam, b.params.lam)
     np.testing.assert_array_equal(a.sigma.sigma, b.sigma.sigma)
+
+
+def _layered(n, k, p, extra, seed):
+    return gen_layered_bowfree_graph(n, k, p, seed, extra)
+
+
+def _random(n, p, extra, seed):
+    return gen_random_bowfree_graph(RandomGraphConfig(n, p, extra, seed))
+
+
+# sha256 of graph_to_dict and of the lam and omega bytes drawn by the
+# generators on each graph, recorded from the scalar-draw implementation:
+# any change to the order or number of random draws changes a digest.
+STREAM_CASES = {
+    "layered-500-s0": (_layered, (500, 3, 0.8, 0.1, 0)),
+    "layered-500-s1": (_layered, (500, 3, 0.8, 0.1, 1)),
+    "layered-500-s2": (_layered, (500, 3, 0.8, 0.1, 2)),
+    "layered-7-full": (_layered, (7, 2, 1.0, 1.0, 3)),
+    "layered-6-empty": (_layered, (6, 4, 0.0, 0.0, 4)),
+    "layered-1": (_layered, (1, 3, 0.8, 0.5, 5)),
+    "layered-0": (_layered, (0, 3, 0.8, 0.1, 6)),
+    "random-40-s0": (_random, (40, 0.3, 0.1, 0)),
+    "random-40-s1": (_random, (40, 0.3, 0.1, 1)),
+    "random-200": (_random, (200, 0.4, 0.2, 7)),
+    "random-9-dense": (_random, (9, 1.0, 1.0, 8)),
+}
+STREAM_DIGESTS = {
+    "layered-500-s0": "b6c4511e6ca83d5d084e50a2f30b50d021c5b82dd097355ea76a841748933dbd",
+    "layered-500-s1": "81dfb738149785c7b442da12170d766a9fea669e89bcc9665a7abf77e7f519a2",
+    "layered-500-s2": "c2e66acf9a1bd50601d7a47d92dbbdb1a6126e09b130a8ce2b6b99b17808b939",
+    "layered-7-full": "30023482be4cbb31ed9568874e440b54a29de3ea359f169dbfa101872d59677a",
+    "layered-6-empty": "82eec9bd06960d883d897e979e9aa6893218e9be2335445c0b4593d4dc497035",
+    "layered-1": "68f50a7765cb0472f18300a3867a89f4c645473dd34d616b0d2bdfdca94307c4",
+    "layered-0": "8541d597e36005fd74fc06dab806da5e662588789c8ddcf3deda720251ab0125",
+    "random-40-s0": "28d351d02ddcca0b36161d124d3ca1877079cb643c1cd89822ffbe424eba3918",
+    "random-40-s1": "012cc4a86b47ea50cbab986b6601442a7450932a23361d35609e1965c1f1886c",
+    "random-200": "030b63aafaccf40eb661b76f3d83bf7862ee85745a848e65976e8e5c0942baaa",
+    "random-9-dense": "7c37281d4ef87b79b93078544d7469abd09af5c17da58debde232e20be793d91",
+}
+
+
+def _stream_digest(make_graph, args):
+    g, seed = make_graph(*args), args[-1]
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.5, seed=seed + 100))
+    omega = gen_omega_sdd(g, SDDNoiseConfig(0.5, seed=seed + 200))
+    h = hashlib.sha256(json.dumps(graph_to_dict(g), sort_keys=True).encode())
+    h.update(np.ascontiguousarray(lam).tobytes())
+    h.update(np.ascontiguousarray(omega).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_generators_keep_their_random_stream(case):
+    make_graph, args = STREAM_CASES[case]
+    assert _stream_digest(make_graph, args) == STREAM_DIGESTS[case]

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from bowfree.errors import ConvergenceError, DefinitenessError, PatternError, SampleSizeError
+from bowfree.generators import (
+    RandomGraphConfig,
+    SDDNoiseConfig,
+    gen_lambda_range,
+    gen_omega_sdd,
+    gen_random_bowfree_graph,
+)
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import (
     Covariance,
     ParamSet,
+    dag_inverse,
     forward_map,
     load_matrix_csv,
     load_params,
-    neumann_inverse,
     project_omega_pattern,
     recover_omega,
     sample_covariance,
@@ -66,12 +73,42 @@ def test_forward_map_rejects_indefinite_omega():
         forward_map(g, ParamSet(np.zeros((2, 2)), omega))
 
 
-def test_neumann_sum_equals_dense_inverse(rng):
+def test_dag_inverse_equals_dense_inverse(rng):
     for _ in range(50):
         n = int(rng.integers(2, 12))
         lam = random_dag_lambda(n, 0.5, rng)
         dense = np.linalg.inv(np.eye(n) - lam)
-        assert snorm(neumann_inverse(lam) - dense) <= 1e-10 * max(1.0, snorm(dense))
+        got = dag_inverse(graph_from_lambda(lam), lam)
+        assert snorm(got - dense) <= 1e-10 * max(1.0, snorm(dense))
+
+
+def _assert_matches_dense_inverse_oracle(g, lam, omega):
+    inv = np.linalg.inv(np.eye(g.n) - lam)
+    expected = inv.T @ omega @ inv
+    got = forward_map(g, ParamSet(lam, omega)).sigma
+    assert snorm(got - expected) <= 1e-10 * max(1.0, snorm(expected))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_map_matches_dense_inverse_on_random_bowfree_graphs(seed):
+    g = gen_random_bowfree_graph(RandomGraphConfig(40, 0.3, seed=seed))
+    assert g.topological_order() != list(range(g.n))  # indices are not a topological order
+    lam = gen_lambda_range(g, SDDNoiseConfig(1.0, seed=seed))
+    omega = gen_omega_sdd(g, SDDNoiseConfig(1.0, seed=seed))
+    _assert_matches_dense_inverse_oracle(g, lam, omega)
+
+
+def test_forward_map_matches_dense_inverse_on_a_deep_path(rng):
+    # a directed path through all 300 vertices in shuffled index order: depth 300
+    n = 300
+    order = rng.permutation(n).tolist()
+    edges = list(zip(order, order[1:]))
+    g = MixedGraph(n, edges)
+    lam = np.zeros((n, n))
+    for u, v in edges:
+        lam[u, v] = rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.1)
+    omega = np.diag(rng.uniform(0.5, 2.0, n))
+    _assert_matches_dense_inverse_oracle(g, lam, omega)
 
 
 def test_forward_map_positive_definite(rng):

@@ -13,7 +13,7 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
 )
 from bowfree.graphs import MixedGraph
-from bowfree.lsem import Covariance, ParamSet, forward_map, neumann_inverse
+from bowfree.lsem import Covariance, ParamSet, dag_inverse, forward_map
 from bowfree.recovery import build_system, recover_all
 from bowfree.reduction import (
     _IdAllocator,
@@ -40,7 +40,7 @@ def test_gadget_q1_r2_collector_copies_head():
     for (a, b), w in g.forced_weights.items():
         lam[a, b] = w
     # X_collector = 4 * (1/2) * (1/2) * X_head
-    paths = neumann_inverse(lam)
+    paths = dag_inverse(g, lam)
     assert paths[spec.head, spec.collector] == pytest.approx(1.0, abs=1e-15)
     assert paths[spec.head, spec.inner_layers[0][0]] == pytest.approx(0.5)
 
