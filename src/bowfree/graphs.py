@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import BowViolationError, CycleError, GraphStructureError
 
@@ -28,7 +29,7 @@ class LayerDecomposition:
     path ending at v, counted so that parentless vertices sit in layer 1."""
 
     layer_of: tuple[int, ...]
-    layers: dict[int, tuple[int, ...]]
+    layers: MappingProxyType[int, tuple[int, ...]]
 
     @property
     def depth(self) -> int:
@@ -161,14 +162,14 @@ class MixedGraph:
 
     # -- structural algorithms ----------------------------------------------
 
+    @cached_property
+    def _bows(self) -> tuple[tuple[int, int], ...]:
+        par = self._parents  # bidirected pairs are stored (min, max)
+        return tuple(sorted((u, v) for u, v in self.bidirected if u in par[v] or v in par[u]))
+
     def bow_violations(self) -> list[tuple[int, int]]:
         """Vertex pairs carrying both a directed and a bidirected edge, sorted."""
-        bad = set()
-        for e in self.directed:
-            pair = (min(e.source, e.target), max(e.source, e.target))
-            if pair in self.bidirected:
-                bad.add(pair)
-        return sorted(bad)
+        return list(self._bows)
 
     def require_bow_free(self):
         violations = self.bow_violations()
@@ -223,7 +224,12 @@ class MixedGraph:
         raise AssertionError("cycle reported but not found")
 
     def layer_decomposition(self) -> LayerDecomposition:
-        """layer(v) = 1 + max over parents of layer(parent); 1 if parentless."""
+        """layer(v) = 1 + max over parents of layer(parent); 1 if parentless.
+        Computed once: every call returns the same object."""
+        return self._layering
+
+    @cached_property
+    def _layering(self) -> LayerDecomposition:
         order = self.topological_order()
         layer = [1] * self.n
         for v in order:
@@ -232,7 +238,7 @@ class MixedGraph:
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
             groups.setdefault(layer[v], []).append(v)
-        layers = {i: tuple(sorted(vs)) for i, vs in sorted(groups.items())}
+        layers = MappingProxyType({i: tuple(sorted(vs)) for i, vs in sorted(groups.items())})
         return LayerDecomposition(tuple(layer), layers)
 
     def is_k_layered(self) -> bool:
@@ -300,14 +306,22 @@ def graph_to_dict(g: MixedGraph) -> dict:
     return {"n": g.n, "directed": directed, "bidirected": bidirected}
 
 
+def _integer(x, what: str) -> int:
+    # int() would read 2.7 as 2 and true as 1; neither is a count or a vertex.
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _vertex(x) -> int:
+    return _integer(x, "vertex") - 1
+
+
 def graph_from_dict(data: dict) -> MixedGraph:
     try:
-        n = int(data["n"])
-        directed = [
-            (int(e[0]) - 1, int(e[1]) - 1, float(e[2])) if len(e) > 2 else (int(e[0]) - 1, int(e[1]) - 1)
-            for e in data.get("directed", [])
-        ]
-        bidirected = [(int(u) - 1, int(v) - 1) for u, v in data.get("bidirected", [])]
+        n = _integer(data["n"], "n")
+        directed = [(_vertex(e[0]), _vertex(e[1]), *map(float, e[2:3])) for e in data.get("directed", [])]
+        bidirected = [(_vertex(u), _vertex(v)) for u, v in data.get("bidirected", [])]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
     return MixedGraph(n, directed, bidirected)
@@ -321,4 +335,7 @@ def save_graph(g: MixedGraph, path):
 
 def load_graph(path) -> MixedGraph:
     with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+        try:
+            return graph_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise GraphStructureError(f"{path}: not valid JSON: {exc}") from exc

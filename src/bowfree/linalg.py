@@ -6,7 +6,7 @@ import numpy as np
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0  # per matrix of a stack
 
 
 def snorm(a) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, PatternError, SampleSizeError
+from .errors import ConvergenceError, DefinitenessError, IngestionError, PatternError, SampleSizeError
 from .graphs import MixedGraph
 from .linalg import snorm, symmetrize
 
@@ -67,8 +67,40 @@ class Covariance:
         return cov
 
 
+@dataclass(frozen=True)
+class ReducedCovariance:
+    """sigma[a, b] = factor[a] * factor[b] * base[..., head[a], head[b]], kept
+    implicit. ``sig[..., rows, cols]`` gathers entries in the dense matrix's
+    operation order, so they equal its entries bitwise; ``sigma`` builds it."""
+
+    base: np.ndarray
+    head: np.ndarray
+    factor: np.ndarray
+    provenance = "reduced"
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", symmetrize(np.asarray(self.base, dtype=float)))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.base.shape[:-2] + (len(self.head),) * 2
+
+    @property
+    def ndim(self) -> int:
+        return self.base.ndim
+
+    def __getitem__(self, key) -> np.ndarray:
+        _, rows, cols = key  # (..., rows, cols)
+        return (self.factor[rows] * self.factor[cols]) * self.base[..., self.head[rows], self.head[cols]]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        idx = np.arange(len(self.head))
+        return self[..., idx[:, None], idx]
+
+
 def as_matrix(sigma) -> np.ndarray:
-    if isinstance(sigma, Covariance):
+    if isinstance(sigma, (Covariance, ReducedCovariance)):
         return sigma.sigma
     return np.asarray(sigma, dtype=float)
 
@@ -196,8 +228,16 @@ def save_matrix_csv(a: np.ndarray, path):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(a, dtype=float)
+    """A square matrix of finite numbers; IngestionError otherwise."""
+    try:
+        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: not a numeric CSV matrix: {exc}") from exc
+    if a.shape[0] != a.shape[1]:
+        raise IngestionError(f"{path}: matrix of shape {a.shape} is not square")
+    if not np.isfinite(a).all():
+        raise IngestionError(f"{path}: matrix has non-finite entries")
+    return a
 
 
 def params_to_dict(params: ParamSet) -> dict:

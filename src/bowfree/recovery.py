@@ -39,6 +39,7 @@ from .errors import NearSingularError, OrderingError
 from .graphs import MixedGraph
 from .lsem import (
     ParamSet,
+    ReducedCovariance,
     as_matrix,
     project_omega_pattern,
     recover_omega,
@@ -94,6 +95,11 @@ class RecoveryResult:
     failed_vertex: np.ndarray | None = None
 
 
+def _gatherable(sigma):
+    """``sigma`` indexable as ``sig[..., rows, cols]``, a reduced one kept implicit."""
+    return sigma if isinstance(sigma, ReducedCovariance) else as_matrix(sigma)
+
+
 def source_vertex(g: MixedGraph, v: int) -> int:
     """Follow forced in-edges upstream to the vertex v is a copy of.
 
@@ -128,7 +134,7 @@ def build_system(
     records rows where that test would disagree with the all-transformed
     default.
     """
-    sig = as_matrix(sigma)
+    sig = _gatherable(sigma)
     lam = np.asarray(lambda_partial, dtype=float)
     if lam.shape[-2:] != (g.n, g.n):
         raise OrderingError(
@@ -225,11 +231,12 @@ def recover_first_layers(g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT
     sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
     if g.spa(v):
         raise OrderingError(f"vertex {v} has grandparents; use the general system")
-    sig = as_matrix(sigma)
+    sig = _gatherable(sigma)
     pa = np.array(g.parents(v), dtype=int)
     return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], sing_tol, v)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite solve fails below, warning or not
 def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> RecoveryResult:
     """Recover the full weight matrix, processing layers in increasing order.
 
@@ -237,14 +244,14 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
     recovered in the same single pass and gives a (T, n, n) ``lambda_hat``.
     Forced edges are copied verbatim; per-vertex diagnostics carry the
     solve residual and the condition number of the system matrix, per
-    trial on a stack. A near-singular system raises NearSingularError on a
-    single covariance. On a stack it fails its trial instead:
+    trial on a stack. A near-singular system or a non-finite solve raises
+    NearSingularError on a single covariance. On a stack it fails the trial:
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
     would raise for, and ``lambda_hat[t]`` is NaN throughout.
     """
     config = config or RecoveryConfig()
     g.require_bow_free()
-    sig = as_matrix(sigma)
+    sig = _gatherable(sigma)
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
 
@@ -269,8 +276,11 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
                 y_override = config.y_sets.get(v) if config.y_sets else None
                 system = build_system(g, sig, lam, v, y_set=y_override)
                 weights, residual, condition = recover_vertex(system, config.sing_tol)
-            singular = np.isnan(weights[..., 0])
+            # Near-singular trials and non-finite weights or systems leave the residual non-finite.
+            singular = ~np.isfinite(residual)
             if singular.any():
+                if sig.ndim == 2:
+                    raise NearSingularError(f"vertex {v}: solve gave non-finite values", vertex=v)
                 failed[singular & (failed < 0)] = v
                 # Zero weights keep the failed trials' later systems finite.
                 weights = np.where(singular[..., None], 0.0, weights)

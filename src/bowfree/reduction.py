@@ -17,11 +17,12 @@ parents.
 Bidirected edges incident on a gadget's head or tail are mirrored onto the
 collector; the reduced covariance is read off the equivalent linear system
 (inner variables are 1/r copies of the head, collectors are exact copies).
+Its rank is at most n, so it stays implicit (a ReducedCovariance): recovery
+gathers the entries it reads, and only save_reduction builds the n' x n' matrix.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GraphStructureError, NearSingularError
+from .experiments import write_report
 from .graphs import MixedGraph, save_graph
-from .lsem import Covariance, as_matrix, save_matrix_csv
+from .lsem import Covariance, ReducedCovariance, as_matrix, save_matrix_csv
 from .recovery import RecoveryConfig, build_system, recover_all
 
 
@@ -53,7 +55,7 @@ class GadgetSpec:
 @dataclass(frozen=True)
 class ReductionOutput:
     g_prime: MixedGraph
-    sigma_prime: Covariance
+    sigma_prime: ReducedCovariance | Covariance
     original_n: int
     r: int
     k_layers: int
@@ -146,32 +148,25 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     return g_prime, tuple(gadgets), r
 
 
-def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...], r: int) -> Covariance:
+def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...], r: int) -> ReducedCovariance:
     """Covariance of the reduced model via the equivalent linear system.
 
     Every new variable is factor * X_head with factor 1/r on inner stages
     and 1 on collectors, so sigma'[a, b] =
-    factor(a) * factor(b) * sigma[head(a), head(b)].
+    factor(a) * factor(b) * sigma[head(a), head(b)], kept in that form.
     """
-    sig = as_matrix(sigma)
     head = np.arange(g_prime.n)
     factor = np.ones(g_prime.n)
     for spec in gadgets:
-        for stage in spec.inner_layers:
-            for x in stage:
-                head[x] = spec.head
-                factor[x] = 1.0 / r
-        head[spec.collector] = spec.head
-    return Covariance(np.outer(factor, factor) * sig[np.ix_(head, head)], "reduced")
+        head[list(spec.new_vertices)] = spec.head
+        factor[list(spec.new_vertices[:-1])] = 1.0 / r  # all but the collector
+    return ReducedCovariance(as_matrix(sigma), head, factor)
 
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
     """Full reduction: layered graph, matching covariance, gadget manifest."""
     g_prime, gadgets, r = reduce_graph(g)
-    if gadgets:
-        cov = reduce_covariance(sigma, g_prime, gadgets, r)
-    else:
-        cov = Covariance(as_matrix(sigma), "reduced")
+    cov = reduce_covariance(sigma, g_prime, gadgets, r)
     k_layers = g_prime.layer_decomposition().depth
     return ReductionOutput(g_prime, cov, g.n, r, k_layers, gadgets)
 
@@ -252,7 +247,7 @@ def verify_reduction(
         if not g.parents(v):
             continue
         orig = build_system(g, sig, base.lambda_hat, v)
-        new = build_system(red.g_prime, red.sigma_prime.sigma, reduced.lambda_hat, v)
+        new = build_system(red.g_prime, red.sigma_prime, reduced.lambda_hat, v)
         order = np.argsort([head_of.get(p, p) for p in new.parents])
         a_new = new.a_matrix[np.ix_(order, order)]
         b_new = new.b_vector[order]
@@ -304,6 +299,4 @@ def save_reduction(red: ReductionOutput, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     save_graph(red.g_prime, out / "g_prime.json")
     save_matrix_csv(red.sigma_prime.sigma, out / "sigma_prime.csv")
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(reduction_manifest(red), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(reduction_manifest(red), out / "manifest.json")

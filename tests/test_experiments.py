@@ -364,3 +364,63 @@ def test_cli_condition_singular_base_beats_strict_gamma(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("bowfree: numerical failure: vertex 2: system is numerically singular (sigma_min=")
+
+
+@pytest.mark.parametrize("command", ["recover", "condition", "reduce"])
+def test_cli_rejects_non_finite_or_non_square_covariance(tmp_path, capsys, command):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3]], "bidirected": []}))
+    nan, wide, text = tmp_path / "nan.csv", tmp_path / "wide.csv", tmp_path / "text.csv"
+    nan.write_text("2,0,0\n0,2,nan\n0,nan,2\n")
+    wide.write_text("2,0,0\n0,2,0\n")
+    text.write_text("2,0,0\n0,2,a\n0,0,2\n")
+    tail = {"recover": ["--out", str(tmp_path / "o.json")],
+            "condition": ["--seed", "1", "--out", str(tmp_path / "o.json")],
+            "reduce": ["--out-dir", str(tmp_path / "red")]}[command]
+    for sigma, message in ((nan, "matrix has non-finite entries"),
+                           (wide, "matrix of shape (2, 3) is not square"),
+                           (text, "not a numeric CSV matrix: ")):
+        assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"bowfree: {sigma}: {message}")
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "red").exists()
+
+
+@pytest.mark.parametrize("command", ["recover", "condition"])
+def test_cli_non_finite_solve_exits_2(tmp_path, capsys, command):
+    # Finite inputs whose solves overflow: weight 1e10 / 1e-300 of vertex 1,
+    # and a system matrix entry 1 - 1e160 * 1e150 of vertex 2. Unchecked,
+    # they put Infinity or NaN into the report and exited 0.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    out = tmp_path / "o.json"
+    extra = ["--seed", "1"] if command == "condition" else []
+    for text, vertex in (("1e-300,1e10,0\n1e10,1,0\n0,0,1\n", 1), ("1e-10,1e150,0\n1e150,1,0\n0,0,1\n", 2)):
+        sigma.write_text(text)
+        assert main([command, "--graph", str(graph), "--sigma", str(sigma), "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"bowfree: numerical failure: vertex {vertex}: solve gave non-finite values"
+        ]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recover", "reduce"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "directed": [[1, 2], [2', "not valid JSON: Expecting ',' delimiter: line 1 column 33 (char 32)"),
+        ('{"n": 2.7, "directed": [[1, 2]]}', "malformed graph document: n must be an integer, got 2.7"),
+        ('{"n": 3, "directed": [[true, 2], [2, 3]]}', "malformed graph document: vertex must be an integer, got True"),
+    ],
+    ids=["truncated", "float_n", "bool_vertex"],
+)
+def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, message):
+    graph = tmp_path / "g.json"
+    graph.write_text(text)
+    sigma = tmp_path / "s.csv"
+    np.savetxt(sigma, 2.0 * np.eye(3), delimiter=",")
+    tail = ["--out", str(tmp_path / "o.json")] if command == "recover" else ["--out-dir", str(tmp_path / "red")]
+    assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
+    prefix = f"{graph}: " if message.startswith("not valid") else ""
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: {prefix}{message}"]

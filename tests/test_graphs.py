@@ -172,3 +172,39 @@ def test_malformed_json_document():
         graph_from_dict({"directed": [[1, 2]]})
     with pytest.raises(GraphStructureError):
         graph_from_dict({"n": 2, "directed": [["a", 2]]})
+
+
+def test_layering_and_bow_check_are_computed_once():
+    g = gen_random_bowfree_graph(RandomGraphConfig(12, 0.5, seed=4))
+    dec = g.layer_decomposition()
+    assert g.layer_decomposition() is dec
+    with pytest.raises(TypeError):
+        dec.layers[0] = ()  # shared by every caller, so read-only
+
+    bow = MixedGraph(3, [(0, 1), (1, 2)], [(0, 1), (0, 2)])
+    found = bow.bow_violations()
+    found.append((1, 2))
+    found.clear()
+    assert bow.bow_violations() == [(0, 1)]
+    assert bow.bow_violations() is not bow.bow_violations()
+
+
+def _bow_outcome(graph):
+    try:
+        graph.require_bow_free()
+    except BowViolationError as exc:
+        return exc.pairs
+    return None
+
+
+def test_cached_structure_agrees_with_a_fresh_graph():
+    graphs = [gen_random_bowfree_graph(RandomGraphConfig(9, 0.5, seed=s)) for s in range(6)]
+    graphs += [MixedGraph(3, [(0, 1), (1, 2)], [(0, 2)]), MixedGraph(3, [(0, 1), (1, 2)], [(1, 2)])]
+    for g in graphs:
+        g.layer_decomposition(), g.bow_violations()  # fill the caches
+        fresh = MixedGraph(g.n, g.directed, g.bidirected)
+        assert g.is_k_layered() == fresh.is_k_layered()
+        assert g.layer_decomposition() == fresh.layer_decomposition()
+        assert _bow_outcome(g) == _bow_outcome(fresh)
+    assert any(g.is_k_layered() for g in graphs) and not all(g.is_k_layered() for g in graphs)
+    assert _bow_outcome(graphs[-1]) == [(1, 2)]

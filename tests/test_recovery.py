@@ -356,3 +356,18 @@ def test_recover_many_splits_into_bounded_stacks(monkeypatch):
         np.testing.assert_array_equal(sig_a, sigma)
         np.testing.assert_array_equal(sig_b, sigma)
         np.testing.assert_allclose(lam_b, lam_a, rtol=1e-12, atol=1e-14)
+
+
+def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():
+    # NaN in sigma[1, 2] reaches only vertex 2's right-hand side: its system
+    # matrix stays regular and the solve gives a NaN weight.
+    g = MixedGraph(3, [(0, 1), (1, 2)])
+    sigma = 2.0 * np.eye(3)
+    sigma[1, 2] = sigma[2, 1] = np.nan
+    with pytest.raises(NearSingularError, match="vertex 2: solve gave non-finite values") as exc:
+        recover_all(g, sigma)
+    assert exc.value.vertex == 2
+    result = recover_all(g, np.stack([2.0 * np.eye(3), sigma]))
+    assert result.failed_vertex.tolist() == [-1, 2]
+    assert np.isnan(result.lambda_hat[1]).all()
+    np.testing.assert_array_equal(result.lambda_hat[0], np.zeros((3, 3)))

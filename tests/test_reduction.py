@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
 )
 from bowfree.graphs import MixedGraph
-from bowfree.lsem import Covariance, ParamSet, dag_inverse, forward_map
-from bowfree.recovery import build_system, recover_all
+from bowfree.lsem import Covariance, ParamSet, ReducedCovariance, dag_inverse, forward_map
+from bowfree.recovery import build_system, recover_all, recover_full_params
 from bowfree.reduction import (
     _IdAllocator,
     build_gadget,
@@ -24,6 +25,7 @@ from bowfree.reduction import (
     reduction_manifest,
     verify_reduction,
 )
+from bowfree.robustness import check_assumptions
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
@@ -185,3 +187,71 @@ def test_manifest_round_trip(tmp_path):
     assert manifest["n_prime"] == red.g_prime.n
     assert manifest["gadgets"][0]["head"] == 1  # 1-based
     assert set(manifest) == {"original_n", "n_prime", "r", "k_layers", "gadgets"}
+
+
+def _dense(sigma, head, factor):
+    """The reduced covariance as the reduction used to build it."""
+    return np.outer(factor, factor) * sigma[..., head[:, None], head]
+
+
+def test_reduced_covariance_gathers_equal_the_dense_matrix_bitwise():
+    g, sigma = _random_instance(5)
+    red = reduce_instance(g, sigma)
+    head, factor = red.sigma_prime.head, red.sigma_prime.factor
+    assert red.r == 3 and np.any(factor == 1 / 3)  # a factor that is not a power of 2
+    rng = np.random.default_rng(0)
+    stack = np.stack([sigma, sigma + 1e-3 * np.eye(g.n), 2.0 * sigma])
+    rows = rng.integers(0, red.g_prime.n, size=7)
+    cols = rng.integers(0, red.g_prime.n, size=5)
+    for base in (sigma, stack):
+        cov = ReducedCovariance(base, head, factor)
+        dense = _dense(base, head, factor)
+        assert cov.shape == dense.shape and cov.ndim == dense.ndim
+        np.testing.assert_array_equal(cov.sigma, dense)
+        np.testing.assert_array_equal(cov[..., rows[:, None], cols], dense[..., rows[:, None], cols])
+        np.testing.assert_array_equal(cov[..., rows[:, None, None], cols], dense[..., rows[:, None, None], cols])
+        np.testing.assert_array_equal(cov[..., rows, 4], dense[..., rows, 4])
+    np.testing.assert_array_equal(red.sigma_prime.sigma, _dense(sigma, head, factor))
+
+
+def test_recovery_on_the_implicit_reduced_covariance_is_bitwise_dense():
+    for seed in (3, 5, 11):
+        g, sigma = _random_instance(seed)
+        red = reduce_instance(g, sigma)
+        implicit = recover_all(red.g_prime, red.sigma_prime)
+        dense = recover_all(red.g_prime, red.sigma_prime.sigma)
+        np.testing.assert_array_equal(implicit.lambda_hat, dense.lambda_hat)
+        assert implicit.per_vertex == dense.per_vertex
+        for v in range(g.n):
+            if g.parents(v):
+                a = build_system(red.g_prime, red.sigma_prime, implicit.lambda_hat, v)
+                b = build_system(red.g_prime, red.sigma_prime.sigma, implicit.lambda_hat, v)
+                np.testing.assert_array_equal(a.a_matrix, b.a_matrix)
+                np.testing.assert_array_equal(a.b_vector, b.b_vector)
+
+
+def test_dense_callers_accept_the_implicit_reduced_covariance():
+    g, sigma = _random_instance(3)
+    red = reduce_instance(g, sigma)
+    implicit = recover_full_params(red.g_prime, red.sigma_prime)
+    dense = recover_full_params(red.g_prime, red.sigma_prime.sigma)
+    np.testing.assert_array_equal(implicit.lam, dense.lam)
+    np.testing.assert_array_equal(implicit.omega, dense.omega)
+    lam = dense.lam
+    assert (check_assumptions(red.g_prime, red.sigma_prime, lam).to_dict()
+            == check_assumptions(red.g_prime, red.sigma_prime.sigma, lam).to_dict())
+
+
+def test_reduce_instance_does_not_build_the_dense_reduced_covariance():
+    g = gen_random_bowfree_graph(RandomGraphConfig(20, 0.4, seed=0))
+    sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+    tracemalloc.start()
+    try:
+        red = reduce_instance(g, sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_prime = red.g_prime.n
+    assert n_prime >= 1000
+    assert peak < n_prime * n_prime * 8, (peak, n_prime)
