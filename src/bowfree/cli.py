@@ -29,8 +29,8 @@ from .generators import (
     gen_random_bowfree_graph,
     gen_sdd_instance,
 )
-from .graphs import load_graph, save_graph
-from .lsem import load_matrix_csv, load_params, save_matrix_csv, save_params
+from .graphs import graph_to_dict, load_graph
+from .lsem import load_covariance_csv, load_params, save_matrix_csv, save_params
 from .recovery import recover_all, recovery_to_dict
 from .reduction import reduce_instance, save_reduction
 from .robustness import check_assumptions, condition_bound, estimate_condition_number, eta_bound, stability_premise
@@ -45,13 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of a count of at least 1; argparse names it in the
     message for a non-integer, hence no leading underscore."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _out_dir(path_arg) -> Path:
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=None)
     gen.add_argument("--range", dest="weight_range", type=float, default=1.0)
     gen.add_argument("--extra-bidirected-p", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=nonnegative_int, required=True)
     gen.add_argument("--out-dir", default=None)
 
     rec = sub.add_parser("recover", help="recover edge weights from a covariance")
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--gammas", type=float, nargs="+", default=None)
     cond.add_argument("--tight", action="store_true")
     cond.add_argument("--no-strict", action="store_true")
-    cond.add_argument("--seed", type=int, required=True)
+    cond.add_argument("--seed", type=nonnegative_int, required=True)
     cond.add_argument("--out", required=True)
     cond.add_argument("--trials-csv", default=None)
 
@@ -116,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--runs-per-graph", type=int, default=10)
     exp.add_argument("--samples", type=int, default=50)
     exp.add_argument("--no-normalize", action="store_true")
-    exp.add_argument("--graph-offset", type=int, default=0)
-    exp.add_argument("--seed", type=int, required=True)
+    exp.add_argument("--graph-offset", type=nonnegative_int, default=0)
+    exp.add_argument("--seed", type=nonnegative_int, required=True)
     exp.add_argument("--out", required=True)
     exp.add_argument("--summary-csv", default=None)
     return parser
@@ -136,10 +144,8 @@ def _cmd_generate(args) -> int:
         g = gen_random_bowfree_graph(
             RandomGraphConfig(args.n, args.p, args.extra_bidirected_p, args.seed)
         )
-        save_graph(g, out / "graph.json")
     elif args.kind == "layered":
         g = gen_layered_bowfree_graph(args.n, args.k, args.p, args.seed, args.extra_bidirected_p)
-        save_graph(g, out / "graph.json")
     else:
         if args.kind == "generative":
             inst = gen_generative_instance(args.n, args.k, args.p, args.seed, mu=args.mu, d=args.d)
@@ -149,16 +155,17 @@ def _cmd_generate(args) -> int:
                 args.n, args.k, args.p, args.weight_range, args.seed, extra_bidirected_p=args.extra_bidirected_p
             )
             manifest.update({"range": args.weight_range})
-        save_graph(inst.graph, out / "graph.json")
+        g = inst.graph
         save_params(inst.params, out / "params.json")
         save_matrix_csv(inst.sigma.sigma, out / "sigma.csv")
+    write_report(graph_to_dict(g), out / "graph.json")
     write_report(manifest, out / "manifest.json")
     return 0
 
 
 def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
-    sigma = load_matrix_csv(args.sigma)
+    sigma = load_covariance_csv(args.sigma)
     result = recover_all(g, sigma)
     write_report(recovery_to_dict(result), args.out)
     return 0
@@ -166,7 +173,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_condition(args) -> int:
     g = load_graph(args.graph)
-    sigma = load_matrix_csv(args.sigma)
+    sigma = load_covariance_csv(args.sigma)
     n = g.n
     gammas = args.gammas if args.gammas else [0.5 * n**-4, 0.1 * n**-4]
     strict = not args.no_strict
@@ -209,7 +216,7 @@ def _cmd_condition(args) -> int:
 
 def _cmd_check(args) -> int:
     g = load_graph(args.graph)
-    sigma = load_matrix_csv(args.sigma)
+    sigma = load_covariance_csv(args.sigma)
     if args.params:
         lam = load_params(args.params).lam
     else:
@@ -223,7 +230,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = load_graph(args.graph)
-    sigma = load_matrix_csv(args.sigma)
+    sigma = load_covariance_csv(args.sigma)
     red = reduce_instance(g, sigma)
     save_reduction(red, args.out_dir)
     return 0

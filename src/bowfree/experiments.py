@@ -58,6 +58,8 @@ class ExperimentConfig:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
         if self.graphs < 1 or self.runs_per_graph < 0:
             raise ConfigError("graphs must be >= 1 and runs_per_graph >= 0")
+        if not self.noise_eps >= 0:  # NaN too
+            raise ConfigError(f"noise_eps must be >= 0, got {self.noise_eps}")
         for name, values in (("p_grid", self.p_grid), ("range_grid", self.range_grid)):
             labels = [f"{x:g}" for x in values]  # the keys of the summary cells
             if len(set(labels)) < len(labels):

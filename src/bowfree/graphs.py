@@ -148,12 +148,6 @@ class MixedGraph:
         self._check_vertex(v)
         return self._bidirected_neighbors[v]
 
-    def has_directed(self, u, v) -> bool:
-        return u in self._parents[v]
-
-    def has_bidirected(self, u, v) -> bool:
-        return (min(u, v), max(u, v)) in self.bidirected
-
     def max_degree(self) -> int:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
         if self.n == 0:
@@ -246,53 +240,6 @@ class MixedGraph:
         layer = self.layer_decomposition().layer_of
         return all(layer[e.target] == layer[e.source] + 1 for e in self.directed)
 
-    def half_trek_reachable(self, v) -> set[int]:
-        """Vertices reachable from v by one optional leading bidirected step
-        followed by directed steps only."""
-        self._check_vertex(v)
-        from collections import deque
-
-        frontier = set(self._children[v]) | set(self._bidirected_neighbors[v])
-        reached = set(frontier)
-        queue = deque(frontier)
-        while queue:
-            w = queue.popleft()
-            for c in self._children[w]:
-                if c not in reached:
-                    reached.add(c)
-                    queue.append(c)
-        return reached
-
-    def half_trek_witness(self, v, w) -> list[int] | None:
-        """A witness half-trek from v to w, or None when w is unreachable."""
-        self._check_vertex(v)
-        self._check_vertex(w)
-        from collections import deque
-
-        prev: dict[int, int] = {}
-        queue = deque()
-        for x in sorted(set(self._children[v]) | set(self._bidirected_neighbors[v])):
-            if x not in prev:
-                prev[x] = v
-                queue.append(x)
-        while queue:
-            x = queue.popleft()
-            if x == w:
-                # walk back at least one step so that w == v yields the cycle
-                path = [x]
-                node = x
-                while True:
-                    node = prev[node]
-                    path.append(node)
-                    if node == v:
-                        break
-                return path[::-1]
-            for c in self._children[x]:
-                if c not in prev:
-                    prev[c] = x
-                    queue.append(c)
-        return None
-
 
 def graph_to_dict(g: MixedGraph) -> dict:
     """JSON form: 1-based vertices, forced weights as optional third element."""
@@ -325,12 +272,6 @@ def graph_from_dict(data: dict) -> MixedGraph:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
     return MixedGraph(n, directed, bidirected)
-
-
-def save_graph(g: MixedGraph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_graph(path) -> MixedGraph:

@@ -240,6 +240,15 @@ def load_matrix_csv(path) -> np.ndarray:
     return a
 
 
+def load_covariance_csv(path) -> np.ndarray:
+    """load_matrix_csv, then symmetry to 1e-10 of the largest entry; IngestionError otherwise."""
+    a = load_matrix_csv(path)
+    asym = np.max(np.abs(a - a.T))
+    if asym > 1e-10 * np.max(np.abs(a)):
+        raise IngestionError(f"{path}: covariance is not symmetric (max |a - a.T| = {asym:.3g})")
+    return a
+
+
 def params_to_dict(params: ParamSet) -> dict:
     return {"lambda": params.lam.tolist(), "omega": params.omega.tolist()}
 

@@ -45,7 +45,8 @@ from .lsem import (
     recover_omega,
 )
 
-DEFAULT_SING_TOL = 1e-10
+# A system is near-singular when sigma_min <= SING_TOL * sigma_max.
+SING_TOL = 1e-10
 # recover_many stacks at most this many bytes of covariances and weights.
 # Peak memory grows by up to about twice this over recovering one covariance
 # at a time. 8 MiB holds 23 covariances of n = 150, enough to amortise the
@@ -54,27 +55,15 @@ STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
-class RecoveryConfig:
-    sing_tol: float = DEFAULT_SING_TOL
-    # Optional explicit equation-row sets per vertex; rows are tested for
-    # half-trek reachability individually (untransformed when unreachable).
-    y_sets: dict[int, tuple[int, ...]] | None = None
-    omega_tol: float = 1e-10
-    omega_max_iters: int = 10_000
-
-
-@dataclass(frozen=True)
 class RecoverySystem:
     """The linear system determining the unforced incoming weights of one
     vertex; ``a_matrix`` and ``b_vector`` keep the covariance's trial axis."""
 
     vertex: int
-    y_set: tuple[int, ...]
+    y_set: tuple[int, ...]  # equation rows: the sources of the unknown parents
     parents: tuple[int, ...]  # unknown columns, ascending
     a_matrix: np.ndarray
     b_vector: np.ndarray
-    transformed: tuple[bool, ...]
-    convention_conflicts: tuple[int, ...] = ()  # rows where the htr test disagrees
 
 
 @dataclass(frozen=True)
@@ -117,22 +106,13 @@ def source_vertex(g: MixedGraph, v: int) -> int:
         v = parents[0]
 
 
-def build_system(
-    g: MixedGraph,
-    sigma,
-    lambda_partial: np.ndarray,
-    v: int,
-    y_set=None,
-) -> RecoverySystem:
+def build_system(g: MixedGraph, sigma, lambda_partial: np.ndarray, v: int) -> RecoverySystem:
     """Assemble the square system for vertex v given upstream weights.
 
     ``lambda_partial`` must already hold recovered weights for every vertex
     in strictly lower layers (and all forced weights), with the same trial
-    axis as ``sigma`` if it has one. The default equation rows are the
-    sources of v's unforced parents, each transformed; an explicit
-    ``y_set`` instead applies the half-trek membership test per row and
-    records rows where that test would disagree with the all-transformed
-    default.
+    axis as ``sigma`` if it has one. The equation rows are the sources of
+    v's unforced parents, each transformed.
     """
     sig = _gatherable(sigma)
     lam = np.asarray(lambda_partial, dtype=float)
@@ -143,27 +123,14 @@ def build_system(
     forced = g.forced_weights
     unknown = [p for p in g.parents(v) if (p, v) not in forced]
     known = [p for p in g.parents(v) if (p, v) in forced]
-
-    if y_set is None:
-        rows = [source_vertex(g, p) for p in unknown]
-        flags = [True] * len(rows)
-        conflicts = ()
-    else:
-        rows = list(y_set)
-        if len(rows) != len(unknown):
-            raise OrderingError(
-                f"vertex {v}: |Y|={len(rows)} does not match {len(unknown)} unknowns"
-            )
-        htr = g.half_trek_reachable(v)
-        flags = [y in htr for y in rows]
-        conflicts = tuple(y for y, f in zip(rows, flags) if not f)
+    rows = [source_vertex(g, p) for p in unknown]
 
     cols = np.array(unknown + known + [v], dtype=int)
     row_idx = np.array(rows, dtype=int)[:, None]
     full = sig[..., row_idx, cols]
     # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols]; the
     # parent lists are padded to one width with zero weights.
-    upstream = [g.parents(y) if use else () for y, use in zip(rows, flags)]
+    upstream = [g.parents(y) for y in rows]
     width = max(map(len, upstream), default=0)
     if width:
         pa_idx = np.zeros((len(rows), width), dtype=int)
@@ -184,12 +151,10 @@ def build_system(
         parents=tuple(unknown),
         a_matrix=full[..., :m],
         b_vector=b,
-        transformed=tuple(flags),
-        convention_conflicts=conflicts,
     )
 
 
-def _solve(a, b, sing_tol, vertex):
+def _solve(a, b, vertex):
     """Solve A x = b, with or without a trial axis, and return
     ``(weights, residual, condition)``.
 
@@ -202,7 +167,7 @@ def _solve(a, b, sing_tol, vertex):
         return np.zeros(a.shape[:-1]), np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])
     svals = np.linalg.svd(a, compute_uv=False)
     s_max, s_min = svals[..., 0], svals[..., -1]
-    singular = s_min <= sing_tol * s_max
+    singular = s_min <= SING_TOL * s_max
     if singular.ndim == 0 and singular:
         raise NearSingularError(
             f"vertex {vertex}: system is numerically singular "
@@ -217,27 +182,27 @@ def _solve(a, b, sing_tol, vertex):
     return weights, residual, condition
 
 
-def recover_vertex(system: RecoverySystem, sing_tol: float = DEFAULT_SING_TOL):
+def recover_vertex(system: RecoverySystem):
     """Solve the per-vertex system for ``(weights, residual, condition)``.
 
     NearSingularError when A is degenerate, NaN weights for the degenerate
     trials of a stack; the condition number comes from the SVD of that test.
     """
-    return _solve(system.a_matrix, system.b_vector, sing_tol, system.vertex)
+    return _solve(system.a_matrix, system.b_vector, system.vertex)
 
 
-def recover_first_layers(g: MixedGraph, sigma, v: int, sing_tol: float = DEFAULT_SING_TOL):
+def recover_first_layers(g: MixedGraph, sigma, v: int):
     """Closed form for vertices without grandparents,
     sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
     if g.spa(v):
         raise OrderingError(f"vertex {v} has grandparents; use the general system")
     sig = _gatherable(sigma)
     pa = np.array(g.parents(v), dtype=int)
-    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], sing_tol, v)
+    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], v)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite solve fails below, warning or not
-def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> RecoveryResult:
+def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     """Recover the full weight matrix, processing layers in increasing order.
 
     ``sigma`` is one covariance (n, n) or a stack (T, n, n); a stack is
@@ -249,7 +214,6 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
     would raise for, and ``lambda_hat[t]`` is NaN throughout.
     """
-    config = config or RecoveryConfig()
     g.require_bow_free()
     sig = _gatherable(sigma)
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
@@ -271,11 +235,9 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
                 continue
             partial_form = len(unknown) == len(parents) and not g.spa(v)
             if partial_form:
-                weights, residual, condition = recover_first_layers(g, sig, v, config.sing_tol)
+                weights, residual, condition = recover_first_layers(g, sig, v)
             else:
-                y_override = config.y_sets.get(v) if config.y_sets else None
-                system = build_system(g, sig, lam, v, y_set=y_override)
-                weights, residual, condition = recover_vertex(system, config.sing_tol)
+                weights, residual, condition = recover_vertex(build_system(g, sig, lam, v))
             # Near-singular trials and non-finite weights or systems leave the residual non-finite.
             singular = ~np.isfinite(residual)
             if singular.any():
@@ -296,7 +258,7 @@ def recover_all(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> R
     return RecoveryResult(lam, per_vertex, forced_ok, failed)
 
 
-def recover_many(g: MixedGraph, covariances, config: RecoveryConfig | None = None):
+def recover_many(g: MixedGraph, covariances):
     """Recover each covariance of an iterable, several per recover_all call.
 
     Yields ``(sigma, lambda_hat, failed_vertex)`` per covariance, in order,
@@ -310,20 +272,15 @@ def recover_many(g: MixedGraph, covariances, config: RecoveryConfig | None = Non
     while chunk := list(itertools.islice(remaining, per_stack)):
         stack = np.stack([as_matrix(s) for s in chunk])
         del chunk
-        result = recover_all(g, stack, config)
+        result = recover_all(g, stack)
         yield from zip(stack, result.lambda_hat, result.failed_vertex)
 
 
-def recover_full_params(g: MixedGraph, sigma, config: RecoveryConfig | None = None) -> ParamSet:
+def recover_full_params(g: MixedGraph, sigma) -> ParamSet:
     """Full parameter recovery: weights, implied noise covariance, pattern
     projection."""
-    config = config or RecoveryConfig()
-    result = recover_all(g, sigma, config)
-    omega_hat = recover_omega(g, result.lambda_hat, sigma)
-    omega = project_omega_pattern(
-        omega_hat, g.bidirected, tol=config.omega_tol, max_iters=config.omega_max_iters
-    )
-    return ParamSet(result.lambda_hat, omega)
+    lam = recover_all(g, sigma).lambda_hat
+    return ParamSet(lam, project_omega_pattern(recover_omega(g, lam, sigma), g.bidirected))
 
 
 def recovery_to_dict(result: RecoveryResult) -> dict:

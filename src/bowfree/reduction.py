@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError, NearSingularError
+from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
 from .experiments import write_report
-from .graphs import MixedGraph, save_graph
+from .graphs import MixedGraph, graph_to_dict
 from .lsem import Covariance, ReducedCovariance, as_matrix, save_matrix_csv
-from .recovery import RecoveryConfig, build_system, recover_all
+from .recovery import build_system, recover_all
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,11 @@ def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
     """Full reduction: layered graph, matching covariance, gadget manifest."""
+    sig = as_matrix(sigma)
+    if sig.shape[-2:] != (g.n, g.n):
+        raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
     g_prime, gadgets, r = reduce_graph(g)
-    cov = reduce_covariance(sigma, g_prime, gadgets, r)
+    cov = reduce_covariance(sig, g_prime, gadgets, r)
     k_layers = g_prime.layer_decomposition().depth
     return ReductionOutput(g_prime, cov, g.n, r, k_layers, gadgets)
 
@@ -203,7 +206,6 @@ def verify_reduction(
     sigma,
     red: ReductionOutput,
     tol: float = 1e-8,
-    config: RecoveryConfig | None = None,
 ) -> ReductionReport:
     """Itemized checks that the reduction preserves structure and recovery."""
     notes = []
@@ -213,9 +215,9 @@ def verify_reduction(
     size_ok = red.g_prime.n <= g.n**6
 
     sig = as_matrix(sigma)
-    base = recover_all(g, sig, config)
+    base = recover_all(g, sig)
     try:
-        reduced = recover_all(red.g_prime, red.sigma_prime, config)
+        reduced = recover_all(red.g_prime, red.sigma_prime)
     except NearSingularError as exc:
         return ReductionReport(
             bow_free,
@@ -297,6 +299,6 @@ def reduction_manifest(red: ReductionOutput) -> dict:
 def save_reduction(red: ReductionOutput, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_graph(red.g_prime, out / "g_prime.json")
+    write_report(graph_to_dict(red.g_prime), out / "g_prime.json")
     save_matrix_csv(red.sigma_prime.sigma, out / "sigma_prime.csv")
     write_report(reduction_manifest(red), out / "manifest.json")

@@ -22,7 +22,7 @@ from .generators import derived_seed
 from .graphs import MixedGraph
 from .linalg import snorm
 from .lsem import Covariance, as_matrix
-from .recovery import RecoveryConfig, recover_all, recover_many
+from .recovery import recover_all, recover_many
 
 
 def relative_distance(a, b) -> float:
@@ -363,7 +363,6 @@ def estimate_condition_number(
     seed: int,
     enforce_tight: bool = False,
     strict: bool = True,
-    config: RecoveryConfig | None = None,
 ) -> ConditionEstimate:
     """Seeded Monte Carlo lower estimate of the relative condition number.
 
@@ -385,15 +384,15 @@ def estimate_condition_number(
             spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
             yield sample_perturbation(sig, spec).sigma
 
-    recovered = recover_many(g, itertools.chain([sig], perturbed()), config)
+    recovered = recover_many(g, itertools.chain([sig], perturbed()))
     try:
         _, base, failed = next(recovered)
     except ConfigError:
-        recover_all(g, sig, config)  # a singular base is reported before a bad gamma
+        recover_all(g, sig)  # a singular base is reported before a bad gamma
         raise
     if failed >= 0:
         # Alone, the base raises NearSingularError with its singular values.
-        base = recover_all(g, sig, config).lambda_hat
+        base = recover_all(g, sig).lambda_hat
     else:
         base = base.copy()  # a view would keep its whole stack alive
     records = []
@@ -430,7 +429,6 @@ def per_vertex_error_check(
     spec: PerturbationSpec,
     constants: ErrorRateConstants,
     trials: int = 1,
-    config: RecoveryConfig | None = None,
 ) -> list[VertexErrorCheck]:
     """Per-vertex check that recovered-weight perturbations stay within
     eta * gamma in 2-norm, for every vertex with parents; trials are
@@ -445,7 +443,7 @@ def per_vertex_error_check(
             yield sample_perturbation(sig, trial_spec).sigma
 
     out = []
-    for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed(), config)):
+    for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed())):
         for v in range(g.n):
             pa = list(g.parents(v))
             if not pa:

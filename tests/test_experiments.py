@@ -17,6 +17,7 @@ from bowfree.experiments import (
     run_gene_style,
     run_simulated,
     summary_csv_lines,
+    write_report,
 )
 
 
@@ -195,7 +196,7 @@ def test_cli_generate_recover_round_trip(tmp_path):
 
 def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
     from bowfree.generators import gen_sdd_instance
-    from bowfree.graphs import graph_to_dict, save_graph
+    from bowfree.graphs import graph_to_dict
     from bowfree.lsem import save_matrix_csv, save_params
 
     assert main([
@@ -205,7 +206,7 @@ def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
     inst = gen_sdd_instance(15, 3, 0.6, 0.7, 5, extra_bidirected_p=0.3)
     want = tmp_path / "direct"
     want.mkdir()
-    save_graph(inst.graph, want / "graph.json")
+    write_report(graph_to_dict(inst.graph), want / "graph.json")
     save_params(inst.params, want / "params.json")
     save_matrix_csv(inst.sigma.sigma, want / "sigma.csv")
     for name in ("graph.json", "params.json", "sigma.csv"):
@@ -424,3 +425,71 @@ def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, messa
     assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
     prefix = f"{graph}: " if message.startswith("not valid") else ""
     assert capsys.readouterr().err.splitlines() == [f"bowfree: {prefix}{message}"]
+
+
+@pytest.mark.parametrize("command", ["recover", "condition", "check", "reduce"])
+def test_cli_rejects_an_asymmetric_covariance(tmp_path, capsys, command):
+    # Read as given, the upper triangle of this matrix gave weight 0.25 on 1 -> 2 -> 3.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    sigma.write_text("2,0.5,0\n0.9,2,0.3\n0,0.3,2\n")
+    out = tmp_path / "o.json"
+    tail = ["--out-dir", str(out)] if command == "reduce" else ["--out", str(out)]
+    if command == "condition":
+        tail += ["--seed", "1"]
+    assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"bowfree: {sigma}: covariance is not symmetric (max |a - a.T| = 0.4)"
+    ]
+    assert not out.exists()
+    # Rounding-level asymmetry, 1e-13 of the largest entry, is accepted.
+    sigma.write_text("2,0.5,0\n0.5000000000002,2,0.3\n0,0.3,2\n")
+    assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        (["generate", "--n", "5", "--seed", "-1"], 64,
+         "bowfree generate: error: argument --seed: must be at least 0, got -1"),
+        (["condition", "--graph", "g.json", "--sigma", "s.csv", "--out", "o.json", "--seed", "-1"], 64,
+         "bowfree condition: error: argument --seed: must be at least 0, got -1"),
+        (["experiment", "--mode", "simulated", "--seed", "-1"], 64,
+         "bowfree experiment: error: argument --seed: must be at least 0, got -1"),
+        (["experiment", "--mode", "simulated", "--graph-offset", "-1", "--seed", "1"], 64,
+         "bowfree experiment: error: argument --graph-offset: must be at least 0, got -1"),
+        (["experiment", "--mode", "gene", "--noise-eps", "-0.1", "--seed", "1"], 1,
+         "bowfree: noise_eps must be >= 0, got -0.1"),
+        (["experiment", "--mode", "gene", "--noise-eps", "nan", "--seed", "1"], 1,
+         "bowfree: noise_eps must be >= 0, got nan"),
+    ],
+    ids=["seed-generate", "seed-condition", "seed-experiment", "graph-offset", "noise-eps", "noise-eps-nan"],
+)
+def test_cli_rejects_negative_seeds_offsets_and_noise(tmp_path, capsys, argv, code, last_line):
+    out = tmp_path / "out"
+    argv = argv + (["--out-dir", str(out)] if argv[0] == "generate" else [])
+    argv = argv + (["--out", str(out)] if argv[0] == "experiment" else [])
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert capsys.readouterr().err.splitlines()[-1] == last_line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_cli_reduce_rejects_a_covariance_of_another_size(tmp_path, capsys, size):
+    # A smaller covariance ended in an IndexError traceback, a larger one was
+    # silently cut to its leading block.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3], [1, 3]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    np.savetxt(sigma, 2.0 * np.eye(size), delimiter=",")
+    out = tmp_path / "red"
+    assert main(["reduce", "--graph", str(graph), "--sigma", str(sigma), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"bowfree: covariance shape ({size}, {size}) does not match n=3"
+    ]
+    assert not out.exists()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bowfree.errors import BowViolationError, CycleError, GraphStructureError
 from bowfree.generators import RandomGraphConfig, gen_random_bowfree_graph
-from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph, save_graph
+from bowfree.experiments import write_report
+from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph
 
 
 def test_bow_violation_detected():
@@ -85,35 +86,6 @@ def test_vertex_range_error(chain3):
         chain3.parents(7)
 
 
-def test_half_trek_directed_only():
-    g = MixedGraph(4, [(0, 1), (1, 2)], [])
-    assert g.half_trek_reachable(0) == {1, 2}
-
-
-def test_half_trek_leading_bidirected():
-    g = MixedGraph(3, [(1, 2)], [(0, 1)])
-    assert g.half_trek_reachable(0) == {1, 2}
-    assert 2 in g.half_trek_reachable(0)
-
-
-def test_half_trek_isolated():
-    g = MixedGraph(3, [(1, 2)], [])
-    assert g.half_trek_reachable(0) == set()
-
-
-def test_half_trek_witness_reconstructs_path():
-    g = gen_random_bowfree_graph(RandomGraphConfig(10, 0.35, seed=3))
-    for v in range(g.n):
-        for w in sorted(g.half_trek_reachable(v)):
-            path = g.half_trek_witness(v, w)
-            assert path is not None and path[0] == v and path[-1] == w
-            first_ok = g.has_directed(path[0], path[1]) or g.has_bidirected(path[0], path[1])
-            assert first_ok
-            for a, b in zip(path[1:], path[2:]):
-                assert g.has_directed(a, b)
-        assert g.half_trek_witness(v, v) is None or v in g.half_trek_reachable(v)
-
-
 def test_max_degree():
     assert MixedGraph(3, [(0, 1), (1, 2)]).max_degree() == 1
     assert MixedGraph(4, [(0, 1), (0, 2), (0, 3)]).max_degree() == 3
@@ -158,7 +130,7 @@ def test_json_round_trip(tmp_path, chain3):
     assert graph_from_dict(doc) == g
 
     path = tmp_path / "g.json"
-    save_graph(g, path)
+    write_report(graph_to_dict(g), path)
     assert load_graph(path) == g
     # forced weights survive as the optional third element
     forced = MixedGraph(2, [(0, 1, 0.5)])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,12 @@ from bowfree.generators import (
     gen_lambda_range,
     gen_omega_sdd,
     gen_random_bowfree_graph,
+    gen_sdd_instance,
 )
 from bowfree.graphs import MixedGraph
 from bowfree.lsem import ParamSet, forward_map, project_omega_pattern
 from bowfree import recovery
 from bowfree.recovery import (
-    RecoveryConfig,
     RecoverySystem,
     build_system,
     recover_all,
@@ -87,12 +89,12 @@ def test_build_system_shape_guard():
 
 
 def test_recover_vertex_scalar():
-    system = RecoverySystem(0, (0,), (0,), np.array([[2.0]]), np.array([4.0]), (True,))
+    system = RecoverySystem(0, (0,), (0,), np.array([[2.0]]), np.array([4.0]))
     np.testing.assert_allclose(recover_vertex(system)[0], [2.0])
 
 
 def test_recover_vertex_singular():
-    system = RecoverySystem(3, (0,), (0,), np.zeros((1, 1)), np.array([1.0]), (True,))
+    system = RecoverySystem(3, (0,), (0,), np.zeros((1, 1)), np.array([1.0]))
     with pytest.raises(NearSingularError) as err:
         recover_vertex(system)
     assert err.value.vertex == 3
@@ -173,21 +175,6 @@ def test_source_vertex_follows_forced_chains():
     assert source_vertex(g, 0) == 0
 
 
-def test_explicit_y_set_flags_convention_conflicts():
-    # parent 1 of vertex 2 is not half-trek reachable FROM 2, so the
-    # explicit-row construction uses the raw covariance row there.
-    g, lam, sigma = _chain3_sigma()
-    partial = np.zeros((3, 3))
-    partial[0, 1] = lam[0, 1]
-    system = build_system(g, sigma, partial, 2, y_set=(1,))
-    assert system.transformed == (False,)
-    assert system.convention_conflicts == (1,)
-    config = RecoveryConfig(y_sets={2: (1,)})
-    result = recover_all(g, sigma, config)
-    # the untransformed row is still a valid equation here (no noise edge)
-    np.testing.assert_allclose(result.lambda_hat, lam, atol=1e-10)
-
-
 def test_recover_full_params_round_trip():
     inst = gen_generative_instance(n=12, k=2, p=0.6, seed=4)
     params = recover_full_params(inst.graph, inst.sigma)
@@ -235,22 +222,22 @@ def test_recovery_to_dict_schema():
 # -- stacks of covariances along a trial axis ------------------------------------
 
 
-def _per_draw(g, stack, config=None):
+def _per_draw(g, stack):
     """Reference loop: one recover_all per covariance; (weights, failed vertex)."""
     out = []
     for sigma in stack:
         try:
-            out.append((recover_all(g, sigma, config).lambda_hat, -1))
+            out.append((recover_all(g, sigma).lambda_hat, -1))
         except NearSingularError as exc:
             out.append((None, exc.vertex))
     return out
 
 
-def _assert_stack_matches_per_draw(g, stack, config=None):
-    result = recover_all(g, stack, config)
+def _assert_stack_matches_per_draw(g, stack):
+    result = recover_all(g, stack)
     assert result.lambda_hat.shape == stack.shape
     assert result.failed_vertex.shape == stack.shape[:1]
-    for t, (want, vertex) in enumerate(_per_draw(g, stack, config)):
+    for t, (want, vertex) in enumerate(_per_draw(g, stack)):
         assert result.failed_vertex[t] == vertex
         got = result.lambda_hat[t]
         if want is None:
@@ -273,7 +260,7 @@ def _perturbed_stack(sigma, trials, seed, gamma=1e-3):
     p=st.floats(0.2, 0.8),
     seed=st.integers(0, 10_000),
     trials=st.integers(1, 4),
-    mode=st.sampled_from(["plain", "y_sets", "reduced"]),
+    mode=st.sampled_from(["plain", "reduced"]),
 )
 def test_stack_recovery_matches_per_covariance(n, p, seed, trials, mode):
     g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
@@ -281,18 +268,13 @@ def test_stack_recovery_matches_per_covariance(n, p, seed, trials, mode):
     omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))
     sigma = forward_map(g, ParamSet(lam, omega)).sigma
     stack = _perturbed_stack(sigma, trials, seed)
-    config = None
-    if mode == "y_sets":
-        # Explicit rows at the parents: rows not half-trek reachable from v
-        # stay untransformed, so some systems differ from the default.
-        config = RecoveryConfig(y_sets={v: g.parents(v) for v in range(n) if g.parents(v)})
-    elif mode == "reduced":
+    if mode == "reduced":
         red = reduce_instance(g, sigma)
         stack = np.stack([
             reduce_covariance(s, red.g_prime, red.gadgets, red.r).sigma for s in stack
         ])
         g = red.g_prime
-    _assert_stack_matches_per_draw(g, stack, config)
+    _assert_stack_matches_per_draw(g, stack)
 
 
 def test_stack_with_a_singular_trial_fails_only_that_trial():
@@ -328,7 +310,7 @@ def test_stack_diagnostics_are_per_trial():
 
 def test_recover_vertex_masks_singular_trials_of_a_stack():
     a = np.array([[[2.0]], [[0.0]]])
-    system = RecoverySystem(3, (0,), (0,), a, np.array([[4.0], [1.0]]), (True,))
+    system = RecoverySystem(3, (0,), (0,), a, np.array([[4.0], [1.0]]))
     weights, residual, condition = recover_vertex(system)
     assert weights[0, 0] == 2.0 and np.isnan(weights[1, 0])
     assert residual[0] == 0.0 and condition[0] == 1.0 and np.isinf(condition[1])
@@ -342,9 +324,9 @@ def test_recover_many_splits_into_bounded_stacks(monkeypatch):
     whole = list(recover_many(g, stack))
     calls = []
 
-    def counting(g, sigma, config=None):
+    def counting(g, sigma):
         calls.append(len(sigma))
-        return recover_all(g, sigma, config)
+        return recover_all(g, sigma)
 
     monkeypatch.setattr(recovery, "recover_all", counting)
     monkeypatch.setattr(recovery, "STACK_BYTES", 2 * 16 * g.n**2)
@@ -371,3 +353,70 @@ def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():
     assert result.failed_vertex.tolist() == [-1, 2]
     assert np.isnan(result.lambda_hat[1]).all()
     np.testing.assert_array_equal(result.lambda_hat[0], np.zeros((3, 3)))
+
+
+# -- golden bits ---------------------------------------------------------------
+
+
+def _golden_sdd():
+    return gen_sdd_instance(60, 3, 0.7, 0.6, seed=5)
+
+
+def _golden_one():
+    inst = _golden_sdd()
+    return recover_all(inst.graph, inst.sigma)
+
+
+def _golden_stack():
+    inst = _golden_sdd()
+    draws = [sample_perturbation(inst.sigma, PerturbationSpec(1e-3, 2, seed, strict=False)).sigma
+             for seed in range(3)]
+    return recover_all(inst.graph, np.stack(draws))
+
+
+def _golden_reduced():
+    g = gen_random_bowfree_graph(RandomGraphConfig(8, 0.5, seed=3))
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.6, 4))
+    omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, 5))
+    red = reduce_instance(g, forward_map(g, ParamSet(lam, omega)))
+    return recover_all(red.g_prime, red.sigma_prime)
+
+
+def _golden_full_params():
+    inst = _golden_sdd()
+    return recover_full_params(inst.graph, inst.sigma)
+
+
+def _golden_digest(out):
+    if isinstance(out, ParamSet):
+        arrays = [out.lam, out.omega]
+    else:
+        arrays = [out.lambda_hat]
+        for _, diag in sorted(out.per_vertex.items()):
+            arrays += [np.asarray(diag.residual, dtype=float), np.asarray(diag.condition, dtype=float)]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of lambda_hat and of every vertex's residual and condition (of lam
+# and omega for full parameters), recorded before the recovery options and
+# the explicit-row path were removed: the single assembly path moves no bit.
+GOLDEN_CASES = {
+    "sdd": _golden_one,
+    "stack-of-3": _golden_stack,
+    "reduced": _golden_reduced,
+    "full-params": _golden_full_params,
+}
+GOLDEN_DIGESTS = {
+    "sdd": "3b6f093293413feab065cbc1c02d31328703b05684c2974abbd62ef63ec6e38e",
+    "stack-of-3": "cde500dec735a9e802237e33c6696b32195569c8afe65dda0b80b4bf820de56a",
+    "reduced": "ab4bb8e5de193aa436c2b72367db267b2e799c71d8d22272ab06e69635715984",
+    "full-params": "095884ac3a78e6edbb48723f5241950e43845f0bd2b59a4a2224cc06687af1e5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_recovery_keeps_its_bits(case):
+    assert _golden_digest(GOLDEN_CASES[case]()) == GOLDEN_DIGESTS[case]

@@ -108,7 +108,7 @@ def test_reduce_four_node_skip_edge():
     assert g_prime.is_k_layered()
     assert g_prime.bow_violations() == []
     # the bidirected neighbour of the head is mirrored onto the collector
-    assert g_prime.has_bidirected(spec.collector, 2)
+    assert (2, spec.collector) in g_prime.bidirected
 
 
 def test_reduce_covariance_factor_map():
