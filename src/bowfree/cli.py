@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", parents=[], help="generate a random instance")
     gen.add_argument("--kind", choices=["bowfree", "layered", "generative", "sdd"], default="generative")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=nonnegative_int, required=True)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--p", type=float, default=0.5)
     gen.add_argument("--mu", type=float, default=None)
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--dataset", default=None)
     exp.add_argument("--p", type=float, nargs="+", default=[0.2])
     exp.add_argument("--k", type=int, default=2)
-    exp.add_argument("--n", type=int, nargs="+", default=[20])
+    exp.add_argument("--n", type=nonnegative_int, nargs="+", default=[20])
     exp.add_argument("--range", dest="weight_range", type=float, nargs="+", default=[1.0])
     exp.add_argument("--noise-eps", type=float, default=0.1)
     exp.add_argument("--graphs", type=int, default=10)

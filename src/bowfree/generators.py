@@ -82,13 +82,13 @@ def derived_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
-def _attach_bidirected(n, directed_pairs, rng, extra_p):
+def _attach_bidirected(n, source, target, rng, extra_p) -> np.ndarray:
     """One mandatory bidirected partner per vertex plus extras; never on a
     pair that already carries a directed edge. The extras draw once per
-    eligible pair u < v, in one bulk call in row-major order."""
+    eligible pair u < v, in one bulk call in row-major order. Returns the
+    pairs as (u, v) rows with u < v."""
     adjacent = np.eye(n, dtype=bool)
-    pairs = np.asarray(directed_pairs, dtype=int).reshape(-1, 2)
-    adjacent[pairs[:, 0], pairs[:, 1]] = adjacent[pairs[:, 1], pairs[:, 0]] = True
+    adjacent[source, target] = adjacent[target, source] = True
     bidirected = np.zeros((n, n), dtype=bool)
     for j in range(n):
         candidates = np.flatnonzero(~adjacent[j])
@@ -98,7 +98,7 @@ def _attach_bidirected(n, directed_pairs, rng, extra_p):
     us, vs = np.nonzero(np.triu(~adjacent & ~bidirected))
     extra = rng.random(us.size) < extra_p
     bidirected[us[extra], vs[extra]] = True
-    return set(map(tuple, np.argwhere(bidirected).tolist()))
+    return np.argwhere(bidirected)
 
 
 def gen_random_bowfree_graph(cfg: RandomGraphConfig) -> MixedGraph:
@@ -110,9 +110,9 @@ def gen_random_bowfree_graph(cfg: RandomGraphConfig) -> MixedGraph:
     rank[order] = np.arange(cfg.n)
     sources, targets = np.nonzero(rank[:, None] < rank[None, :])
     keep = rng.random(sources.size) < cfg.p
-    directed = list(zip(sources[keep].tolist(), targets[keep].tolist()))
-    bidirected = _attach_bidirected(cfg.n, directed, rng, cfg.extra_bidirected_p)
-    return MixedGraph(cfg.n, directed, bidirected)
+    source, target = sources[keep], targets[keep]
+    bidirected = _attach_bidirected(cfg.n, source, target, rng, cfg.extra_bidirected_p)
+    return MixedGraph.from_arrays(cfg.n, source, target, bidirected=bidirected)
 
 
 def gen_layered_bowfree_graph(
@@ -125,15 +125,16 @@ def gen_layered_bowfree_graph(
     if not (0.0 <= p <= 1.0):
         raise ConfigError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    layers = [list(range(start, min(start + k, n))) for start in range(0, n, k)]
-    directed = []
-    for lower, upper in zip(layers, layers[1:]):
-        for u in lower:
-            for v in upper:
-                if rng.random() < p:
-                    directed.append((u, v))
-    bidirected = _attach_bidirected(n, directed, rng, extra_bidirected_p)
-    return MixedGraph(n, directed, bidirected)
+    # Layer j holds vertices jk..jk+k-1; vertex u may point at any of the k
+    # slots of the next layer that exist. One coin per (u, v) pair, drawn
+    # in bulk in (u, v) order.
+    slots = (np.arange(n) // k + 1)[:, None] * k + np.arange(k)
+    source, slot = np.nonzero(slots < n)
+    target = slots[source, slot]
+    keep = rng.random(source.size) < p
+    source, target = source[keep], target[keep]
+    bidirected = _attach_bidirected(n, source, target, rng, extra_bidirected_p)
+    return MixedGraph.from_arrays(n, source, target, bidirected=bidirected)
 
 
 def gen_lambda_uniform(g: MixedGraph, cfg: GenerativeConfig) -> np.ndarray:
@@ -143,11 +144,11 @@ def gen_lambda_uniform(g: MixedGraph, cfg: GenerativeConfig) -> np.ndarray:
     half = 1.0 / (2 * cfg.k * cfg.mu)
     hole = 1.0 / g.n**2
     lam = np.zeros((g.n, g.n))
-    for e in g.directed:
+    for u, v in zip(g.source.tolist(), g.target.tolist()):
         for _ in range(_RETRY_CAP):
             draw = rng.uniform(-half, half)
             if abs(draw) > hole:
-                lam[e.source, e.target] = draw
+                lam[u, v] = draw
                 break
         else:
             raise ConfigError("rejection sampling exhausted its retry cap")
@@ -196,7 +197,7 @@ def gen_omega_sdd(g: MixedGraph, cfg: SDDNoiseConfig) -> np.ndarray:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     omega = np.zeros((g.n, g.n))
-    us, vs = np.array(sorted(g.bidirected), dtype=int).reshape(-1, 2).T
+    us, vs = g.pairs.T
     omega[us, vs] = omega[vs, us] = rng.standard_normal(us.size)
     diag = np.abs(omega).sum(axis=1) + rng.chisquare(1, size=g.n)
     np.fill_diagonal(omega, diag)
@@ -208,8 +209,7 @@ def gen_lambda_range(g: MixedGraph, cfg: SDDNoiseConfig) -> np.ndarray:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     lam = np.zeros((g.n, g.n))
-    for e in g.directed:
-        lam[e.source, e.target] = rng.uniform(-cfg.range, cfg.range)
+    lam[g.source, g.target] = rng.uniform(-cfg.range, cfg.range, size=g.source.size)
     return lam
 
 
@@ -261,11 +261,9 @@ def gen_generative_instance(
     root = np.random.SeedSequence(seed)
     graph_seed, lam_seed, omega_seed = (int(s.generate_state(1)[0]) for s in root.spawn(3))
     skeleton = gen_layered_bowfree_graph(n, k, p, graph_seed)
-    adjacent = {(min(e.source, e.target), max(e.source, e.target)) for e in skeleton.directed}
-    full_f = {
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in adjacent
-    }
-    g = MixedGraph(n, [(e.source, e.target) for e in skeleton.directed], full_f)
+    adjacent = np.eye(n, dtype=bool)
+    adjacent[skeleton.source, skeleton.target] = adjacent[skeleton.target, skeleton.source] = True
+    g = MixedGraph.from_arrays(n, skeleton.source, skeleton.target, bidirected=np.argwhere(np.triu(~adjacent)))
     lam = gen_lambda_uniform(g, GenerativeConfig(n, k, mu, d, seed=lam_seed))
     omega, _, _ = gen_omega_spherical(g, GenerativeConfig(n, k, mu, d, seed=omega_seed))
     params = ParamSet(lam, omega)

@@ -4,14 +4,25 @@ Vertices are dense 0-based indices internally; the JSON interchange format
 is 1-based. Directed edges may carry a *forced* weight, used by the layered
 reduction to mark edges whose value is an input to recovery rather than an
 unknown.
+
+A graph is stored as arrays: the directed edges as int64 ``source`` and
+``target`` sorted by (source, target), their forced weights as the float
+array ``forced`` (NaN for a free edge), and the bidirected pairs as the
+sorted, unique (m, 2) array ``pairs`` of (min, max). Array position is
+edge order everywhere. The per-edge Python views ``directed``,
+``bidirected`` and ``forced_weights`` are built only when read.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import BowViolationError, CycleError, GraphStructureError
 
@@ -30,136 +41,207 @@ class LayerDecomposition:
 
     layer_of: tuple[int, ...]
     layers: MappingProxyType[int, tuple[int, ...]]
+    layer_array: np.ndarray = field(compare=False, repr=False)  # layer_of as int64
 
     @property
     def depth(self) -> int:
         return max(self.layers) if self.layers else 0
 
 
-@dataclass(frozen=True)
+def _vertex_ids(values, width=None) -> np.ndarray:
+    """int64 vertex ids: a vector, or rows of ``width`` ids."""
+    a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    shape = (0,) if width is None else (0, width)
+    if a.size == 0:
+        return np.zeros(shape, dtype=np.int64)
+    if a.dtype.kind not in "iu" or a.shape[1:] != shape[1:]:
+        want = "a vector" if width is None else f"rows of {width}"
+        raise GraphStructureError(f"vertex ids must be integers in {want}, got {a.dtype} of shape {a.shape}")
+    return a.astype(np.int64, copy=False)
+
+
+def _row_pointers(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers: the edges of vertex v sit at ptr[v]:ptr[v + 1] once sorted by ``ids``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values. One sort: np.unique hashes integers on
+    numpy 2.x, which took 10x longer on a 5,000-element array."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 class MixedGraph:
     """Immutable mixed graph G = (V, E, F).
 
     Parameters
     ----------
     n : vertex count; vertices are 0..n-1.
-    directed : iterable of (u, v) or (u, v, weight) or DirectedEdge.
+    directed : iterable of (u, v) or (u, v, weight) or DirectedEdge; a
+        weight of None or NaN marks a free edge.
     bidirected : iterable of unordered vertex pairs.
 
-    Construction validates indices, self-loops and duplicates; acyclicity
-    and bow-freeness are checked by the dedicated operations so that
-    diagnostic reports can name the offending structure.
+    ``MixedGraph.from_arrays`` takes the same edges as arrays. Construction
+    validates indices, self-loops and duplicate directed edges, naming the
+    first offender in input order; acyclicity and bow-freeness are checked
+    by the dedicated operations so that diagnostic reports can name the
+    offending structure.
     """
 
-    n: int
-    directed: tuple[DirectedEdge, ...]
-    bidirected: frozenset[tuple[int, int]]
-
     def __init__(self, n, directed=(), bidirected=()):
+        rows = [
+            (e.source, e.target, e.forced_weight) if isinstance(e, DirectedEdge)
+            else (*e[:2], e[2] if len(e) > 2 else None)
+            for e in directed
+        ]
+        source, target, forced = zip(*rows) if rows else ((), (), ())
+        self._build(n, source, target, np.array(forced, dtype=float), bidirected)  # None becomes NaN
+
+    @classmethod
+    def from_arrays(cls, n, source, target, forced=None, bidirected=()) -> "MixedGraph":
+        """Graph from edge arrays: ``forced`` holds each directed edge's
+        forced weight, NaN for a free edge (all free when omitted), and
+        ``bidirected`` is an (m, 2) array of vertex pairs in any orientation."""
+        g = cls.__new__(cls)
+        g._build(n, source, target, forced, bidirected)
+        return g
+
+    def _build(self, n, source, target, forced, bidirected):
         if n < 0:
             raise GraphStructureError(f"vertex count must be nonnegative, got {n}")
-        edges = []
-        seen = set()
-        for e in directed:
-            if isinstance(e, DirectedEdge):
-                u, v, w = e.source, e.target, e.forced_weight
-            else:
-                u, v = e[0], e[1]
-                w = float(e[2]) if len(e) > 2 and e[2] is not None else None
-            self._check_pair(n, u, v, "directed")
-            if (u, v) in seen:
-                raise GraphStructureError(f"duplicate directed edge ({u}, {v})")
-            seen.add((u, v))
-            edges.append(DirectedEdge(u, v, w))
-        edges.sort(key=lambda e: (e.source, e.target))
+        source, target, pairs = _vertex_ids(source), _vertex_ids(target), _vertex_ids(bidirected, 2)
+        forced = np.full(source.size, np.nan) if forced is None else np.asarray(forced, dtype=float)
+        if not source.shape == target.shape == forced.shape:
+            raise GraphStructureError(f"edge arrays of shapes {source.shape}, {target.shape}, {forced.shape}")
 
-        pairs = set()
-        for u, v in bidirected:
-            self._check_pair(n, u, v, "bidirected")
-            pairs.add((min(u, v), max(u, v)))
+        order = np.lexsort((target, source))  # stable, so a repeat sorts after its first occurrence
+        s, t = source[order], target[order]
+        repeat = np.zeros(source.size, dtype=bool)
+        repeat[order[1:][(s[1:] == s[:-1]) & (t[1:] == t[:-1])]] = True
+        # The first offending edge in input order decides the message.
+        for kind, (u, v), dup in (("directed", (source, target), repeat), ("bidirected", pairs.T, False)):
+            out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+            for i in np.flatnonzero(out | (u == v) | dup)[:1]:
+                x, y = int(u[i]), int(v[i])
+                if out[i]:
+                    raise GraphStructureError(f"{kind} edge ({x}, {y}) out of range for n={n}")
+                if x == y:
+                    raise GraphStructureError(f"self-loop ({x}, {y}) not allowed")
+                raise GraphStructureError(f"duplicate directed edge ({x}, {y})")
 
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "directed", tuple(edges))
-        object.__setattr__(self, "bidirected", frozenset(pairs))
+        span = max(n, 1)
+        keys = _unique(pairs.min(axis=1) * span + pairs.max(axis=1))
+        self.n = n
+        self.source, self.target, self.forced = s, t, forced[order]
+        self.pairs = np.stack([keys // span, keys % span], axis=1)
+        for a in (self.source, self.target, self.forced, self.pairs):
+            a.flags.writeable = False  # the cached views and layering depend on them
+        self._parent_memo: dict[int, tuple[int, ...]] = {}
 
-    @staticmethod
-    def _check_pair(n, u, v, kind):
-        for x in (u, v):
-            if not (0 <= x < n):
-                raise GraphStructureError(f"{kind} edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphStructureError(f"self-loop ({u}, {v}) not allowed")
+    def __eq__(self, other):
+        if not isinstance(other, MixedGraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.source, other.source)
+            and np.array_equal(self.target, other.target)
+            and np.array_equal(self.forced, other.forced, equal_nan=True)
+            and np.array_equal(self.pairs, other.pairs)
+        )
 
-    # -- cached adjacency -------------------------------------------------
+    def __hash__(self):
+        return hash((self.n, self.source.tobytes(), self.target.tobytes(), self.pairs.tobytes()))
 
-    @cached_property
-    def _parents(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.n)]
-        for e in self.directed:
-            out[e.target].append(e.source)
-        return tuple(tuple(sorted(p)) for p in out)
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.n)]
-        for e in self.directed:
-            out[e.source].append(e.target)
-        return tuple(tuple(sorted(c)) for c in out)
+    # -- per-edge views, built on first read ------------------------------
 
     @cached_property
-    def _bidirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.n)]
-        for u, v in self.bidirected:
-            out[u].append(v)
-            out[v].append(u)
-        return tuple(tuple(sorted(b)) for b in out)
+    def directed(self) -> tuple[DirectedEdge, ...]:
+        weights = [None if math.isnan(w) else w for w in self.forced.tolist()]
+        return tuple(map(DirectedEdge, self.source.tolist(), self.target.tolist(), weights))
+
+    @cached_property
+    def bidirected(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.pairs.tolist()))
 
     @cached_property
     def forced_weights(self) -> dict[tuple[int, int], float]:
-        return {
-            (e.source, e.target): e.forced_weight
-            for e in self.directed
-            if e.forced_weight is not None
-        }
+        idx = np.flatnonzero(~np.isnan(self.forced))
+        return dict(zip(zip(self.source[idx].tolist(), self.target[idx].tolist()), self.forced[idx].tolist()))
 
-    # -- basic accessors ---------------------------------------------------
+    # -- adjacency ----------------------------------------------------------
+
+    @cached_property
+    def _in(self) -> tuple[np.ndarray, list[int]]:
+        """In-edges as CSR: edge indices sorted by (target, source), row pointers."""
+        return np.argsort(self.target, kind="stable"), _row_pointers(self.target, self.n).tolist()
+
+    @cached_property
+    def _out_ptr(self) -> list[int]:
+        """Row pointers of the out-edges, which are already sorted by source."""
+        return _row_pointers(self.source, self.n).tolist()
 
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
             raise GraphStructureError(f"vertex {v} out of range for n={self.n}")
 
-    def parents(self, v) -> tuple[int, ...]:
+    def in_edges(self, v) -> np.ndarray:
+        """Indices of v's in-edges into ``source``, ``target`` and ``forced``,
+        by ascending parent."""
         self._check_vertex(v)
-        return self._parents[v]
+        order, ptr = self._in
+        return order[ptr[v] : ptr[v + 1]]
+
+    def parents(self, v) -> tuple[int, ...]:
+        try:
+            return self._parent_memo[v]
+        except KeyError:
+            out = self._parent_memo[v] = tuple(self.source[self.in_edges(v)].tolist())
+            return out
 
     def children(self, v) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._children[v]
+        ptr = self._out_ptr
+        return tuple(self.target[ptr[v] : ptr[v + 1]].tolist())
 
     def spa(self, v) -> tuple[int, ...]:
         """Second parents: union of parents of parents of v."""
-        self._check_vertex(v)
         out = set()
-        for p in self._parents[v]:
-            out.update(self._parents[p])
+        for p in self.parents(v):
+            out.update(self.parents(p))
         return tuple(sorted(out))
-
-    def bidirected_neighbors(self, v) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._bidirected_neighbors[v]
 
     def max_degree(self) -> int:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
-        if self.n == 0:
+        if self.source.size == 0:
             return 0
-        return max(max(len(self._parents[v]), len(self._children[v])) for v in range(self.n))
+        return int(max(np.bincount(self.source).max(), np.bincount(self.target).max()))
+
+    @cached_property
+    def free_in_degree(self) -> np.ndarray:
+        """Per vertex, the number of in-edges without a forced weight."""
+        return np.bincount(self.target[np.isnan(self.forced)], minlength=self.n)
+
+    @cached_property
+    def free_vertices(self) -> tuple[int, ...]:
+        """Vertices with at least one free in-edge, by layer, then index:
+        the vertices whose weights recovery solves for."""
+        by_layer = np.argsort(self.layer_decomposition().layer_array, kind="stable")
+        return tuple(by_layer[self.free_in_degree[by_layer] > 0].tolist())
 
     # -- structural algorithms ----------------------------------------------
 
     @cached_property
     def _bows(self) -> tuple[tuple[int, int], ...]:
-        par = self._parents  # bidirected pairs are stored (min, max)
-        return tuple(sorted((u, v) for u, v in self.bidirected if u in par[v] or v in par[u]))
+        # A bow's (min, max) key is both an undirected edge key and a pair key;
+        # each set is duplicate-free, so it shows as a repeat in their union.
+        span = max(self.n, 1)
+        edges = _unique(np.minimum(self.source, self.target) * span + np.maximum(self.source, self.target))
+        keys = np.sort(np.concatenate([edges, self.pairs[:, 0] * span + self.pairs[:, 1]]))
+        bows = keys[1:][keys[1:] == keys[:-1]]
+        return tuple(zip((bows // span).tolist(), (bows % span).tolist()))
 
     def bow_violations(self) -> list[tuple[int, int]]:
         """Vertex pairs carrying both a directed and a bidirected edge, sorted."""
@@ -175,47 +257,28 @@ class MixedGraph:
 
         Raises CycleError naming one directed cycle when none exists.
         """
-        import heapq
-
-        indeg = [len(self._parents[v]) for v in range(self.n)]
+        children, ptr = self.target.tolist(), self._out_ptr
+        indeg = np.bincount(self.target, minlength=self.n).tolist()
         heap = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(heap)
         order = []
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
-            for c in self._children[v]:
+            for c in children[ptr[v] : ptr[v + 1]]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     heapq.heappush(heap, c)
         if len(order) < self.n:
-            raise CycleError(self._find_cycle())
+            # Each vertex left behind has a parent left behind, so walking
+            # such parents from one of them closes a cycle.
+            seen, v = {}, next(v for v in range(self.n) if indeg[v])
+            while v not in seen:
+                seen[v] = len(seen)
+                v = next(p for p in self.parents(v) if indeg[p])
+            cycle = list(seen)[seen[v]:][::-1]
+            raise CycleError(cycle + cycle[:1])
         return order
-
-    def _find_cycle(self) -> list[int]:
-        color = [0] * self.n  # 0 unseen, 1 on stack, 2 done
-        stack: list[int] = []
-
-        def dfs(v):
-            color[v] = 1
-            stack.append(v)
-            for c in self._children[v]:
-                if color[c] == 1:
-                    return stack[stack.index(c):] + [c]
-                if color[c] == 0:
-                    found = dfs(c)
-                    if found:
-                        return found
-            stack.pop()
-            color[v] = 2
-            return None
-
-        for v in range(self.n):
-            if color[v] == 0:
-                cycle = dfs(v)
-                if cycle:
-                    return cycle
-        raise AssertionError("cycle reported but not found")
 
     def layer_decomposition(self) -> LayerDecomposition:
         """layer(v) = 1 + max over parents of layer(parent); 1 if parentless.
@@ -224,33 +287,41 @@ class MixedGraph:
 
     @cached_property
     def _layering(self) -> LayerDecomposition:
-        order = self.topological_order()
-        layer = [1] * self.n
-        for v in order:
-            for p in self._parents[v]:
-                layer[v] = max(layer[v], layer[p] + 1)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(layer[v], []).append(v)
-        layers = MappingProxyType({i: tuple(sorted(vs)) for i, vs in sorted(groups.items())})
-        return LayerDecomposition(tuple(layer), layers)
+        # Kahn frontier rounds: the vertices freed by round d are exactly
+        # longest-path layer d, so each layer costs one numpy step.
+        indeg = np.bincount(self.target, minlength=self.n)
+        out_ptr = _row_pointers(self.source, self.n)
+        out_degree = np.diff(out_ptr)
+        layer = np.zeros(self.n, dtype=np.int64)
+        layers = {}
+        frontier = np.flatnonzero(indeg == 0)
+        while frontier.size:
+            layers[len(layers) + 1] = tuple(frontier.tolist())
+            layer[frontier] = len(layers)
+            # the out-edges of the frontier: one run of edge indices per vertex
+            counts = out_degree[frontier]
+            runs = np.repeat(out_ptr[frontier] - np.cumsum(counts) + counts, counts)
+            kids = self.target[runs + np.arange(runs.size)]
+            np.subtract.at(indeg, kids, 1)
+            frontier = _unique(kids[indeg[kids] == 0])
+        if (layer == 0).any():
+            self.topological_order()  # raises CycleError
+        layer.flags.writeable = False
+        return LayerDecomposition(tuple(layer.tolist()), MappingProxyType(layers), layer)
 
     def is_k_layered(self) -> bool:
         """True iff every directed edge goes from layer i to layer i + 1."""
-        layer = self.layer_decomposition().layer_of
-        return all(layer[e.target] == layer[e.source] + 1 for e in self.directed)
+        layer = self.layer_decomposition().layer_array
+        return bool(np.all(layer[self.target] == layer[self.source] + 1))
 
 
 def graph_to_dict(g: MixedGraph) -> dict:
     """JSON form: 1-based vertices, forced weights as optional third element."""
-    directed = []
-    for e in g.directed:
-        if e.forced_weight is None:
-            directed.append([e.source + 1, e.target + 1])
-        else:
-            directed.append([e.source + 1, e.target + 1, e.forced_weight])
-    bidirected = [[u + 1, v + 1] for u, v in sorted(g.bidirected)]
-    return {"n": g.n, "directed": directed, "bidirected": bidirected}
+    directed = [
+        [u, v] if math.isnan(w) else [u, v, w]
+        for u, v, w in zip((g.source + 1).tolist(), (g.target + 1).tolist(), g.forced.tolist())
+    ]
+    return {"n": g.n, "directed": directed, "bidirected": (g.pairs + 1).tolist()}
 
 
 def _integer(x, what: str) -> int:
@@ -264,14 +335,25 @@ def _vertex(x) -> int:
     return _integer(x, "vertex") - 1
 
 
+def _weight(x) -> float:
+    w = float(x)
+    if not math.isfinite(w):  # NaN would read as a free edge
+        raise ValueError(f"forced weight must be finite, got {x!r}")
+    return w
+
+
 def graph_from_dict(data: dict) -> MixedGraph:
     try:
         n = _integer(data["n"], "n")
-        directed = [(_vertex(e[0]), _vertex(e[1]), *map(float, e[2:3])) for e in data.get("directed", [])]
+        rows = [
+            (_vertex(e[0]), _vertex(e[1]), _weight(e[2]) if len(e) > 2 else math.nan)
+            for e in data.get("directed", [])
+        ]
         bidirected = [(_vertex(u), _vertex(v)) for u, v in data.get("bidirected", [])]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
-    return MixedGraph(n, directed, bidirected)
+    source, target, forced = zip(*rows) if rows else ((), (), ())
+    return MixedGraph.from_arrays(n, source, target, forced, bidirected)
 
 
 def load_graph(path) -> MixedGraph:

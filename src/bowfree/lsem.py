@@ -13,6 +13,7 @@ is unit upper triangular, so the solve is plain back-substitution.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,7 @@ def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
             f"parameter shapes {lam.shape}, {omega.shape} do not match n={g.n}"
         )
     allowed = np.zeros((g.n, g.n), dtype=bool)
-    for e in g.directed:
-        allowed[e.source, e.target] = True
+    allowed[g.source, g.target] = True
     off = np.abs(lam) > atol
     if np.any(off & ~allowed):
         where = np.argwhere(off & ~allowed)
@@ -135,8 +135,8 @@ def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
     if not np.allclose(omega, omega.T, atol=atol):
         raise PatternError("omega must be symmetric")
     allowed_om = np.eye(g.n, dtype=bool)
-    for u, v in g.bidirected:
-        allowed_om[u, v] = allowed_om[v, u] = True
+    us, vs = g.pairs.T
+    allowed_om[us, vs] = allowed_om[vs, us] = True
     off_om = np.abs(omega) > atol
     if np.any(off_om & ~allowed_om):
         where = np.argwhere(off_om & ~allowed_om)
@@ -230,9 +230,13 @@ def save_matrix_csv(a: np.ndarray, path):
 def load_matrix_csv(path) -> np.ndarray:
     """A square matrix of finite numbers; IngestionError otherwise."""
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # reported below
+            a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise IngestionError(f"{path}: not a numeric CSV matrix: {exc}") from exc
+    if a.size == 0:
+        raise IngestionError(f"{path}: no numbers in the CSV file")
     if a.shape[0] != a.shape[1]:
         raise IngestionError(f"{path}: matrix of shape {a.shape} is not square")
     if not np.isfinite(a).all():

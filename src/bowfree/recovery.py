@@ -94,16 +94,24 @@ def source_vertex(g: MixedGraph, v: int) -> int:
 
     Identity for vertices with any unforced (or no) incoming edge.
     """
-    forced = g.forced_weights
     seen = set()
-    while True:
-        parents = g.parents(v)
-        if not parents or any((p, v) not in forced for p in parents):
-            return v
+    while g.parents(v) and not g.free_in_degree[v]:
         if v in seen:
             raise OrderingError(f"forced-edge chain through vertex {v} is cyclic")
         seen.add(v)
-        v = parents[0]
+        v = g.parents(v)[0]
+    return v
+
+
+def _split_in_edges(g: MixedGraph, v: int):
+    """v's free parents, forced parents and their forced weights, each by
+    ascending parent."""
+    parents = g.parents(v)
+    if g.free_in_degree[v] == len(parents):  # no forced in-edge, as on every unreduced graph
+        return parents, (), ()
+    edges = g.in_edges(v)
+    free = np.isnan(g.forced[edges])
+    return tuple(g.source[edges[free]].tolist()), tuple(g.source[edges[~free]].tolist()), g.forced[edges[~free]]
 
 
 def build_system(g: MixedGraph, sigma, lambda_partial: np.ndarray, v: int) -> RecoverySystem:
@@ -120,12 +128,10 @@ def build_system(g: MixedGraph, sigma, lambda_partial: np.ndarray, v: int) -> Re
         raise OrderingError(
             f"partial weight matrix of shape {lam.shape} does not match n={g.n}"
         )
-    forced = g.forced_weights
-    unknown = [p for p in g.parents(v) if (p, v) not in forced]
-    known = [p for p in g.parents(v) if (p, v) in forced]
+    unknown, known, known_weights = _split_in_edges(g, v)
     rows = [source_vertex(g, p) for p in unknown]
 
-    cols = np.array(unknown + known + [v], dtype=int)
+    cols = np.array([*unknown, *known, v], dtype=int)
     row_idx = np.array(rows, dtype=int)[:, None]
     full = sig[..., row_idx, cols]
     # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols]; the
@@ -144,11 +150,11 @@ def build_system(g: MixedGraph, sigma, lambda_partial: np.ndarray, v: int) -> Re
     m = len(unknown)
     b = full[..., -1]
     if known:
-        b = b - full[..., m:-1] @ np.array([forced[(p, v)] for p in known])
+        b = b - full[..., m:-1] @ known_weights
     return RecoverySystem(
         vertex=v,
         y_set=tuple(rows),
-        parents=tuple(unknown),
+        parents=unknown,
         a_matrix=full[..., :m],
         b_vector=b,
     )
@@ -219,37 +225,33 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
 
-    forced = g.forced_weights
-    forced_u, forced_v = np.array(list(forced), dtype=int).reshape(-1, 2).T
-    forced_w = np.array(list(forced.values()), dtype=float)
+    forced_edges = np.flatnonzero(~np.isnan(g.forced))
+    forced_u, forced_v = g.source[forced_edges], g.target[forced_edges]
+    forced_w = g.forced[forced_edges]
     lam = np.zeros(sig.shape)
     lam[..., forced_u, forced_v] = forced_w
     failed = np.full(sig.shape[:-2], -1)
 
     per_vertex: dict[int, VertexDiagnostics] = {}
-    for _, members in sorted(g.layer_decomposition().layers.items()):
-        for v in members:
-            parents = g.parents(v)
-            unknown = [p for p in parents if (p, v) not in forced]
-            if not unknown:
-                continue
-            partial_form = len(unknown) == len(parents) and not g.spa(v)
-            if partial_form:
-                weights, residual, condition = recover_first_layers(g, sig, v)
-            else:
-                weights, residual, condition = recover_vertex(build_system(g, sig, lam, v))
-            # Near-singular trials and non-finite weights or systems leave the residual non-finite.
-            singular = ~np.isfinite(residual)
-            if singular.any():
-                if sig.ndim == 2:
-                    raise NearSingularError(f"vertex {v}: solve gave non-finite values", vertex=v)
-                failed[singular & (failed < 0)] = v
-                # Zero weights keep the failed trials' later systems finite.
-                weights = np.where(singular[..., None], 0.0, weights)
-            lam[..., unknown, v] = weights
+    for v in g.free_vertices:
+        unknown, known, _ = _split_in_edges(g, v)
+        partial_form = not known and not g.spa(v)
+        if partial_form:
+            weights, residual, condition = recover_first_layers(g, sig, v)
+        else:
+            weights, residual, condition = recover_vertex(build_system(g, sig, lam, v))
+        # Near-singular trials and non-finite weights or systems leave the residual non-finite.
+        singular = ~np.isfinite(residual)
+        if singular.any():
             if sig.ndim == 2:
-                residual, condition = float(residual), float(condition)
-            per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
+                raise NearSingularError(f"vertex {v}: solve gave non-finite values", vertex=v)
+            failed[singular & (failed < 0)] = v
+            # Zero weights keep the failed trials' later systems finite.
+            weights = np.where(singular[..., None], 0.0, weights)
+        lam[..., unknown, v] = weights
+        if sig.ndim == 2:
+            residual, condition = float(residual), float(condition)
+        per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
 
     forced_ok = bool(np.all(lam[..., forced_u, forced_v] == forced_w))
     if sig.ndim == 2:

@@ -46,10 +46,13 @@ class GadgetSpec:
     inner_layers: tuple[tuple[int, ...], ...]
 
     @property
+    def first(self) -> int:
+        """The gadget's new vertices are the ids first..collector, stage by stage."""
+        return self.collector - sum(map(len, self.inner_layers))
+
+    @property
     def new_vertices(self) -> tuple[int, ...]:
-        out = [v for stage in self.inner_layers for v in stage]
-        out.append(self.collector)
-        return tuple(out)
+        return tuple(range(self.first, self.collector + 1))
 
 
 @dataclass(frozen=True)
@@ -67,45 +70,50 @@ class _IdAllocator:
         self.next_id = start
         self.capacity = capacity
 
-    def take(self) -> int:
-        if self.next_id >= self.capacity:
+    def take(self, count: int) -> int:
+        """First of ``count`` consecutive fresh ids."""
+        if self.next_id + count > self.capacity:
             raise ConfigError("vertex id allocator exhausted")
-        v = self.next_id
-        self.next_id += 1
-        return v
+        first = self.next_id
+        self.next_id += count
+        return first
 
 
-def build_gadget(u: int, v: int, q: int, r: int, allocator: _IdAllocator):
-    """Create the forced-weight path structure for one replaced edge.
+def build_gadgets(heads, tails, qs, r: int, allocator: _IdAllocator):
+    """Create the forced-weight path structures for replaced edges.
 
-    Returns (spec, directed_edges). q >= 1 builds q inner stages (widths
-    r, ..., r, r^2) feeding the collector through 1/r weights; q = 0 wires
-    the head straight to the collector at forced weight 1.
+    Gadget i replaces heads[i] -> tails[i] and takes the next consecutive
+    block of ids. Returns (specs, (source, target, forced)), the edges as
+    arrays with NaN marking each free collector -> tail edge. q >= 1 builds
+    q inner stages (widths r, ..., r, r^2) feeding the collector through
+    1/r weights; q = 0 wires the head straight to the collector at forced
+    weight 1.
     """
-    if q < 0 or r < 1:
-        raise ConfigError(f"invalid gadget parameters q={q}, r={r}")
-    edges = []
-    stages: list[tuple[int, ...]] = []
-    weight = 1.0 / r
-    for stage_index in range(q):
-        width = r * r if stage_index == q - 1 else r
-        stages.append(tuple(allocator.take() for _ in range(width)))
-    collector = allocator.take()
-
-    if q == 0:
-        edges.append((u, collector, 1.0))
-    else:
-        for x in stages[0]:
-            edges.append((u, x, weight))
-        for prev, cur in zip(stages, stages[1:]):
-            for x in cur:
-                for y in prev:
-                    edges.append((y, x, weight))
-        for y in stages[-1]:
-            edges.append((y, collector, weight))
-    edges.append((collector, v, None))
-    spec = GadgetSpec(u, v, collector, q, r, tuple(stages))
-    return spec, edges
+    heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
+    if (qs < 0).any() or r < 1:
+        raise ConfigError(f"invalid gadget parameters q={qs.tolist()}, r={r}")
+    sizes = np.where(qs > 0, (qs - 1) * r + r * r, 0) + 1
+    firsts = allocator.take(int(sizes.sum())) + np.cumsum(sizes) - sizes
+    specs, edges = [None] * heads.size, [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for q in sorted(set(qs.tolist())):
+        # One edge template, in ids relative to a gadget's first id with -1
+        # for the head and -2 for the tail, serves every gadget of this q.
+        widths = [r] * (q - 1) + [r * r] if q else []
+        starts = np.cumsum([0] + widths)  # stage s is starts[s]:starts[s + 1]; the collector is starts[-1]
+        chain = [np.array([-1])] + [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])] + [starts[-1:]]
+        src = np.concatenate([np.repeat(a, b.size) for a, b in zip(chain, chain[1:])] + [starts[-1:]])
+        tgt = np.concatenate([np.tile(b, a.size) for a, b in zip(chain, chain[1:])] + [[-2]])
+        weight = np.full(src.size, 1.0 / r if q else 1.0)
+        weight[-1] = np.nan  # collector -> tail is the free edge
+        members = np.flatnonzero(qs == q)
+        for i in members.tolist():
+            first = int(firsts[i])
+            inner = tuple(tuple(range(first + a, first + b)) for a, b in zip(starts[:-1], starts[1:]))
+            specs[i] = GadgetSpec(int(heads[i]), int(tails[i]), first + int(starts[-1]), q, r, inner)
+        head, tail, base = heads[members, None], tails[members, None], firsts[members, None]
+        ends = [np.select([t == -1, t == -2], [head, tail], t + base).ravel() for t in (src, tgt)]
+        edges.append((*ends, np.tile(weight, members.size)))
+    return tuple(specs), tuple(np.concatenate(x) for x in zip(*edges))
 
 
 def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int]:
@@ -116,36 +124,34 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     edges of its head and tail onto its collector.
     """
     g.require_bow_free()
-    if g.forced_weights:
+    if not np.isnan(g.forced).all():
         raise GraphStructureError("input graph already carries forced weights")
-    layer = g.layer_decomposition().layer_of
+    layer = g.layer_decomposition().layer_array
     r = max(1, math.ceil(math.sqrt(g.n)))
 
-    skipping = [
-        e for e in g.directed if layer[e.target] - layer[e.source] >= 2
-    ]
-    if not skipping:
+    span = layer[g.target] - layer[g.source]
+    skip = span >= 2
+    if not skip.any():
         return g, (), r
 
-    capacity = max(g.n**6, g.n + 1)
-    allocator = _IdAllocator(g.n, capacity)
-    directed: list[tuple] = [
-        (e.source, e.target, None)
-        for e in g.directed
-        if layer[e.target] - layer[e.source] == 1
-    ]
-    bidirected = set(g.bidirected)
-    gadgets = []
-    for e in sorted(skipping, key=lambda e: (e.source, e.target)):
-        span = layer[e.target] - layer[e.source]
-        spec, edges = build_gadget(e.source, e.target, span - 2, r, allocator)
-        directed.extend(edges)
-        gadgets.append(spec)
-        for w in set(g.bidirected_neighbors(e.source)) | set(g.bidirected_neighbors(e.target)):
-            bidirected.add((min(spec.collector, w), max(spec.collector, w)))
+    allocator = _IdAllocator(g.n, max(g.n**6, g.n + 1))
+    heads, tails = g.source[skip], g.target[skip]  # in (head, tail) order, as edges are
+    gadgets, (source, target, forced) = build_gadgets(heads, tails, span[skip] - 2, r, allocator)
+    collectors = np.array([spec.collector for spec in gadgets])
 
-    g_prime = MixedGraph(allocator.next_id, directed, bidirected)
-    return g_prime, tuple(gadgets), r
+    # Collector c mirrors each bidirected partner w of its head and tail;
+    # w is an original vertex, so the pair is (w, c).
+    partner = np.zeros((g.n, g.n), dtype=bool)
+    partner[g.pairs[:, 0], g.pairs[:, 1]] = partner[g.pairs[:, 1], g.pairs[:, 0]] = True
+    gadget, w = np.nonzero(partner[heads] | partner[tails])
+    g_prime = MixedGraph.from_arrays(
+        allocator.next_id,
+        np.concatenate([g.source[~skip], source]),
+        np.concatenate([g.target[~skip], target]),
+        np.concatenate([np.full(np.count_nonzero(~skip), np.nan), forced]),
+        np.concatenate([g.pairs, np.stack([w, collectors[gadget]], axis=1)]),
+    )
+    return g_prime, gadgets, r
 
 
 def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...], r: int) -> ReducedCovariance:
@@ -155,12 +161,18 @@ def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...
     and 1 on collectors, so sigma'[a, b] =
     factor(a) * factor(b) * sigma[head(a), head(b)], kept in that form.
     """
-    head = np.arange(g_prime.n)
-    factor = np.ones(g_prime.n)
-    for spec in gadgets:
-        head[list(spec.new_vertices)] = spec.head
-        factor[list(spec.new_vertices[:-1])] = 1.0 / r  # all but the collector
+    head = _gadget_heads(g_prime.n, gadgets)
+    factor = np.where(head == np.arange(g_prime.n), 1.0, 1.0 / r)
+    factor[[spec.collector for spec in gadgets]] = 1.0
     return ReducedCovariance(as_matrix(sigma), head, factor)
+
+
+def _gadget_heads(n_prime: int, gadgets: tuple[GadgetSpec, ...]) -> np.ndarray:
+    """Each vertex's head: its gadget's head for a new vertex, else itself."""
+    head = np.arange(n_prime)
+    for spec in gadgets:
+        head[spec.first : spec.collector + 1] = spec.head
+    return head
 
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
@@ -230,27 +242,22 @@ def verify_reduction(
             notes=(f"recovery failed on the reduced instance: {exc}",),
         )
 
-    max_err = 0.0
-    collector_ok = True
-    for spec in red.gadgets:
-        got = reduced.lambda_hat[spec.collector, spec.tail]
-        want = base.lambda_hat[spec.head, spec.tail]
-        err = abs(got - want)
-        max_err = max(max_err, err)
-        if err > tol:
-            collector_ok = False
-            notes.append(
-                f"gadget {spec.head}->{spec.tail}: recovered {got:.12g}, expected {want:.12g}"
-            )
+    heads, tails, collectors = np.array([(s.head, s.tail, s.collector) for s in red.gadgets], dtype=int).reshape(-1, 3).T
+    got, want = reduced.lambda_hat[collectors, tails], base.lambda_hat[heads, tails]
+    err = np.abs(got - want)
+    max_err = float(np.fmax.reduce(err, initial=0.0))  # NaN-blind, as max()
+    collector_ok = not (err > tol).any()
+    for h, t, a, b in zip(heads[err > tol], tails[err > tol], got[err > tol], want[err > tol]):
+        notes.append(f"gadget {h}->{t}: recovered {a:.12g}, expected {b:.12g}")
 
     mismatched = []
-    head_of = {x: spec.head for spec in red.gadgets for x in spec.new_vertices}
+    head = _gadget_heads(red.g_prime.n, red.gadgets)
     for v in range(g.n):
         if not g.parents(v):
             continue
         orig = build_system(g, sig, base.lambda_hat, v)
         new = build_system(red.g_prime, red.sigma_prime, reduced.lambda_hat, v)
-        order = np.argsort([head_of.get(p, p) for p in new.parents])
+        order = np.argsort(head[list(new.parents)])
         a_new = new.a_matrix[np.ix_(order, order)]
         b_new = new.b_vector[order]
         if not (

@@ -56,8 +56,8 @@ class PerturbationSpec:
     strict: bool = True
 
     def validate(self, n: int):
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not (0 < self.gamma < math.inf):  # also false for NaN
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if self.k < 1:
             raise ConfigError(f"degree bound k must be >= 1, got {self.k}")
         if self.strict and self.gamma >= n ** -4:
@@ -172,9 +172,7 @@ def check_assumptions(
     alpha = 0.0
     beta = 0.0
     kappa0 = 1.0
-    lambda_floor = float("inf")
-    for e in g.directed:
-        lambda_floor = min(lambda_floor, float(abs(lam[e.source, e.target])))
+    lambda_floor = float(np.fmin.reduce(np.abs(lam[g.source, g.target]), initial=np.inf))  # NaN-blind, as min()
 
     for v in range(g.n):
         pa = list(g.parents(v))

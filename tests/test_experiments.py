@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -493,3 +495,43 @@ def test_cli_reduce_rejects_a_covariance_of_another_size(tmp_path, capsys, size)
         f"bowfree: covariance shape ({size}, {size}) does not match n=3"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_cli_condition_rejects_a_non_finite_gamma(tmp_path, capsys, gamma):
+    out = tmp_path / "inst"
+    main(["generate", "--kind", "sdd", "--n", "12", "--k", "2", "--p", "0.5", "--seed", "5", "--out-dir", str(out)])
+    capsys.readouterr()
+    report = tmp_path / "cond.json"
+    code = main(["condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
+                 "--gammas", gamma, "--seed", "1", "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: gamma must be positive and finite, got {gamma}"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", [["generate", "--kind", "sdd"], ["experiment", "--mode", "simulated"]],
+                         ids=["generate", "experiment"])
+def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n", "-3", "--seed", "1", "--out" if command[0] == "experiment" else "--out-dir",
+                        str(tmp_path / "out")])
+    assert exc.value.code == 64
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == f"bowfree {command[0]}: error: argument --n: must be at least 0, got -3"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_an_empty_covariance_file_in_one_line(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 2, "directed": [[1, 2]], "bidirected": []}))
+    sigma = tmp_path / "empty.csv"
+    sigma.write_text("")
+    # a fresh interpreter, so that stderr shows any warning numpy prints
+    proc = subprocess.run(
+        [sys.executable, "-m", "bowfree.cli", "recover", "--graph", str(graph), "--sigma", str(sigma),
+         "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"bowfree: {sigma}: no numbers in the CSV file"]

@@ -1,3 +1,4 @@
+import heapq
 import json
 
 import numpy as np
@@ -180,3 +181,161 @@ def test_cached_structure_agrees_with_a_fresh_graph():
         assert _bow_outcome(g) == _bow_outcome(fresh)
     assert any(g.is_k_layered() for g in graphs) and not all(g.is_k_layered() for g in graphs)
     assert _bow_outcome(graphs[-1]) == [(1, 2)]
+
+
+# -- the array core against a per-edge reference ----------------------------
+
+
+def _reference(n, directed, bidirected):
+    """The per-edge Python graph core that the arrays replaced, kept as the
+    reference: validation in input order, then sorted adjacency, Kahn order
+    by a heap, longest-path layers, bows. Raises what MixedGraph must raise."""
+    if n < 0:
+        raise GraphStructureError(f"vertex count must be nonnegative, got {n}")
+
+    def check_pair(u, v, kind):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphStructureError(f"{kind} edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphStructureError(f"self-loop ({u}, {v}) not allowed")
+
+    weights = {}
+    for u, v, w in directed:
+        check_pair(u, v, "directed")
+        if (u, v) in weights:
+            raise GraphStructureError(f"duplicate directed edge ({u}, {v})")
+        weights[u, v] = w
+    pairs = set()
+    for u, v in bidirected:
+        check_pair(u, v, "bidirected")
+        pairs.add((min(u, v), max(u, v)))
+
+    edges = sorted(weights)
+    parents = [tuple(u for u, v in edges if v == x) for x in range(n)]
+    children = [tuple(v for u, v in edges if u == x) for x in range(n)]
+    indeg = [len(p) for p in parents]
+    heap = [v for v in range(n) if not indeg[v]]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for c in children[v]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                heapq.heappush(heap, c)
+    acyclic = len(order) == n
+    layer = [1] * n
+    for v in order:
+        for p in parents[v]:
+            layer[v] = max(layer[v], layer[p] + 1)
+    free = {v for (u, v), w in weights.items() if w is None}
+    return {
+        "parents": parents,
+        "children": children,
+        "order": order if acyclic else None,
+        "layer_of": tuple(layer) if acyclic else None,
+        "k_layered": all(layer[v] == layer[u] + 1 for u, v in edges) if acyclic else None,
+        "free_vertices": sorted(free, key=lambda v: (layer[v], v)) if acyclic else None,
+        "bows": sorted(p for p in pairs if p in weights or p[::-1] in weights),
+        "forced": {e: w for e, w in weights.items() if w is not None},
+        "doc": {
+            "n": n,
+            "directed": [[u + 1, v + 1] + ([] if weights[u, v] is None else [weights[u, v]]) for u, v in edges],
+            "bidirected": [[u + 1, v + 1] for u, v in sorted(pairs)],
+        },
+    }
+
+
+def _observed(g):
+    try:
+        order = g.topological_order()
+    except CycleError as exc:
+        cycle = exc.cycle
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        assert all(b in g.children(a) for a, b in zip(cycle, cycle[1:]))
+        with pytest.raises(CycleError):
+            g.layer_decomposition()
+        order = layer = None
+    else:
+        layer = g.layer_decomposition()
+        assert layer.layers == {
+            d: tuple(v for v in range(g.n) if layer.layer_of[v] == d) for d in sorted(set(layer.layer_of))
+        }
+    return {
+        "parents": [g.parents(v) for v in range(g.n)],
+        "children": [g.children(v) for v in range(g.n)],
+        "order": order,
+        "layer_of": layer and layer.layer_of,
+        "k_layered": layer and g.is_k_layered(),
+        "free_vertices": layer and list(g.free_vertices),
+        "bows": g.bow_violations(),
+        "forced": g.forced_weights,
+        "doc": graph_to_dict(g),
+    }
+
+
+_DEFECTS = ("out of range", "self-loop", "duplicate", "bidirected out of range", "bidirected self-loop")
+
+
+@st.composite
+def _graph_inputs(draw):
+    """Directed edges with and without forced weights, cyclic or not,
+    bidirected pairs in both orientations and repeated, and up to two
+    malformed edges at random positions."""
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(0, max(n - 1, 0))
+    pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    weight = st.one_of(st.none(), st.floats(-2, 2))
+    ends = draw(st.lists(pair, max_size=14, unique=True)) if n > 1 else []
+    if draw(st.booleans()):  # acyclic: orient every edge upward
+        ends = list({(min(e), max(e)) for e in ends})
+    directed = [(u, v, draw(weight)) for u, v in ends]
+    bidirected = draw(st.lists(pair, max_size=10)) if n > 1 else []
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        x, outside, flip = draw(vertex), draw(st.sampled_from([-1, n])), draw(st.booleans())
+        if defect == "duplicate":
+            if not directed:
+                continue
+            bad = directed[draw(st.integers(0, len(directed) - 1))]
+        elif defect == "out of range":
+            bad = (outside, x, None) if flip else (x, outside, None)
+        elif defect == "self-loop":
+            bad = (x, x, None)
+        elif defect == "bidirected out of range":
+            bad = (outside, x) if flip else (x, outside)
+        else:
+            bad = (x, x)
+        edges = bidirected if defect.startswith("bidirected") else directed
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, directed, bidirected
+
+
+def _outcome(build):
+    try:
+        return build()
+    except GraphStructureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_inputs())
+def test_array_core_matches_the_per_edge_reference(inputs):
+    n, directed, bidirected = inputs
+    want = _outcome(lambda: _reference(n, directed, bidirected))
+    source, target = (np.array([e[i] for e in directed], dtype=int) for i in (0, 1))
+    forced = np.array([np.nan if e[2] is None else e[2] for e in directed], dtype=float)
+    pairs = np.array(bidirected, dtype=int).reshape(-1, 2)
+    builds = (
+        lambda: MixedGraph(n, directed, bidirected),
+        lambda: MixedGraph.from_arrays(n, source, target, forced, pairs),
+    )
+    for build in builds:
+        got = _outcome(build)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert _observed(got) == want
+        assert got == MixedGraph(n, got.directed, got.bidirected)
+        assert graph_from_dict(graph_to_dict(got)) == got
+        assert hash(graph_from_dict(graph_to_dict(got))) == hash(got)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -13,12 +15,12 @@ from bowfree.generators import (
     gen_omega_sdd,
     gen_random_bowfree_graph,
 )
-from bowfree.graphs import MixedGraph
+from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.lsem import Covariance, ParamSet, ReducedCovariance, dag_inverse, forward_map
 from bowfree.recovery import build_system, recover_all, recover_full_params
 from bowfree.reduction import (
     _IdAllocator,
-    build_gadget,
+    build_gadgets,
     reduce_covariance,
     reduce_graph,
     reduce_instance,
@@ -30,8 +32,8 @@ from bowfree.robustness import check_assumptions
 
 def _gadget_graph(u, v, q, r, n_original=2):
     allocator = _IdAllocator(n_original, 10_000)
-    spec, edges = build_gadget(u, v, q, r, allocator)
-    g = MixedGraph(allocator.next_id, edges, [])
+    (spec,), edges = build_gadgets(u, v, q, r, allocator)
+    g = MixedGraph.from_arrays(allocator.next_id, *edges)
     return spec, g
 
 
@@ -77,15 +79,15 @@ def test_gadget_subgraph_is_layered():
 
 def test_gadget_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        build_gadget(0, 1, -1, 2, _IdAllocator(2, 10))
+        build_gadgets(0, 1, -1, 2, _IdAllocator(2, 10))
     with pytest.raises(ConfigError):
-        build_gadget(0, 1, 1, 0, _IdAllocator(2, 10))
+        build_gadgets(0, 1, 1, 0, _IdAllocator(2, 10))
 
 
 def test_allocator_capacity_error():
     allocator = _IdAllocator(2, 3)
     with pytest.raises(ConfigError):
-        build_gadget(0, 1, 2, 2, allocator)
+        build_gadgets(0, 1, 2, 2, allocator)
 
 
 def test_reduce_layered_graph_is_identity():
@@ -255,3 +257,42 @@ def test_reduce_instance_does_not_build_the_dense_reduced_covariance():
     n_prime = red.g_prime.n
     assert n_prime >= 1000
     assert peak < n_prime * n_prime * 8, (peak, n_prime)
+
+
+# sha256 of graph_to_dict(g_prime) and of the manifest, as sorted-key JSON,
+# for gen_random_bowfree_graph(n=26, p=0.4, seed); recorded before the graph
+# core moved to arrays.
+REDUCTION_DIGESTS = {
+    0: ("c6fb577c2069c71af4a9155b8d24daf6ac1e3dfac6f2a63b5dc9b8a570f7e55b",
+        "c38d6e53f1aaf55fe398c3c062c2586bb0f7252d0a21e34e25175a2cffbce40c"),
+    1: ("11330cd8195f359ec27091027179537cf17aab380d5251487d3f4ff7cca90ddd",
+        "af3a14337707ab9675de8ce2597b644a61beb881857f2abfedaa9fd4dddf8d63"),
+    2: ("9c4b9d9e1883df286c94926edae7c35748320321dad8a2c5cb7be432b5c2d824",
+        "6d1f9722f58a5b102e96a6011d1b2b62e99e2a150f71cbac6bd1d53f45abfc5d"),
+    3: ("722b6a59c70c4ac61cf4695d9f055d2585a5fd026d3e1009484c502fa1b48aa0",
+        "30b947c47f33d8b860303bdaa8a71f4efa84f569a6606bfc985f2a7668614f63"),
+    4: ("3fb0bed9873747d8882e9b65f6ec0f3866d49adae9332200ca18273a1f9e0791",
+        "d734eb50285bcb75ab49f4df1e2e26f76b68187cf876c61a6d2f64f78eda907f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REDUCTION_DIGESTS))
+def test_reduction_keeps_its_bytes(seed):
+    g = gen_random_bowfree_graph(RandomGraphConfig(26, 0.4, seed=seed))
+    red = reduce_instance(g, np.eye(g.n))
+    digests = tuple(
+        hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        for doc in (graph_to_dict(red.g_prime), reduction_manifest(red))
+    )
+    assert digests == REDUCTION_DIGESTS[seed]
+
+
+def test_reduce_and_verify_build_no_per_edge_objects_for_g_prime():
+    g, sigma = _random_instance(3, n=12)
+    red = reduce_instance(g, sigma)
+    assert verify_reduction(g, sigma, red).all_ok
+    assert red.g_prime.n > 100
+    # the per-edge views are cached on first read, so an unread one is absent
+    assert not {"directed", "bidirected", "forced_weights"} & set(vars(red.g_prime))
+    assert len(red.g_prime.directed) == red.g_prime.source.size  # still there when asked for
+    assert "directed" in vars(red.g_prime)
