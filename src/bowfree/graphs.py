@@ -140,6 +140,7 @@ class MixedGraph:
         for a in (self.source, self.target, self.forced, self.pairs):
             a.flags.writeable = False  # the cached views and layering depend on them
         self._parent_memo: dict[int, tuple[int, ...]] = {}
+        self._in_edge_memo: dict[int, np.ndarray] = {}
 
     def __eq__(self, other):
         if not isinstance(other, MixedGraph):
@@ -176,7 +177,9 @@ class MixedGraph:
     @cached_property
     def _in(self) -> tuple[np.ndarray, list[int]]:
         """In-edges as CSR: edge indices sorted by (target, source), row pointers."""
-        return np.argsort(self.target, kind="stable"), _row_pointers(self.target, self.n).tolist()
+        order = np.argsort(self.target, kind="stable")
+        order.flags.writeable = False  # in_edges hands out views of it
+        return order, _row_pointers(self.target, self.n).tolist()
 
     @cached_property
     def _out_ptr(self) -> list[int]:
@@ -189,10 +192,14 @@ class MixedGraph:
 
     def in_edges(self, v) -> np.ndarray:
         """Indices of v's in-edges into ``source``, ``target`` and ``forced``,
-        by ascending parent."""
-        self._check_vertex(v)
-        order, ptr = self._in
-        return order[ptr[v] : ptr[v + 1]]
+        by ascending parent; memoised per vertex, as ``parents`` is."""
+        try:
+            return self._in_edge_memo[v]
+        except KeyError:
+            self._check_vertex(v)
+            order, ptr = self._in
+            out = self._in_edge_memo[v] = order[ptr[v] : ptr[v + 1]]
+            return out
 
     def parents(self, v) -> tuple[int, ...]:
         try:

@@ -245,11 +245,22 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def load_covariance_csv(path) -> np.ndarray:
-    """load_matrix_csv, then symmetry to 1e-10 of the largest entry; IngestionError otherwise."""
+    """load_matrix_csv, then symmetry to 1e-10 of the largest entry and no
+    eigenvalue below -1e-10 of the largest magnitude; IngestionError otherwise.
+    Eigenvalues are computed only when Cholesky fails, so a singular
+    semidefinite covariance, such as a saved reduced one, loads."""
     a = load_matrix_csv(path)
     asym = np.max(np.abs(a - a.T))
     if asym > 1e-10 * np.max(np.abs(a)):
         raise IngestionError(f"{path}: covariance is not symmetric (max |a - a.T| = {asym:.3g})")
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(a)
+        if eigs[0] < -1e-10 * np.max(np.abs(eigs)):
+            raise IngestionError(
+                f"{path}: covariance is not positive semidefinite (smallest eigenvalue {eigs[0]:.3g})"
+            ) from None
     return a
 
 

@@ -18,6 +18,12 @@ unique upstream "source" vertex; its equation row is taken at that source,
 which is what makes recovery on reduced graphs solve the same systems as on
 the original graph.
 
+Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
+``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is
+``weights[..., g.in_edges(y)]``. No n x n weight matrix is built, which a
+reduced graph with tens of thousands of vertices could not afford;
+``RecoveryResult.lambda_hat`` scatters the weights into one on first read.
+
 Every function here also accepts a stack of covariances of shape (T, n, n),
 a leading trial axis such as the Monte Carlo draws of one graph produce.
 The systems of one vertex differ across trials only in their numbers, so a
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +54,11 @@ from .lsem import (
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
-# recover_many stacks at most this many bytes of covariances and weights.
-# Peak memory grows by up to about twice this over recovering one covariance
-# at a time. 8 MiB holds 23 covariances of n = 150, enough to amortise the
-# Python layer walk: larger stacks were barely faster there.
+# recover_many stacks at most this many bytes of covariances and edge
+# weights, 8 * (n * n + |E|) per trial. Peak memory grows by up to about
+# twice this over recovering one covariance at a time. 8 MiB holds 46
+# covariances of n = 150, enough to amortise the Python layer walk: larger
+# stacks were barely faster there.
 STACK_BYTES = 8 * 2**20
 
 
@@ -76,12 +84,29 @@ class VertexDiagnostics:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    lambda_hat: np.ndarray
+    graph: MixedGraph = field(repr=False, compare=False)
+    weights: np.ndarray  # (..., |E|) in the graph's edge order
     per_vertex: dict[int, VertexDiagnostics] = field(default_factory=dict)
     forced_edges_respected: bool = True
     # Stacks only: per trial, the first vertex (in recovery order) whose
     # system was near-singular, or -1 when the trial recovered.
     failed_vertex: np.ndarray | None = None
+
+    @cached_property
+    def lambda_hat(self) -> np.ndarray:
+        """The (..., n, n) weight matrix, NaN throughout for a failed trial."""
+        lam = weight_matrix(self.graph, self.weights)
+        if self.failed_vertex is not None:
+            lam[self.failed_vertex >= 0] = np.nan
+        return lam
+
+
+def weight_matrix(g: MixedGraph, weights) -> np.ndarray:
+    """Scatter edge-order weights (..., |E|) into zeros of shape (..., n, n)."""
+    weights = np.asarray(weights, dtype=float)
+    lam = np.zeros(weights.shape[:-1] + (g.n, g.n))
+    lam[..., g.source, g.target] = weights
+    return lam
 
 
 def _gatherable(sigma):
@@ -104,48 +129,52 @@ def source_vertex(g: MixedGraph, v: int) -> int:
 
 
 def _split_in_edges(g: MixedGraph, v: int):
-    """v's free parents, forced parents and their forced weights, each by
-    ascending parent."""
+    """v's free parents, forced parents, their forced weights and the free
+    in-edges' ids, each by ascending parent."""
     parents = g.parents(v)
-    if g.free_in_degree[v] == len(parents):  # no forced in-edge, as on every unreduced graph
-        return parents, (), ()
     edges = g.in_edges(v)
+    if g.free_in_degree[v] == len(parents):  # no forced in-edge, as on every unreduced graph
+        return parents, (), (), edges
     free = np.isnan(g.forced[edges])
-    return tuple(g.source[edges[free]].tolist()), tuple(g.source[edges[~free]].tolist()), g.forced[edges[~free]]
+    forced = edges[~free]
+    return tuple(g.source[edges[free]].tolist()), tuple(g.source[forced].tolist()), g.forced[forced], edges[free]
 
 
-def build_system(g: MixedGraph, sigma, lambda_partial: np.ndarray, v: int) -> RecoverySystem:
+def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
     """Assemble the square system for vertex v given upstream weights.
 
-    ``lambda_partial`` must already hold recovered weights for every vertex
-    in strictly lower layers (and all forced weights), with the same trial
-    axis as ``sigma`` if it has one. The equation rows are the sources of
-    v's unforced parents, each transformed.
+    ``weights`` (..., |E|), in the graph's edge order, must already hold
+    the recovered weights of every vertex in strictly lower layers (and all
+    forced weights), with the same trial axis as ``sigma`` if it has one.
+    The equation rows are the sources of v's unforced parents, each
+    transformed.
     """
     sig = _gatherable(sigma)
-    lam = np.asarray(lambda_partial, dtype=float)
-    if lam.shape[-2:] != (g.n, g.n):
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != sig.shape[:-2] + g.source.shape:
         raise OrderingError(
-            f"partial weight matrix of shape {lam.shape} does not match n={g.n}"
+            f"edge weights of shape {weights.shape} do not match {g.source.size} edges "
+            f"and a covariance of shape {sig.shape}"
         )
-    unknown, known, known_weights = _split_in_edges(g, v)
+    unknown, known, known_weights, _ = _split_in_edges(g, v)
     rows = [source_vertex(g, p) for p in unknown]
 
     cols = np.array([*unknown, *known, v], dtype=int)
-    row_idx = np.array(rows, dtype=int)[:, None]
-    full = sig[..., row_idx, cols]
+    full = sig[..., np.array(rows, dtype=int)[:, None], cols]
     # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols]; the
-    # parent lists are padded to one width with zero weights.
-    upstream = [g.parents(y) for y in rows]
+    # in-edge lists are padded to one width with zero weights at vertex 0.
+    upstream = [g.in_edges(y) for y in rows]
     width = max(map(len, upstream), default=0)
     if width:
-        pa_idx = np.zeros((len(rows), width), dtype=int)
+        edge_idx = np.zeros((len(rows), width), dtype=int)
         live = np.zeros((len(rows), width))
-        for i, pa_y in enumerate(upstream):
-            pa_idx[i, : len(pa_y)] = pa_y
-            live[i, : len(pa_y)] = 1.0
-        weights = lam[..., pa_idx, row_idx] * live
-        full = full - np.einsum("...rp,...rpc->...rc", weights, sig[..., pa_idx[:, :, None], cols])
+        for i, edges in enumerate(upstream):
+            edge_idx[i, : len(edges)] = edges
+            live[i, : len(edges)] = 1.0
+        pa_idx = np.where(live > 0, g.source[edge_idx], 0)
+        full = full - np.einsum(
+            "...rp,...rpc->...rc", weights[..., edge_idx] * live, sig[..., pa_idx[:, :, None], cols]
+        )
 
     m = len(unknown)
     b = full[..., -1]
@@ -209,37 +238,34 @@ def recover_first_layers(g: MixedGraph, sigma, v: int):
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite solve fails below, warning or not
 def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
-    """Recover the full weight matrix, processing layers in increasing order.
+    """Recover every edge weight, processing layers in increasing order.
 
     ``sigma`` is one covariance (n, n) or a stack (T, n, n); a stack is
-    recovered in the same single pass and gives a (T, n, n) ``lambda_hat``.
+    recovered in the same single pass and gives (T, |E|) ``weights``.
     Forced edges are copied verbatim; per-vertex diagnostics carry the
     solve residual and the condition number of the system matrix, per
     trial on a stack. A near-singular system or a non-finite solve raises
     NearSingularError on a single covariance. On a stack it fails the trial:
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
-    would raise for, and ``lambda_hat[t]`` is NaN throughout.
+    would raise for, and ``weights[t]`` is NaN throughout.
     """
     g.require_bow_free()
     sig = _gatherable(sigma)
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
 
-    forced_edges = np.flatnonzero(~np.isnan(g.forced))
-    forced_u, forced_v = g.source[forced_edges], g.target[forced_edges]
-    forced_w = g.forced[forced_edges]
-    lam = np.zeros(sig.shape)
-    lam[..., forced_u, forced_v] = forced_w
+    forced = ~np.isnan(g.forced)
+    recovered = np.broadcast_to(np.where(forced, g.forced, 0.0), sig.shape[:-2] + g.forced.shape).copy()
     failed = np.full(sig.shape[:-2], -1)
 
     per_vertex: dict[int, VertexDiagnostics] = {}
     for v in g.free_vertices:
-        unknown, known, _ = _split_in_edges(g, v)
+        _, known, _, free_edges = _split_in_edges(g, v)
         partial_form = not known and not g.spa(v)
         if partial_form:
             weights, residual, condition = recover_first_layers(g, sig, v)
         else:
-            weights, residual, condition = recover_vertex(build_system(g, sig, lam, v))
+            weights, residual, condition = recover_vertex(build_system(g, sig, recovered, v))
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
         singular = ~np.isfinite(residual)
         if singular.any():
@@ -248,34 +274,34 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
             failed[singular & (failed < 0)] = v
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
-        lam[..., unknown, v] = weights
+        recovered[..., free_edges] = weights
         if sig.ndim == 2:
             residual, condition = float(residual), float(condition)
         per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
 
-    forced_ok = bool(np.all(lam[..., forced_u, forced_v] == forced_w))
+    forced_ok = bool(np.all(recovered[..., forced] == g.forced[forced]))
     if sig.ndim == 2:
-        return RecoveryResult(lam, per_vertex, forced_ok)
-    lam[failed >= 0] = np.nan
-    return RecoveryResult(lam, per_vertex, forced_ok, failed)
+        return RecoveryResult(g, recovered, per_vertex, forced_ok)
+    recovered[failed >= 0] = np.nan
+    return RecoveryResult(g, recovered, per_vertex, forced_ok, failed)
 
 
 def recover_many(g: MixedGraph, covariances):
     """Recover each covariance of an iterable, several per recover_all call.
 
-    Yields ``(sigma, lambda_hat, failed_vertex)`` per covariance, in order,
-    with ``failed_vertex`` -1 when it recovered; see recover_all for the
-    masking of near-singular ones. Covariances are taken lazily and
-    stacked up to STACK_BYTES at a time, so memory stays bounded however
-    many there are.
+    Yields ``(sigma, weights, failed_vertex)`` per covariance, in order,
+    with ``weights`` in the graph's edge order and ``failed_vertex`` -1 when
+    it recovered; see recover_all for the masking of near-singular ones.
+    Covariances are taken lazily and stacked up to STACK_BYTES at a time,
+    so memory stays bounded however many there are.
     """
-    per_stack = max(1, STACK_BYTES // (16 * max(g.n, 1) ** 2))
+    per_stack = max(1, STACK_BYTES // (8 * max(g.n**2 + g.source.size, 1)))
     remaining = iter(covariances)
     while chunk := list(itertools.islice(remaining, per_stack)):
         stack = np.stack([as_matrix(s) for s in chunk])
         del chunk
         result = recover_all(g, stack)
-        yield from zip(stack, result.lambda_hat, result.failed_vertex)
+        yield from zip(stack, result.weights, result.failed_vertex)
 
 
 def recover_full_params(g: MixedGraph, sigma) -> ParamSet:

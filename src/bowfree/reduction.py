@@ -213,6 +213,16 @@ class ReductionReport:
         )
 
 
+def _edge_weights(g: MixedGraph, weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The weights of the edges u[i] -> v[i], 0 where g has no such edge, as
+    the n x n matrix would read them. Edges are sorted by (source, target),
+    so their keys source * n + target are sorted too."""
+    keys = g.source * g.n + g.target
+    want = u * g.n + v
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, weights[..., pos], 0.0)
+
+
 def verify_reduction(
     g: MixedGraph,
     sigma,
@@ -243,7 +253,8 @@ def verify_reduction(
         )
 
     heads, tails, collectors = np.array([(s.head, s.tail, s.collector) for s in red.gadgets], dtype=int).reshape(-1, 3).T
-    got, want = reduced.lambda_hat[collectors, tails], base.lambda_hat[heads, tails]
+    got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
+    want = _edge_weights(g, base.weights, heads, tails)
     err = np.abs(got - want)
     max_err = float(np.fmax.reduce(err, initial=0.0))  # NaN-blind, as max()
     collector_ok = not (err > tol).any()
@@ -255,8 +266,8 @@ def verify_reduction(
     for v in range(g.n):
         if not g.parents(v):
             continue
-        orig = build_system(g, sig, base.lambda_hat, v)
-        new = build_system(red.g_prime, red.sigma_prime, reduced.lambda_hat, v)
+        orig = build_system(g, sig, base.weights, v)
+        new = build_system(red.g_prime, red.sigma_prime, reduced.weights, v)
         order = np.argsort(head[list(new.parents)])
         a_new = new.a_matrix[np.ix_(order, order)]
         b_new = new.b_vector[order]

@@ -22,7 +22,7 @@ from .generators import derived_seed
 from .graphs import MixedGraph
 from .linalg import snorm
 from .lsem import Covariance, as_matrix
-from .recovery import recover_all, recover_many
+from .recovery import recover_all, recover_many, weight_matrix
 
 
 def relative_distance(a, b) -> float:
@@ -365,6 +365,8 @@ def estimate_condition_number(
     """Seeded Monte Carlo lower estimate of the relative condition number.
 
     kappa_hat is the max over draws of Rel(lam, lam~) / Rel(sigma, sigma~).
+    Rel(lam, lam~) compares edge-order weights: they hold the weight
+    matrix's nonzero entries in its row-major order, hence its exact value.
     Recovery failures on perturbed draws are counted, with the vertex that
     failed, and excluded from the max. Trial seeds are derived from
     (seed, gamma index, trial index) so a longer run extends a shorter one.
@@ -390,7 +392,7 @@ def estimate_condition_number(
         raise
     if failed >= 0:
         # Alone, the base raises NearSingularError with its singular values.
-        base = recover_all(g, sig).lambda_hat
+        base = recover_all(g, sig).weights
     else:
         base = base.copy()  # a view would keep its whole stack alive
     records = []
@@ -408,7 +410,7 @@ def estimate_condition_number(
         kappa_hat = max(kappa_hat, ratio)
         records.append(ConditionTrial(gamma, t, ratio, rel_sig, rel_lam, False))
     failures = sum(rec.failed for rec in records)
-    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), base)
+    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))
 
 
 @dataclass(frozen=True)
@@ -449,6 +451,6 @@ def per_vertex_error_check(
             if failed >= 0:
                 out.append(VertexErrorCheck(v, t, None, bound, None))
                 continue
-            err = float(np.linalg.norm(lam_true[pa, v] - recovered[pa, v]))
+            err = float(np.linalg.norm(lam_true[pa, v] - recovered[g.in_edges(v)]))
             out.append(VertexErrorCheck(v, t, err, bound, err <= bound))
     return out

@@ -391,21 +391,61 @@ def test_cli_rejects_non_finite_or_non_square_covariance(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("command", ["recover", "condition"])
 def test_cli_non_finite_solve_exits_2(tmp_path, capsys, command):
-    # Finite inputs whose solves overflow: weight 1e10 / 1e-300 of vertex 1,
-    # and a system matrix entry 1 - 1e160 * 1e150 of vertex 2. Unchecked,
-    # they put Infinity or NaN into the report and exited 0.
+    # Finite positive semidefinite inputs whose solves overflow: weight
+    # 1e-10 / 1e-320 of vertex 1, and of vertex 2, whose grandparent has
+    # weight 0. Unchecked, such solves put Infinity or NaN into the report
+    # and exited 0.
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3]], "bidirected": []}))
     sigma = tmp_path / "s.csv"
     out = tmp_path / "o.json"
     extra = ["--seed", "1"] if command == "condition" else []
-    for text, vertex in (("1e-300,1e10,0\n1e10,1,0\n0,0,1\n", 1), ("1e-10,1e150,0\n1e150,1,0\n0,0,1\n", 2)):
+    for text, vertex in (("1e-320,1e-10,0\n1e-10,1e301,0\n0,0,1\n", 1), ("1,0,0\n0,1e-320,1e-10\n0,1e-10,1e301\n", 2)):
         sigma.write_text(text)
         assert main([command, "--graph", str(graph), "--sigma", str(sigma), "--out", str(out)] + extra) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"bowfree: numerical failure: vertex {vertex}: solve gave non-finite values"
         ]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recover", "condition"])
+def test_cli_rejects_a_covariance_that_is_not_positive_semidefinite(tmp_path, capsys, command):
+    # The negative definite matrix was recovered and exited 0; the two
+    # indefinite ones overflowed in the solve and exited 2.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    out = tmp_path / "o.json"
+    extra = ["--seed", "1"] if command == "condition" else []
+    for text, smallest in (("-2,-0.5,0\n-0.5,-2,-0.3\n0,-0.3,-2\n", "-2.58"),
+                           ("1e-300,1e10,0\n1e10,1,0\n0,0,1\n", "-1e+10"),
+                           ("1e-10,1e150,0\n1e150,1,0\n0,0,1\n", "-1e+150")):
+        sigma.write_text(text)
+        assert main([command, "--graph", str(graph), "--sigma", str(sigma), "--out", str(out)] + extra) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"bowfree: {sigma}: covariance is not positive semidefinite (smallest eigenvalue {smallest})"
+        ]
+        assert not out.exists()
+
+
+def test_cli_recover_reads_a_saved_reduction(tmp_path):
+    # sigma_prime.csv is singular, so only the eigenvalue test can accept it.
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 4, "directed": [[1, 2], [2, 3], [3, 4], [1, 4]], "bidirected": []}))
+    sigma = tmp_path / "s.csv"
+    sigma.write_text("1,0.5,0.2,0.25\n0.5,1.25,0.5,0.2\n0.2,0.5,1.2,0.3\n0.25,0.2,0.3,1.2\n")
+    red = tmp_path / "red"
+    assert main(["reduce", "--graph", str(graph), "--sigma", str(sigma), "--out-dir", str(red)]) == 0
+    assert np.linalg.matrix_rank(np.loadtxt(red / "sigma_prime.csv", delimiter=",")) == 4
+    base, out = tmp_path / "base.json", tmp_path / "o.json"
+    assert main(["recover", "--graph", str(graph), "--sigma", str(sigma), "--out", str(base)]) == 0
+    assert main(["recover", "--graph", str(red / "g_prime.json"), "--sigma", str(red / "sigma_prime.csv"),
+                 "--out", str(out)]) == 0
+    (gadget,) = _read_json(red / "manifest.json")["gadgets"]
+    want = _read_json(base)["lambda"][0][3]
+    assert want != 0.0
+    assert _read_json(out)["lambda"][gadget["collector"] - 1][3] == pytest.approx(want, abs=1e-8)
 
 
 @pytest.mark.parametrize("command", ["recover", "reduce"])

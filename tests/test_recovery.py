@@ -28,6 +28,7 @@ from bowfree.recovery import (
     recover_vertex,
     recovery_to_dict,
     source_vertex,
+    weight_matrix,
 )
 from bowfree.reduction import reduce_covariance, reduce_instance
 from bowfree.robustness import PerturbationSpec, sample_perturbation
@@ -44,8 +45,7 @@ def _chain3_sigma(w01=0.7, w12=-0.4):
 
 def test_build_system_chain_hand_expansion():
     g, lam, sigma = _chain3_sigma()
-    partial = np.zeros((3, 3))
-    partial[0, 1] = lam[0, 1]
+    partial = np.array([lam[0, 1], 0.0])  # edges 0 -> 1, 1 -> 2
     system = build_system(g, sigma, partial, 2)
     assert system.parents == (1,)
     assert system.y_set == (1,)
@@ -64,8 +64,7 @@ def test_build_system_diamond_matches_block_oracle(rng):
     lam[0, 1], lam[0, 2], lam[1, 3], lam[2, 3] = 0.6, -0.5, 0.8, 0.3
     g = graph_from_lambda(lam)
     sigma = forward_map(g, ParamSet(lam, np.eye(4))).sigma
-    partial = lam.copy()
-    partial[:, 3] = 0.0
+    partial = np.where(g.target == 3, 0.0, lam[g.source, g.target])
     system = build_system(g, sigma, partial, 3)
     pa, spa = [1, 2], [0]
     a_oracle = sigma[np.ix_(pa, pa)] - lam[np.ix_(spa, pa)].T @ sigma[np.ix_(spa, pa)]
@@ -76,7 +75,7 @@ def test_build_system_diamond_matches_block_oracle(rng):
 
 def test_build_system_all_forced_is_empty():
     g = MixedGraph(2, [(0, 1, 0.5)])
-    system = build_system(g, np.eye(2), np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
+    system = build_system(g, np.eye(2), np.array([0.5]), 1)
     assert system.parents == ()
     assert system.a_matrix.shape == (0, 0)
     assert recover_vertex(system)[0].size == 0
@@ -86,6 +85,10 @@ def test_build_system_shape_guard():
     g = MixedGraph(2, [(0, 1)])
     with pytest.raises(OrderingError):
         build_system(g, np.eye(2), np.zeros((3, 3)), 1)
+    with pytest.raises(OrderingError):  # the n x n matrix is not an edge vector
+        build_system(g, np.eye(2), np.zeros((2, 2)), 1)
+    with pytest.raises(OrderingError):  # weights without the covariance's trial axis
+        build_system(g, np.stack([np.eye(2)] * 3), np.zeros(1), 1)
 
 
 def test_recover_vertex_scalar():
@@ -137,7 +140,7 @@ def test_both_forms_agree_when_no_grandparents():
     lam[0, 2], lam[1, 2] = 0.5, -0.7
     sigma = forward_map(g, ParamSet(lam, np.eye(3))).sigma
     direct = recover_first_layers(g, sigma, 2)[0]
-    system = build_system(g, sigma, np.zeros((3, 3)), 2)
+    system = build_system(g, sigma, np.zeros(2), 2)
     np.testing.assert_allclose(recover_vertex(system)[0], direct, atol=1e-12)
 
 
@@ -329,7 +332,7 @@ def test_recover_many_splits_into_bounded_stacks(monkeypatch):
         return recover_all(g, sigma)
 
     monkeypatch.setattr(recovery, "recover_all", counting)
-    monkeypatch.setattr(recovery, "STACK_BYTES", 2 * 16 * g.n**2)
+    monkeypatch.setattr(recovery, "STACK_BYTES", 2 * 8 * (g.n**2 + g.source.size))
     split = list(recover_many(g, iter(stack)))
     assert calls == [2, 2, 1]
     assert [int(f) for _, _, f in split] == [int(f) for _, _, f in whole]
@@ -338,6 +341,27 @@ def test_recover_many_splits_into_bounded_stacks(monkeypatch):
         np.testing.assert_array_equal(sig_a, sigma)
         np.testing.assert_array_equal(sig_b, sigma)
         np.testing.assert_allclose(lam_b, lam_a, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("per_stack", [None, 2])
+def test_recover_many_weights_scatter_to_lambda_hat_bitwise(monkeypatch, per_stack):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
+    stack = _perturbed_stack(inst.sigma.sigma, 4, seed=5, gamma=1e-6)
+    stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
+    whole = recover_all(g, stack)
+    assert whole.failed_vertex[3] >= 0 and (np.delete(whole.failed_vertex, 3) < 0).all()
+    if per_stack:
+        monkeypatch.setattr(recovery, "STACK_BYTES", per_stack * 8 * (g.n**2 + g.source.size))
+    yielded = list(recover_many(g, stack))
+    assert [int(f) for _, _, f in yielded] == whole.failed_vertex.tolist()
+    for t, (_, weights, failed) in enumerate(yielded):
+        assert weights.shape == g.source.shape
+        lam = weight_matrix(g, weights)
+        if failed >= 0:
+            assert np.isnan(weights).all()
+            lam[...] = np.nan
+        np.testing.assert_array_equal(lam, whole.lambda_hat[t])
 
 
 def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():

@@ -151,8 +151,8 @@ def test_reduction_preserves_system_conditioning():
     for v in range(g.n):
         if not g.parents(v):
             continue
-        orig = build_system(g, sigma, base.lambda_hat, v)
-        new = build_system(red.g_prime, red.sigma_prime.sigma, reduced.lambda_hat, v)
+        orig = build_system(g, sigma, base.weights, v)
+        new = build_system(red.g_prime, red.sigma_prime.sigma, reduced.weights, v)
         cond = lambda m: np.linalg.cond(m)
         assert cond(orig.a_matrix) == pytest.approx(cond(new.a_matrix), rel=1e-9)
 
@@ -226,8 +226,8 @@ def test_recovery_on_the_implicit_reduced_covariance_is_bitwise_dense():
         assert implicit.per_vertex == dense.per_vertex
         for v in range(g.n):
             if g.parents(v):
-                a = build_system(red.g_prime, red.sigma_prime, implicit.lambda_hat, v)
-                b = build_system(red.g_prime, red.sigma_prime.sigma, implicit.lambda_hat, v)
+                a = build_system(red.g_prime, red.sigma_prime, implicit.weights, v)
+                b = build_system(red.g_prime, red.sigma_prime.sigma, implicit.weights, v)
                 np.testing.assert_array_equal(a.a_matrix, b.a_matrix)
                 np.testing.assert_array_equal(a.b_vector, b.b_vector)
 
@@ -296,3 +296,31 @@ def test_reduce_and_verify_build_no_per_edge_objects_for_g_prime():
     assert not {"directed", "bidirected", "forced_weights"} & set(vars(red.g_prime))
     assert len(red.g_prime.directed) == red.g_prime.source.size  # still there when asked for
     assert "directed" in vars(red.g_prime)
+
+
+def test_reduce_and_verify_stay_below_one_dense_weight_matrix():
+    g = gen_random_bowfree_graph(RandomGraphConfig(20, 0.4, seed=0))
+    sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+    tracemalloc.start()
+    try:
+        red = reduce_instance(g, sigma)
+        report = verify_reduction(g, sigma, red)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_prime = red.g_prime.n
+    assert report.all_ok
+    assert n_prime >= 1000
+    assert peak < n_prime * n_prime * 8, (peak, n_prime)
+
+
+def test_n40_reduces_and_verifies():
+    # n' = 19,372: a dense n' x n' weight matrix alone would take 3 GB.
+    g = gen_random_bowfree_graph(RandomGraphConfig(40, 0.4, seed=0))
+    sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+    red = reduce_instance(g, sigma)
+    assert red.g_prime.n == 19_372
+    report = verify_reduction(g, sigma, red)
+    assert report.all_ok, report

@@ -1,10 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowfree.errors import ConfigError, NearSingularError, PremiseError
-from bowfree.generators import gen_generative_instance
+from bowfree.generators import (
+    RandomGraphConfig,
+    SDDNoiseConfig,
+    derived_seed,
+    gen_generative_instance,
+    gen_lambda_range,
+    gen_omega_sdd,
+    gen_random_bowfree_graph,
+)
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import ParamSet, forward_map
@@ -310,3 +321,42 @@ def test_per_vertex_error_check_small_gamma_passes():
             trials=10,
         )
         assert checks and all(c.passed for c in checks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), p=st.floats(0.2, 0.8), seed=st.integers(0, 10_000))
+def test_relative_distance_of_edge_weights_is_the_dense_value_bitwise(n, p, seed):
+    g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
+    if not g.source.size:
+        return
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
+    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2)))).sigma
+    draws = [sample_perturbation(sigma, PerturbationSpec(1e-3, 2, seed + t, strict=False)).sigma for t in range(3)]
+    result = recover_all(g, np.stack([sigma] + draws))
+    for t in range(1, 4):
+        dense = relative_distance(result.lambda_hat[0], result.lambda_hat[t])
+        assert relative_distance(result.weights[0], result.weights[t]) == dense
+    assert relative_distance(lam[g.source, g.target], result.weights[0]) == relative_distance(lam, result.lambda_hat[0])
+
+
+def test_per_vertex_error_check_matches_a_dense_reference(monkeypatch):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    g, sigma, lam_true = inst.graph, inst.sigma.sigma, inst.params.lam
+    base = recover_all(g, sigma)
+    worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
+    # As in test_condition_estimate_records_the_vertex_of_failed_draws: some draws fail.
+    monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
+    spec = PerturbationSpec(1e-4, 2, 3, strict=False)
+    constants = eta_bound(check_assumptions(g, sigma, lam_true), 12, 2, 1e-8)
+    checks = per_vertex_error_check(g, sigma, lam_true, spec, constants, trials=12)
+    draws = [sample_perturbation(sigma, replace(spec, seed=derived_seed(spec.seed, t))).sigma for t in range(12)]
+    dense = recover_all(g, np.stack(draws)).lambda_hat
+    want = []
+    for t in range(12):
+        for v in range(g.n):
+            pa = list(g.parents(v))
+            if pa:
+                failed = np.isnan(dense[t]).all()
+                want.append(None if failed else float(np.linalg.norm(lam_true[pa, v] - dense[t][pa, v])))
+    assert None in want and any(w is not None for w in want)
+    assert [c.error for c in checks] == want
