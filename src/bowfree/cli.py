@@ -201,14 +201,15 @@ def _cmd_condition(args) -> int:
     )
     write_report(report, args.out)
     if args.trials_csv:
-        lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed"]
+        lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed,vertex"]  # vertex: 1-based, of a failed draw
         for rec in estimate.records:
             lines.append(
                 f"{rec.gamma},{rec.trial},"
                 f"{'' if rec.ratio is None else rec.ratio},"
                 f"{'' if rec.rel_sigma is None else rec.rel_sigma},"
                 f"{'' if rec.rel_lambda is None else rec.rel_lambda},"
-                f"{int(rec.failed)}"
+                f"{int(rec.failed)},"
+                f"{'' if rec.vertex is None else rec.vertex + 1}"
             )
         Path(args.trials_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

@@ -21,6 +21,9 @@ from .lsem import Covariance, ParamSet, as_matrix, forward_map
 
 C_CONC_DEFAULT = 3.0
 _RETRY_CAP = 1_000_000
+# Largest n x d float64 matrix of unit vectors gen_omega_spherical may hold
+# (1 GiB); d_min grows as k^8 ln(n)^4, past 36 GiB at n=500, k=3.
+SPHERE_BYTES_MAX = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,11 @@ class GenerativeConfig:
             raise ConfigError(f"mu={self.mu} must be at least 10*(k+1)={10 * (self.k + 1)}")
         if self.d < 1:
             raise ConfigError("sphere dimension d must be >= 1")
+        if 8 * self.n * self.d > SPHERE_BYTES_MAX:
+            raise ConfigError(
+                f"n={self.n} unit vectors of dimension d={self.d} need {8 * self.n * self.d / 2**30:.1f} GiB, "
+                f"above the {SPHERE_BYTES_MAX / 2**30:g} GiB bound"
+            )
         if 2 * self.k * self.mu >= self.n**2:
             raise ConfigError(
                 f"empty sampling interval: need 2*k*mu < n^2, got "

@@ -9,10 +9,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2.0  # per matrix of a stack
 
 
-def snorm(a) -> float:
+def snorm(a) -> float | np.ndarray:
     """Largest singular value of ``a``, exact at every size; a vector is
-    read as a single row and an empty matrix has norm 0."""
+    read as a single row and an empty matrix has norm 0. A stack
+    ``(..., m, n)`` gives an array of one norm per matrix, each the bits
+    ``snorm`` gives that matrix alone."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     # The largest value of one SVD: np.linalg.norm(a, 2) computes the same
     # bits with twice the overhead on the small blocks the checks pass in.
-    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
+    top = np.linalg.svd(a, compute_uv=False)[..., 0] if a.shape[-1] * a.shape[-2] else np.zeros(a.shape[:-2])
+    return float(top) if a.ndim == 2 else top

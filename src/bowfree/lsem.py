@@ -148,13 +148,18 @@ def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> Covarian
 
     Verifies the zero patterns and that omega is positive semidefinite,
     then evaluates the congruence through the triangular solve of
-    ``dag_inverse`` and symmetrizes the result.
+    ``dag_inverse`` and symmetrizes the result. Eigenvalues are computed
+    only when Cholesky fails, as for a singular semidefinite omega.
     """
     if check:
         check_pattern(g, params)
-        eigs = np.linalg.eigvalsh(symmetrize(params.omega))
-        if eigs.size and eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
-            raise DefinitenessError("omega must be positive semidefinite")
+        omega = symmetrize(params.omega)
+        try:
+            np.linalg.cholesky(omega)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(omega)
+            if eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
+                raise DefinitenessError("omega must be positive semidefinite") from None
     inv = dag_inverse(g, params.lam)
     sigma = symmetrize(inv.T @ params.omega @ inv)
     return Covariance(sigma, "exact")

@@ -38,7 +38,9 @@ def relative_distance(a, b) -> float:
     nonzero = a != 0
     if not nonzero.any():
         raise ConfigError("relative distance is undefined for an all-zero reference")
-    return float(np.max(np.abs(a[nonzero] - b[nonzero]) / np.abs(a[nonzero])))
+    rel = np.abs(a - b)
+    np.divide(rel, np.abs(a), out=rel, where=nonzero)
+    return float(np.max(rel, where=nonzero, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ def sample_perturbation(sigma: Covariance | np.ndarray, spec: PerturbationSpec) 
     rng = np.random.default_rng(spec.seed)
     bound = (spec.gamma / math.sqrt(spec.k)) * np.abs(sig)
     eps = rng.uniform(-1.0, 1.0, size=sig.shape) * bound
-    eps = np.triu(eps)
-    eps = eps + np.triu(eps, 1).T
+    eps = np.where(np.tri(n, k=-1, dtype=bool), eps.T, eps)  # the upper triangle, mirrored
+    eps += 0.0  # -0.0 becomes 0.0, as it did when the two triangles were summed
     if spec.enforce_tight:
         i, j = np.unravel_index(np.argmax(np.abs(sig)), sig.shape)
         eps[i, j] = (spec.gamma / math.sqrt(spec.k)) * sig[i, j]
@@ -162,51 +164,51 @@ def check_assumptions(
     vertices. A singular parent block marks that vertex failed instead of
     aborting. When ``gamma`` is given, the condition-number cap 1/(2 gamma)
     is included in the first check.
+
+    Vertices with equal (|pa|, |spa|) are measured together: one gather per
+    block and one batched SVD or norm per quantity, with the bits the
+    per-vertex computation gives.
     """
     sig = as_matrix(sigma)
     lam = np.asarray(lam, dtype=float)
     kappa_cap = (0.5 / gamma) if gamma else float("inf")
     n2_floor = 1.0 / g.n**2 if g.n else 0.0
-
-    per_vertex: dict[int, VertexAssumptions] = {}
-    alpha = 0.0
-    beta = 0.0
-    kappa0 = 1.0
     lambda_floor = float(np.fmin.reduce(np.abs(lam[g.source, g.target]), initial=np.inf))  # NaN-blind, as min()
 
+    groups: dict[tuple[int, int], list] = {}
     for v in range(g.n):
-        pa = list(g.parents(v))
-        if not pa:
-            continue
-        spa = list(g.spa(v))
-        block = sig[np.ix_(pa, pa)]
-        svals = np.linalg.svd(block, compute_uv=False)
-        denom = float(svals[0])
-        singular = svals[-1] <= 1e-12 * svals[0]
-        kappa = float("inf") if singular else float(svals[0] / svals[-1])
-
-        if denom > 0:
-            r1 = float(np.linalg.norm(sig[pa, v])) / denom
-            r2 = snorm(sig[np.ix_(spa, pa)]) / denom if spa else 0.0
-            r3 = float(np.linalg.norm(sig[spa, v])) / denom if spa else 0.0
-        else:
-            r1 = r2 = r3 = float("inf")
-        beta_v = snorm(lam[np.ix_(spa, pa)]) if spa else 0.0
-        floor_v = min(float(abs(lam[p, v])) for p in pa)
-
-        pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
-        pass_a2 = max(r1, r2, r3) < 1.0
-        pass_a3 = beta_v < 1.0 and floor_v > n2_floor
-
-        per_vertex[v] = VertexAssumptions(kappa, (r1, r2, r3), beta_v, pass_a1, pass_a2, pass_a3)
-        alpha = max(alpha, r1, r2, r3)
-        beta = max(beta, beta_v)
-        if math.isfinite(kappa):
-            kappa0 = max(kappa0, kappa)
-        else:
-            kappa0 = float("inf")
-
+        pa = g.parents(v)
+        if pa:
+            spa = g.spa(v)
+            groups.setdefault((len(pa), len(spa)), []).append((v, pa, spa))
+    per_vertex: dict[int, VertexAssumptions] = {}
+    for members in groups.values():
+        vs, pa, spa = (np.array(col, dtype=np.intp) for col in zip(*members))
+        svals = np.linalg.svd(sig[pa[:, :, None], pa[:, None, :]], compute_uv=False)
+        denom, low = svals[:, 0], svals[:, -1]
+        kappas = np.divide(denom, low, out=np.full_like(denom, np.inf), where=low > 1e-12 * denom)
+        norms = np.stack([_row_norms(sig[pa, vs[:, None]]), snorm(sig[spa[:, :, None], pa[:, None, :]]),
+                          _row_norms(sig[spa, vs[:, None]])], axis=1)  # 0 where spa is empty
+        ratios = np.divide(norms, denom[:, None], out=np.full_like(norms, np.inf), where=denom[:, None] > 0)
+        betas = snorm(lam[spa[:, :, None], pa[:, None, :]])
+        floors = np.abs(lam[pa, vs[:, None]]).tolist()
+        for v, kappa, r, beta_v, floor in zip(vs.tolist(), kappas.tolist(), ratios.tolist(), betas.tolist(), floors):
+            pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
+            pass_a2 = max(r) < 1.0
+            pass_a3 = beta_v < 1.0 and min(floor) > n2_floor  # min() skips a NaN weight unless it comes first
+            per_vertex[v] = VertexAssumptions(kappa, tuple(r), beta_v, pass_a1, pass_a2, pass_a3)
+    per_vertex = dict(sorted(per_vertex.items()))
+    # Worst cases over the vertices; a singular block's kappa is inf.
+    alpha = max([0.0, *(r for d in per_vertex.values() for r in d.alpha_ratios)])
+    beta = max([0.0, *(d.beta_v for d in per_vertex.values())])
+    kappa0 = max([1.0, *(d.kappa for d in per_vertex.values())])
     return AssumptionProfile(alpha, beta, kappa0, lambda_floor, g.max_degree(), per_vertex)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of each row of ``x``, bitwise np.linalg.norm's: matmul takes
+    BLAS's dot per row as norm does, where a sum over an axis would not."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 # -- premise and error-rate constants ---------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bowfree import recovery
 from bowfree.cli import main
 from bowfree.errors import ConfigError, IngestionError
 from bowfree.experiments import (
@@ -21,6 +22,9 @@ from bowfree.experiments import (
     summary_csv_lines,
     write_report,
 )
+from bowfree.graphs import load_graph
+from bowfree.lsem import load_covariance_csv
+from bowfree.robustness import estimate_condition_number
 
 
 def test_config_validation():
@@ -267,6 +271,40 @@ def test_cli_condition_and_check(tmp_path):
     ]) == 0
     profile = _read_json(check_out)
     assert profile["all_pass"] is True
+
+
+def test_cli_trials_csv_names_the_vertex_of_failed_draws(tmp_path, monkeypatch):
+    out = tmp_path / "inst"
+    main(["generate", "--kind", "generative", "--n", "12", "--k", "2",
+          "--p", "0.7", "--seed", "41", "--out-dir", str(out)])
+    g, sigma = load_graph(out / "graph.json"), load_covariance_csv(out / "sigma.csv")
+    base = recovery.recover_all(g, sigma)
+    worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
+    # As in test_condition_estimate_records_the_vertex_of_failed_draws: some draws fail.
+    monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
+    csv = tmp_path / "trials.csv"
+    assert main([
+        "condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
+        "--trials", "12", "--gammas", "1e-4", "--no-strict", "--seed", "3",
+        "--out", str(tmp_path / "cond.json"), "--trials-csv", str(csv),
+    ]) == 0
+    header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    assert header == ["gamma", "trial", "ratio", "rel_sigma", "rel_lambda", "failed", "vertex"]
+    est = estimate_condition_number(g, sigma, 12, [1e-4], seed=3, strict=False)
+    assert [row[5:] for row in rows] == [
+        [str(int(rec.failed)), "" if rec.vertex is None else str(rec.vertex + 1)] for rec in est.records
+    ]
+    assert {row[6] for row in rows if row[5] == "1"} == {str(worst + 1)}
+    assert {row[5] for row in rows} == {"0", "1"}
+
+
+def test_cli_generate_refuses_a_sphere_matrix_above_the_bound(tmp_path, capsys):
+    # --kind generative is the default; d_min(3, 500) = 9,786,447.
+    assert main(["generate", "--n", "500", "--k", "3", "--seed", "3", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "bowfree: n=500 unit vectors of dimension d=9786447 need 36.5 GiB, above the 1 GiB bound"
+    ]
+    assert not (tmp_path / "sigma.csv").exists()
 
 
 def test_cli_condition_rejects_fewer_than_one_trial(tmp_path, capsys):

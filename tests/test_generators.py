@@ -7,6 +7,7 @@ import pytest
 
 from bowfree.errors import ConfigError, DefinitenessError
 from bowfree.generators import (
+    SPHERE_BYTES_MAX,
     GenerativeConfig,
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -224,6 +225,17 @@ def test_sample_observations_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
     with pytest.raises(DefinitenessError):
         sample_observations(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, seed=0)
+
+
+def test_generative_instance_refuses_a_sphere_matrix_above_the_bound():
+    # d_min(3, 500) = 9,786,447: the unit vectors alone would take 36.5 GiB.
+    with pytest.raises(ConfigError) as err:
+        gen_generative_instance(500, 3, 0.8, seed=3)
+    assert str(err.value) == "n=500 unit vectors of dimension d=9786447 need 36.5 GiB, above the 1 GiB bound"
+    d = SPHERE_BYTES_MAX // (8 * 20)
+    GenerativeConfig(20, 2, 30.0, d=d).validate()
+    with pytest.raises(ConfigError):
+        GenerativeConfig(20, 2, 30.0, d=d + 1).validate()
 
 
 def test_generative_instance_is_reproducible():

@@ -69,8 +69,35 @@ def test_forward_map_rejects_pattern_violations():
 def test_forward_map_rejects_indefinite_omega():
     g = MixedGraph(2, [], [(0, 1)])
     omega = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(DefinitenessError):
+    with pytest.raises(DefinitenessError) as err:
         forward_map(g, ParamSet(np.zeros((2, 2)), omega))
+    assert str(err.value) == "omega must be positive semidefinite"
+
+
+def test_forward_map_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    g = MixedGraph(3, [(0, 1)], [(0, 2), (1, 2)])
+    lam = np.zeros((3, 3))
+    lam[0, 1] = 0.5
+    definite = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.3], [0.5, 0.3, 1.0]])
+    np.testing.assert_array_equal(forward_map(g, ParamSet(lam, definite)).sigma,
+                                  forward_map(g, ParamSet(lam, definite), check=False).sigma)
+    assert calls == []
+    # Singular but semidefinite (rank 1): Cholesky fails, the eigenvalues accept it.
+    singular = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    assert np.isfinite(forward_map(g, ParamSet(lam, singular)).sigma).all()
+    assert calls == [(3, 3)]
+    indefinite = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    with pytest.raises(DefinitenessError, match="^omega must be positive semidefinite$"):
+        forward_map(g, ParamSet(lam, indefinite))
+    assert calls == [(3, 3)] * 2
 
 
 def test_dag_inverse_equals_dense_inverse(rng):
@@ -221,6 +248,15 @@ def test_spectral_norm_examples():
 def test_spectral_norm_matches_svd(rng):
     a = rng.standard_normal((20, 20))
     assert snorm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 2), (5, 1, 4), (6, 4, 4), (2, 3, 5, 1), (4, 0, 3), (3, 2, 0), (0, 2, 2)])
+def test_spectral_norm_of_a_stack_is_each_matrix_norm_bitwise(rng, shape):
+    stack = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape[:-2] + (1, 1))
+    got = snorm(stack)
+    assert isinstance(got, np.ndarray) and got.shape == shape[:-2]
+    for i in np.ndindex(shape[:-2]):
+        assert got[i] == snorm(stack[i])
 
 
 def test_spectral_norm_exact_above_64(rng):

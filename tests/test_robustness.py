@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from bowfree.generators import (
     gen_lambda_range,
     gen_omega_sdd,
     gen_random_bowfree_graph,
+    gen_sdd_instance,
 )
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
@@ -23,6 +25,7 @@ from bowfree import recovery
 from bowfree.recovery import recover_all
 from bowfree.robustness import (
     AssumptionProfile,
+    VertexAssumptions,
     PerturbationSpec,
     check_assumptions,
     condition_bound,
@@ -120,6 +123,97 @@ def test_perturbation_preserves_definiteness_for_small_gamma():
     inst = gen_generative_instance(n=12, k=2, p=0.6, seed=5)
     out = sample_perturbation(inst.sigma, PerturbationSpec(1e-5, 2, 1))
     assert np.linalg.eigvalsh(out.sigma)[0] > 0
+
+
+def test_sample_perturbation_keeps_its_bits():
+    # sha256 of the draws, recorded before the mirror of the upper triangle
+    # became one np.where; the second covariance has signed zeros.
+    inst = gen_sdd_instance(n=9, k=2, p=0.6, weight_range=1.0, seed=4)
+    signed = inst.sigma.sigma.copy()
+    signed[0, 5] = signed[5, 0] = signed[2, 7] = signed[7, 2] = -0.0
+    signed[1, 8] = signed[8, 1] = 0.0
+    signed[3, 3] = -0.0
+    digest = hashlib.sha256()
+    for sigma in (inst.sigma, signed):
+        for tight in (False, True):
+            for seed in range(6):
+                spec = PerturbationSpec(1e-3, 2, seed, enforce_tight=tight, strict=False)
+                digest.update(sample_perturbation(sigma, spec).sigma.tobytes())
+    assert digest.hexdigest() == "5024975d13b24fe319911e1f2d7dfbf9157674d8f8f10b3ef7beec15d065da8b"
+
+
+def _per_vertex_profile(g, sig, lam, gamma=None):
+    """check_assumptions as one SVD and norm per vertex: the reference the
+    grouped computation must match bitwise."""
+    kappa_cap = (0.5 / gamma) if gamma else float("inf")
+    n2_floor = 1.0 / g.n**2 if g.n else 0.0
+    per_vertex = {}
+    alpha = 0.0
+    beta = 0.0
+    kappa0 = 1.0
+    lambda_floor = float(np.fmin.reduce(np.abs(lam[g.source, g.target]), initial=np.inf))
+    for v in range(g.n):
+        pa = list(g.parents(v))
+        if not pa:
+            continue
+        spa = list(g.spa(v))
+        svals = np.linalg.svd(sig[np.ix_(pa, pa)], compute_uv=False)
+        denom = float(svals[0])
+        singular = svals[-1] <= 1e-12 * svals[0]
+        kappa = float("inf") if singular else float(svals[0] / svals[-1])
+        if denom > 0:
+            r1 = float(np.linalg.norm(sig[pa, v])) / denom
+            r2 = snorm(sig[np.ix_(spa, pa)]) / denom if spa else 0.0
+            r3 = float(np.linalg.norm(sig[spa, v])) / denom if spa else 0.0
+        else:
+            r1 = r2 = r3 = float("inf")
+        beta_v = snorm(lam[np.ix_(spa, pa)]) if spa else 0.0
+        floor_v = min(float(abs(lam[p, v])) for p in pa)
+        pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
+        pass_a2 = max(r1, r2, r3) < 1.0
+        pass_a3 = beta_v < 1.0 and floor_v > n2_floor
+        per_vertex[v] = VertexAssumptions(kappa, (r1, r2, r3), beta_v, pass_a1, pass_a2, pass_a3)
+        alpha = max(alpha, r1, r2, r3)
+        beta = max(beta, beta_v)
+        kappa0 = max(kappa0, kappa) if math.isfinite(kappa) else float("inf")
+    return AssumptionProfile(alpha, beta, kappa0, lambda_floor, g.max_degree(), per_vertex)
+
+
+def _outcome(profile):
+    try:
+        got = profile()
+    except np.linalg.LinAlgError as exc:  # a NaN weight in a grandparent block
+        return str(exc)
+    # repr() prints every float exactly, tells -0.0 from 0.0 and keeps the
+    # vertex order.
+    return repr(got), got.all_pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    sigma_kind=st.sampled_from(["exact", "low-rank", "zero-rows"]),
+    weights=st.sampled_from(["drawn", "zeros", "nan"]),
+    gamma=st.sampled_from([None, 1e-3, 0.05, 0.5]),
+)
+def test_grouped_profile_matches_the_per_vertex_loop(n, p, seed, sigma_kind, weights, gamma):
+    g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
+    rng = np.random.default_rng(seed)
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
+    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2)))).sigma
+    if sigma_kind == "low-rank":  # parent blocks of more than two vertices are (near) singular
+        x = rng.standard_normal((n, 2))
+        sigma = x @ x.T + 10.0 ** rng.uniform(-16, -10) * np.eye(n)
+    elif sigma_kind == "zero-rows":  # a parent block may vanish entirely
+        rows = rng.random(n) < 0.5
+        sigma[rows, :] = sigma[:, rows] = 0.0
+    if weights != "drawn" and g.source.size:
+        hit = rng.random(g.source.size) < 0.3
+        lam[g.source[hit], g.target[hit]] = 0.0 if weights == "zeros" else np.nan
+    want = _outcome(lambda: _per_vertex_profile(g, sigma, lam, gamma))
+    assert _outcome(lambda: check_assumptions(g, sigma, lam, gamma)) == want
 
 
 def test_check_assumptions_trivial_instance():
