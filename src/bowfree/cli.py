@@ -30,7 +30,7 @@ from .generators import (
     gen_sdd_instance,
 )
 from .graphs import graph_to_dict, load_graph
-from .lsem import load_covariance_csv, load_params, save_matrix_csv, save_params
+from .lsem import check_pattern, load_covariance_csv, load_params, save_matrix_csv, save_params
 from .recovery import recover_all, recovery_to_dict
 from .reduction import reduce_instance, save_reduction
 from .robustness import check_assumptions, condition_bound, estimate_condition_number, eta_bound, stability_premise
@@ -157,7 +157,7 @@ def _cmd_generate(args) -> int:
             manifest.update({"range": args.weight_range})
         g = inst.graph
         save_params(inst.params, out / "params.json")
-        save_matrix_csv(inst.sigma.sigma, out / "sigma.csv")
+        save_matrix_csv(inst.sigma, out / "sigma.csv")
     write_report(graph_to_dict(g), out / "graph.json")
     write_report(manifest, out / "manifest.json")
     return 0
@@ -219,7 +219,9 @@ def _cmd_check(args) -> int:
     g = load_graph(args.graph)
     sigma = load_covariance_csv(args.sigma)
     if args.params:
-        lam = load_params(args.params).lam
+        params = load_params(args.params)
+        check_pattern(g, params)
+        lam = params.lam
     else:
         lam = recover_all(g, sigma).lambda_hat
     profile = check_assumptions(g, sigma, lam)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .generators import (
     gen_layered_bowfree_graph,
     sample_observations,
 )
-from .lsem import ParamSet, forward_map, sample_covariance
+from .lsem import ParamSet, _read_csv, forward_map, sample_covariance
 from .recovery import recover_all, recover_many
 from .robustness import check_assumptions, relative_distance
 
@@ -58,8 +59,13 @@ class ExperimentConfig:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
         if self.graphs < 1 or self.runs_per_graph < 0:
             raise ConfigError("graphs must be >= 1 and runs_per_graph >= 0")
-        if not self.noise_eps >= 0:  # NaN too
-            raise ConfigError(f"noise_eps must be >= 0, got {self.noise_eps}")
+        if self.samples < 2:  # a sample covariance needs two draws
+            raise ConfigError(f"samples must be >= 2, got {self.samples}")
+        if not (0 <= self.noise_eps < math.inf):  # NaN too
+            raise ConfigError(f"noise_eps must be finite and >= 0, got {self.noise_eps}")
+        for w in self.range_grid:
+            if not (0 < w < math.inf):
+                raise ConfigError(f"weight range {w} must be positive and finite")
         for name, values in (("p_grid", self.p_grid), ("range_grid", self.range_grid)):
             labels = [f"{x:g}" for x in values]  # the keys of the summary cells
             if len(set(labels)) < len(labels):
@@ -84,14 +90,11 @@ def _stats(values: list[float]) -> dict:
 
 
 def load_dataset(path) -> np.ndarray:
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise IngestionError(f"cannot read observation CSV {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] < 2:
+    """An observation matrix of finite numbers with at least 3 rows and 2
+    columns; IngestionError otherwise."""
+    data = _read_csv(path)
+    if data.shape[0] < 3 or data.shape[1] < 2:
         raise IngestionError(f"observation matrix of shape {data.shape} is too small")
-    if not np.all(np.isfinite(data)):
-        raise IngestionError("observation matrix contains non-finite entries")
     return data
 
 
@@ -160,7 +163,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
     x = load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
     n = x.shape[1]
     degenerate = cfg.noise_eps == 0.0
-    sigma = sample_covariance(x, normalize_rows=cfg.normalize).sigma
+    sigma = sample_covariance(x, normalize_rows=cfg.normalize)
 
     records = []
     for pi, p in enumerate(cfg.p_grid):
@@ -173,7 +176,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
                 for run in range(0 if degenerate else cfg.runs_per_graph):
                     rng = np.random.default_rng(derived_seed(cfg.seed, 2, pi, gidx, run))
                     yield sample_covariance(x + rng.normal(0.0, cfg.noise_eps, size=x.shape),
-                                            normalize_rows=cfg.normalize).sigma
+                                            normalize_rows=cfg.normalize)
 
             record = {
                 "p": p,
@@ -211,11 +214,9 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                     )
                     lam = gen_lambda_range(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 1)))
                     omega = gen_omega_sdd(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 2)))
-                    sigma = forward_map(graph, ParamSet(lam, omega)).sigma
+                    sigma = forward_map(graph, ParamSet(lam, omega))
                     sampled = (
-                        sample_covariance(
-                            sample_observations(sigma, cfg.samples, derived_seed(*cell_seed, 4, run))
-                        ).sigma
+                        sample_covariance(sample_observations(sigma, cfg.samples, derived_seed(*cell_seed, 4, run)))
                         for run in range(cfg.runs_per_graph)
                     )
                     record = {

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DefinitenessError
 from .graphs import MixedGraph
-from .lsem import Covariance, ParamSet, as_matrix, forward_map
+from .lsem import ParamSet, as_matrix, forward_map
 
 C_CONC_DEFAULT = 3.0
 _RETRY_CAP = 1_000_000
@@ -59,8 +59,8 @@ class GenerativeConfig:
     def validate(self):
         if self.k < 1:
             raise ConfigError("degree bound k must be >= 1")
-        if self.mu < 10 * (self.k + 1):
-            raise ConfigError(f"mu={self.mu} must be at least 10*(k+1)={10 * (self.k + 1)}")
+        if not (10 * (self.k + 1) <= self.mu < math.inf):  # NaN too
+            raise ConfigError(f"mu={self.mu} must be finite and at least 10*(k+1)={10 * (self.k + 1)}")
         if self.d < 1:
             raise ConfigError("sphere dimension d must be >= 1")
         if 8 * self.n * self.d > SPHERE_BYTES_MAX:
@@ -81,8 +81,8 @@ class SDDNoiseConfig:
     seed: int = 0
 
     def validate(self):
-        if self.range <= 0:
-            raise ConfigError("weight range must be positive")
+        if not (0 < self.range < math.inf):  # NaN too
+            raise ConfigError(f"weight range {self.range} must be positive and finite")
 
 
 def derived_seed(*parts) -> int:
@@ -130,8 +130,8 @@ def gen_layered_bowfree_graph(
     consecutive layers, so in- and out-degrees are bounded by k."""
     if k < 1:
         raise ConfigError("layer width k must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError("edge probability must lie in [0, 1]")
+    if not (0.0 <= p <= 1.0) or not (0.0 <= extra_bidirected_p <= 1.0):
+        raise ConfigError("edge probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     # Layer j holds vertices jk..jk+k-1; vertex u may point at any of the k
     # slots of the next layer that exist. One coin per (u, v) pair, drawn
@@ -251,7 +251,7 @@ def sample_observations(sigma, m: int, seed: int) -> np.ndarray:
 class Instance:
     graph: MixedGraph
     params: ParamSet
-    sigma: Covariance
+    sigma: np.ndarray
 
 
 def gen_generative_instance(

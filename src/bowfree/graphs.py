@@ -18,9 +18,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -32,20 +31,6 @@ class DirectedEdge:
     source: int
     target: int
     forced_weight: float | None = None
-
-
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Longest-path layering: layer(v) = length of the longest directed
-    path ending at v, counted so that parentless vertices sit in layer 1."""
-
-    layer_of: tuple[int, ...]
-    layers: MappingProxyType[int, tuple[int, ...]]
-    layer_array: np.ndarray = field(compare=False, repr=False)  # layer_of as int64
-
-    @property
-    def depth(self) -> int:
-        return max(self.layers) if self.layers else 0
 
 
 def _vertex_ids(values, width=None) -> np.ndarray:
@@ -235,7 +220,7 @@ class MixedGraph:
     def free_vertices(self) -> tuple[int, ...]:
         """Vertices with at least one free in-edge, by layer, then index:
         the vertices whose weights recovery solves for."""
-        by_layer = np.argsort(self.layer_decomposition().layer_array, kind="stable")
+        by_layer = np.argsort(self.layer_decomposition(), kind="stable")
         return tuple(by_layer[self.free_in_degree[by_layer] > 0].tolist())
 
     # -- structural algorithms ----------------------------------------------
@@ -287,24 +272,25 @@ class MixedGraph:
             raise CycleError(cycle + cycle[:1])
         return order
 
-    def layer_decomposition(self) -> LayerDecomposition:
-        """layer(v) = 1 + max over parents of layer(parent); 1 if parentless.
-        Computed once: every call returns the same object."""
+    def layer_decomposition(self) -> np.ndarray:
+        """Longest-path layering as a read-only int64 array: layer[v] = 1 +
+        max over parents of layer[parent], 1 if parentless. Computed once:
+        every call returns the same array."""
         return self._layering
 
     @cached_property
-    def _layering(self) -> LayerDecomposition:
+    def _layering(self) -> np.ndarray:
         # Kahn frontier rounds: the vertices freed by round d are exactly
         # longest-path layer d, so each layer costs one numpy step.
         indeg = np.bincount(self.target, minlength=self.n)
         out_ptr = _row_pointers(self.source, self.n)
         out_degree = np.diff(out_ptr)
         layer = np.zeros(self.n, dtype=np.int64)
-        layers = {}
         frontier = np.flatnonzero(indeg == 0)
+        depth = 0
         while frontier.size:
-            layers[len(layers) + 1] = tuple(frontier.tolist())
-            layer[frontier] = len(layers)
+            depth += 1
+            layer[frontier] = depth
             # the out-edges of the frontier: one run of edge indices per vertex
             counts = out_degree[frontier]
             runs = np.repeat(out_ptr[frontier] - np.cumsum(counts) + counts, counts)
@@ -314,11 +300,11 @@ class MixedGraph:
         if (layer == 0).any():
             self.topological_order()  # raises CycleError
         layer.flags.writeable = False
-        return LayerDecomposition(tuple(layer.tolist()), MappingProxyType(layers), layer)
+        return layer
 
     def is_k_layered(self) -> bool:
         """True iff every directed edge goes from layer i to layer i + 1."""
-        layer = self.layer_decomposition().layer_array
+        layer = self.layer_decomposition()
         return bool(np.all(layer[self.target] == layer[self.source] + 1))
 
 

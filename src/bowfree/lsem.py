@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, IngestionError, PatternError, SampleSizeError
 from .graphs import MixedGraph
-from .linalg import snorm, symmetrize
+from .linalg import symmetrize
 
 PATTERN_ATOL = 1e-9
-PD_FLOOR_SCALE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,36 +38,6 @@ class ParamSet:
 
 
 @dataclass(frozen=True)
-class Covariance:
-    """Observational covariance with a provenance tag.
-
-    provenance is one of "exact", "sample", "perturbed" or "reduced";
-    positive definiteness is enforced only for exact covariances (reduced
-    ones are singular by construction: gadget variables are deterministic).
-    """
-
-    sigma: np.ndarray
-    provenance: str = "exact"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        sig = symmetrize(np.asarray(self.sigma, dtype=float))
-        object.__setattr__(self, "sigma", sig)
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
-
-    @staticmethod
-    def exact(sigma) -> "Covariance":
-        cov = Covariance(sigma, "exact")
-        scale = snorm(cov.sigma)
-        if cov.n and np.linalg.eigvalsh(cov.sigma)[0] <= PD_FLOOR_SCALE * scale:
-            raise DefinitenessError("exact covariance must be positive definite")
-        return cov
-
-
-@dataclass(frozen=True)
 class ReducedCovariance:
     """sigma[a, b] = factor[a] * factor[b] * base[..., head[a], head[b]], kept
     implicit. ``sig[..., rows, cols]`` gathers entries in the dense matrix's
@@ -77,7 +46,6 @@ class ReducedCovariance:
     base: np.ndarray
     head: np.ndarray
     factor: np.ndarray
-    provenance = "reduced"
 
     def __post_init__(self):
         object.__setattr__(self, "base", symmetrize(np.asarray(self.base, dtype=float)))
@@ -101,7 +69,7 @@ class ReducedCovariance:
 
 
 def as_matrix(sigma) -> np.ndarray:
-    if isinstance(sigma, (Covariance, ReducedCovariance)):
+    if isinstance(sigma, ReducedCovariance):
         return sigma.sigma
     return np.asarray(sigma, dtype=float)
 
@@ -119,18 +87,21 @@ def dag_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
 
 
 def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
-    """Raise PatternError when (lam, omega) violates the zero patterns of g."""
+    """Raise PatternError when (lam, omega) do not fit g: wrong shapes,
+    non-finite entries, or weight off the zero patterns of g."""
     lam, omega = params.lam, params.omega
     if lam.shape != (g.n, g.n) or omega.shape != (g.n, g.n):
         raise PatternError(
             f"parameter shapes {lam.shape}, {omega.shape} do not match n={g.n}"
         )
+    if not (np.isfinite(lam).all() and np.isfinite(omega).all()):
+        raise PatternError("lambda and omega must be finite")
     allowed = np.zeros((g.n, g.n), dtype=bool)
     allowed[g.source, g.target] = True
     off = np.abs(lam) > atol
     if np.any(off & ~allowed):
         where = np.argwhere(off & ~allowed)
-        raise PatternError(f"lambda has weight on non-edges, e.g. {tuple(where[0])}")
+        raise PatternError(f"lambda has weight on non-edges, e.g. {tuple(where[0].tolist())}")
 
     if not np.allclose(omega, omega.T, atol=atol):
         raise PatternError("omega must be symmetric")
@@ -140,10 +111,10 @@ def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
     off_om = np.abs(omega) > atol
     if np.any(off_om & ~allowed_om):
         where = np.argwhere(off_om & ~allowed_om)
-        raise PatternError(f"omega is nonzero off the bidirected pattern, e.g. {tuple(where[0])}")
+        raise PatternError(f"omega is nonzero off the bidirected pattern, e.g. {tuple(where[0].tolist())}")
 
 
-def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> Covariance:
+def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> np.ndarray:
     """Observational covariance of the model (lam, omega) on graph g.
 
     Verifies the zero patterns and that omega is positive semidefinite,
@@ -161,8 +132,7 @@ def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> Covarian
             if eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
                 raise DefinitenessError("omega must be positive semidefinite") from None
     inv = dag_inverse(g, params.lam)
-    sigma = symmetrize(inv.T @ params.omega @ inv)
-    return Covariance(sigma, "exact")
+    return symmetrize(inv.T @ params.omega @ inv)
 
 
 def recover_omega(g: MixedGraph, lam: np.ndarray, sigma) -> np.ndarray:
@@ -205,7 +175,7 @@ def project_omega_pattern(
     )
 
 
-def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> Covariance:
+def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> np.ndarray:
     """Empirical covariance of observation rows (mean-centered, divisor m-1).
 
     With ``normalize_rows`` every observation is first scaled to unit
@@ -221,8 +191,7 @@ def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> Covariance
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         x = np.where(norms > 0, x / np.where(norms == 0, 1.0, norms), x)
     centered = x - x.mean(axis=0, keepdims=True)
-    sigma = symmetrize(centered.T @ centered / (m - 1))
-    return Covariance(sigma, "sample", {"m": m, "normalized": bool(normalize_rows)})
+    return symmetrize(centered.T @ centered / (m - 1))
 
 
 # -- serialization ---------------------------------------------------------
@@ -232,8 +201,9 @@ def save_matrix_csv(a: np.ndarray, path):
     np.savetxt(path, np.asarray(a, dtype=float), delimiter=",")
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """A square matrix of finite numbers; IngestionError otherwise."""
+def _read_csv(path) -> np.ndarray:
+    """A non-empty 2-d array of finite numbers; IngestionError otherwise.
+    The loaders below add their own shape rules."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # reported below
@@ -242,10 +212,16 @@ def load_matrix_csv(path) -> np.ndarray:
         raise IngestionError(f"{path}: not a numeric CSV matrix: {exc}") from exc
     if a.size == 0:
         raise IngestionError(f"{path}: no numbers in the CSV file")
-    if a.shape[0] != a.shape[1]:
-        raise IngestionError(f"{path}: matrix of shape {a.shape} is not square")
     if not np.isfinite(a).all():
         raise IngestionError(f"{path}: matrix has non-finite entries")
+    return a
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """A square matrix of finite numbers; IngestionError otherwise."""
+    a = _read_csv(path)
+    if a.shape[0] != a.shape[1]:
+        raise IngestionError(f"{path}: matrix of shape {a.shape} is not square")
     return a
 
 
@@ -269,20 +245,22 @@ def load_covariance_csv(path) -> np.ndarray:
     return a
 
 
-def params_to_dict(params: ParamSet) -> dict:
-    return {"lambda": params.lam.tolist(), "omega": params.omega.tolist()}
-
-
-def params_from_dict(data: dict) -> ParamSet:
-    return ParamSet(np.array(data["lambda"], dtype=float), np.array(data["omega"], dtype=float))
-
-
 def save_params(params: ParamSet, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, sort_keys=True)
+        json.dump({"lambda": params.lam.tolist(), "omega": params.omega.tolist()}, fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_params(path) -> ParamSet:
-    with open(path, encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+    """Parameters as save_params writes them; IngestionError for a document
+    without numeric "lambda" and "omega" arrays or with non-finite entries.
+    Shapes are checked against a graph by check_pattern."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        params = ParamSet(np.array(data["lambda"], dtype=float), np.array(data["omega"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise IngestionError(f"{path}: malformed parameter document: {exc}") from exc
+    if not (np.isfinite(params.lam).all() and np.isfinite(params.omega).all()):
+        raise IngestionError(f"{path}: parameters have non-finite entries")
+    return params

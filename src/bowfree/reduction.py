@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
 from .experiments import write_report
 from .graphs import MixedGraph, graph_to_dict
-from .lsem import Covariance, ReducedCovariance, as_matrix, save_matrix_csv
+from .lsem import ReducedCovariance, as_matrix, save_matrix_csv
 from .recovery import build_system, recover_all
 
 
@@ -58,7 +58,7 @@ class GadgetSpec:
 @dataclass(frozen=True)
 class ReductionOutput:
     g_prime: MixedGraph
-    sigma_prime: ReducedCovariance | Covariance
+    sigma_prime: ReducedCovariance
     original_n: int
     r: int
     k_layers: int
@@ -126,7 +126,7 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     g.require_bow_free()
     if not np.isnan(g.forced).all():
         raise GraphStructureError("input graph already carries forced weights")
-    layer = g.layer_decomposition().layer_array
+    layer = g.layer_decomposition()
     r = max(1, math.ceil(math.sqrt(g.n)))
 
     span = layer[g.target] - layer[g.source]
@@ -182,7 +182,7 @@ def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
     g_prime, gadgets, r = reduce_graph(g)
     cov = reduce_covariance(sig, g_prime, gadgets, r)
-    k_layers = g_prime.layer_decomposition().depth
+    k_layers = int(g_prime.layer_decomposition().max(initial=0))
     return ReductionOutput(g_prime, cov, g.n, r, k_layers, gadgets)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, PremiseError
 from .generators import derived_seed
 from .graphs import MixedGraph
-from .linalg import snorm
-from .lsem import Covariance, as_matrix
+from .linalg import snorm, symmetrize
+from .lsem import as_matrix
 from .recovery import recover_all, recover_many, weight_matrix
 
 
@@ -47,8 +47,8 @@ def relative_distance(a, b) -> float:
 class PerturbationSpec:
     """Entrywise perturbation parameters.
 
-    ``strict`` enforces gamma < n^-4 (the regime the error bounds cover);
-    experiment pipelines may disable it, which is recorded on the output.
+    ``strict`` enforces gamma < n^-4 (the regime the error bounds cover).
+    Callers may disable it; ``bowfree condition`` records the choice in its report.
     """
 
     gamma: float
@@ -68,7 +68,7 @@ class PerturbationSpec:
             )
 
 
-def sample_perturbation(sigma: Covariance | np.ndarray, spec: PerturbationSpec) -> Covariance:
+def sample_perturbation(sigma, spec: PerturbationSpec) -> np.ndarray:
     """Draw sigma + eps with |eps_ij| <= (gamma / sqrt(k)) |sigma_ij|.
 
     With ``enforce_tight`` the entry of largest magnitude is set to exactly
@@ -87,11 +87,7 @@ def sample_perturbation(sigma: Covariance | np.ndarray, spec: PerturbationSpec) 
         i, j = np.unravel_index(np.argmax(np.abs(sig)), sig.shape)
         eps[i, j] = (spec.gamma / math.sqrt(spec.k)) * sig[i, j]
         eps[j, i] = eps[i, j]
-    return Covariance(
-        sig + eps,
-        "perturbed",
-        {"gamma": spec.gamma, "k": spec.k, "strict": spec.strict},
-    )
+    return symmetrize(sig + eps)
 
 
 # -- structural assumptions -------------------------------------------------
@@ -384,7 +380,7 @@ def estimate_condition_number(
     def perturbed():
         for gamma, gi, t in draws:
             spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
-            yield sample_perturbation(sig, spec).sigma
+            yield sample_perturbation(sig, spec)
 
     recovered = recover_many(g, itertools.chain([sig], perturbed()))
     try:
@@ -442,7 +438,7 @@ def per_vertex_error_check(
     def perturbed():
         for t in range(trials):
             trial_spec = replace(spec, seed=derived_seed(spec.seed, t))
-            yield sample_perturbation(sig, trial_spec).sigma
+            yield sample_perturbation(sig, trial_spec)
 
     out = []
     for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed())):

@@ -1,13 +1,15 @@
+import argparse
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bowfree import recovery
-from bowfree.cli import main
+from bowfree.cli import build_parser, main
 from bowfree.errors import ConfigError, IngestionError
 from bowfree.experiments import (
     ExperimentConfig,
@@ -214,7 +216,7 @@ def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
     want.mkdir()
     write_report(graph_to_dict(inst.graph), want / "graph.json")
     save_params(inst.params, want / "params.json")
-    save_matrix_csv(inst.sigma.sigma, want / "sigma.csv")
+    save_matrix_csv(inst.sigma, want / "sigma.csv")
     for name in ("graph.json", "params.json", "sigma.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (want / name).read_bytes()
     # the flag reaches the graph: the default 0.1 gives other bidirected edges
@@ -237,7 +239,7 @@ def test_cli_reduce_writes_artifacts(tmp_path):
     g = load_graph(graph)
     omega = np.eye(4)
     omega[0, 2] = omega[2, 0] = 0.2
-    save_matrix_csv(forward_map(g, ParamSet(lam, omega)).sigma, sigma)
+    save_matrix_csv(forward_map(g, ParamSet(lam, omega)), sigma)
     out = tmp_path / "red"
     assert main(["reduce", "--graph", str(graph), "--sigma", str(sigma), "--out-dir", str(out)]) == 0
     for name in ("g_prime.json", "sigma_prime.csv", "manifest.json"):
@@ -271,6 +273,39 @@ def test_cli_condition_and_check(tmp_path):
     ]) == 0
     profile = _read_json(check_out)
     assert profile["all_pass"] is True
+
+
+@pytest.mark.parametrize("bad", ["nan-weight", "wrong-shape", "graph-json", "off-pattern"])
+def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
+    # The first three ended in a LinAlgError, IndexError or KeyError traceback;
+    # a weight on a non-edge was read as if it were not there.
+    out = tmp_path / "inst"
+    assert main(["generate", "--kind", "sdd", "--n", "8", "--k", "2", "--p", "0.9", "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    params = _read_json(out / "params.json")
+    lam = np.array(params["lambda"])
+    if bad == "nan-weight":
+        params["lambda"] = np.where(lam != 0, np.nan, 0.0).tolist()
+    elif bad == "wrong-shape":
+        params = {"lambda": np.zeros((2, 2)).tolist(), "omega": np.eye(2).tolist()}
+    elif bad == "graph-json":
+        params = _read_json(out / "graph.json")
+    else:
+        lam[7, 0] = 0.5
+        params["lambda"] = lam.tolist()
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))  # NaN is written as the JSON extension NaN
+    report = tmp_path / "check.json"
+    capsys.readouterr()
+    assert main(["check", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
+                 "--params", str(path), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [{
+        "nan-weight": f"bowfree: {path}: parameters have non-finite entries",
+        "wrong-shape": "bowfree: parameter shapes (2, 2), (2, 2) do not match n=8",
+        "graph-json": f"bowfree: {path}: malformed parameter document: 'lambda'",
+        "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (7, 0)",
+    }[bad]]
+    assert not report.exists()
 
 
 def test_cli_trials_csv_names_the_vertex_of_failed_draws(tmp_path, monkeypatch):
@@ -540,11 +575,14 @@ def test_cli_rejects_an_asymmetric_covariance(tmp_path, capsys, command):
         (["experiment", "--mode", "simulated", "--graph-offset", "-1", "--seed", "1"], 64,
          "bowfree experiment: error: argument --graph-offset: must be at least 0, got -1"),
         (["experiment", "--mode", "gene", "--noise-eps", "-0.1", "--seed", "1"], 1,
-         "bowfree: noise_eps must be >= 0, got -0.1"),
+         "bowfree: noise_eps must be finite and >= 0, got -0.1"),
         (["experiment", "--mode", "gene", "--noise-eps", "nan", "--seed", "1"], 1,
-         "bowfree: noise_eps must be >= 0, got nan"),
+         "bowfree: noise_eps must be finite and >= 0, got nan"),
+        (["experiment", "--mode", "simulated", "--samples", "-1", "--seed", "1"], 1,
+         "bowfree: samples must be >= 2, got -1"),
     ],
-    ids=["seed-generate", "seed-condition", "seed-experiment", "graph-offset", "noise-eps", "noise-eps-nan"],
+    ids=["seed-generate", "seed-condition", "seed-experiment", "graph-offset", "noise-eps", "noise-eps-nan",
+         "samples"],
 )
 def test_cli_rejects_negative_seeds_offsets_and_noise(tmp_path, capsys, argv, code, last_line):
     out = tmp_path / "out"
@@ -600,16 +638,67 @@ def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_reports_an_empty_covariance_file_in_one_line(tmp_path):
+@pytest.mark.parametrize("command", ["recover", "gene"])
+def test_cli_reports_an_empty_covariance_file_in_one_line(tmp_path, command):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 2, "directed": [[1, 2]], "bidirected": []}))
     sigma = tmp_path / "empty.csv"
     sigma.write_text("")
+    argv = {
+        "recover": ["recover", "--graph", str(graph), "--sigma", str(sigma)],
+        "gene": ["experiment", "--mode", "gene", "--dataset", str(sigma), "--seed", "1"],
+    }[command]
     # a fresh interpreter, so that stderr shows any warning numpy prints
     proc = subprocess.run(
-        [sys.executable, "-m", "bowfree.cli", "recover", "--graph", str(graph), "--sigma", str(sigma),
-         "--out", str(tmp_path / "o.json")],
+        [sys.executable, "-m", "bowfree.cli", *argv, "--out", str(tmp_path / "o.json")],
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"bowfree: {sigma}: no numbers in the CSV file"]
+
+
+def _float_flags():
+    """(subcommand, flag) for every option of type float, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, p in sub.choices.items() for a in p._actions if a.type is float]
+
+
+# A valid command line per subcommand; a flag that one mode alone reads
+# gets that mode's line. {out}, {graph} and {sigma} are filled in per test.
+_VALID_ARGV = {
+    "generate": ["--kind", "sdd", "--n", "6", "--seed", "1", "--out-dir", "{out}"],
+    "condition": ["--graph", "{graph}", "--sigma", "{sigma}", "--trials", "2", "--seed", "1", "--out", "{out}/c.json"],
+    "experiment": ["--mode", "simulated", "--n", "6", "--graphs", "1", "--runs-per-graph", "1", "--seed", "1",
+                   "--out", "{out}/e.json"],
+    ("generate", "--mu"): ["--kind", "generative", "--n", "11", "--seed", "1", "--out-dir", "{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def small_instance(tmp_path_factory):
+    out = tmp_path_factory.mktemp("inst")
+    assert main(["generate", "--kind", "sdd", "--n", "6", "--seed", "2", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, flag", _float_flags(), ids=lambda x: x)
+@pytest.mark.parametrize("value", [None, "nan", "inf"], ids=["valid", "nan", "inf"])
+def test_cli_float_flags_reject_nan_and_inf_in_one_line(tmp_path, capsys, small_instance, command, flag, value):
+    # None runs the valid line alone, which must succeed.
+    template = _VALID_ARGV.get((command, flag), _VALID_ARGV[command])
+    fill = {"out": str(tmp_path / "out"), "graph": str(small_instance / "graph.json"),
+            "sigma": str(small_instance / "sigma.csv")}
+    argv = [command, *(arg.format(**fill) for arg in template)] + ([] if value is None else [flag, value])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    if value is None:
+        assert code == 0, err
+    else:
+        assert code in (1, 64)
+        assert len(err.splitlines()) == 1, err

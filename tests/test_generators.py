@@ -243,7 +243,7 @@ def test_generative_instance_is_reproducible():
     b = gen_generative_instance(n=12, k=2, p=0.6, seed=77)
     assert a.graph == b.graph
     np.testing.assert_array_equal(a.params.lam, b.params.lam)
-    np.testing.assert_array_equal(a.sigma.sigma, b.sigma.sigma)
+    np.testing.assert_array_equal(a.sigma, b.sigma)
 
 
 def _layered(n, k, p, extra, seed):

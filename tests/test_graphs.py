@@ -55,18 +55,17 @@ def test_cycle_error_names_a_cycle():
 
 
 def test_layer_decomposition_chain(chain3):
-    dec = chain3.layer_decomposition()
-    assert dec.layers == {1: (0,), 2: (1,), 3: (2,)}
+    assert chain3.layer_decomposition().tolist() == [1, 2, 3]
 
 
 def test_layer_decomposition_longest_path_wins():
     g = MixedGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert g.layer_decomposition().layer_of[2] == 3
+    assert g.layer_decomposition()[2] == 3
 
 
 def test_layer_decomposition_no_edges():
-    dec = MixedGraph(4).layer_decomposition()
-    assert dec.layers == {1: (0, 1, 2, 3)}
+    assert MixedGraph(4).layer_decomposition().tolist() == [1, 1, 1, 1]
+    assert MixedGraph(0).layer_decomposition().tolist() == []
 
 
 def test_parents_spa_children(chain3):
@@ -107,7 +106,7 @@ def test_layers_consistent_with_edges(n, p, seed):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     g = MixedGraph(n, directed)
-    layer = g.layer_decomposition().layer_of
+    layer = g.layer_decomposition()
     order = g.topological_order()
     position = {v: i for i, v in enumerate(order)}
     for e in g.directed:
@@ -149,10 +148,11 @@ def test_malformed_json_document():
 
 def test_layering_and_bow_check_are_computed_once():
     g = gen_random_bowfree_graph(RandomGraphConfig(12, 0.5, seed=4))
-    dec = g.layer_decomposition()
-    assert g.layer_decomposition() is dec
-    with pytest.raises(TypeError):
-        dec.layers[0] = ()  # shared by every caller, so read-only
+    layer = g.layer_decomposition()
+    assert g.layer_decomposition() is layer
+    assert layer.dtype == np.int64
+    with pytest.raises(ValueError):
+        layer[0] = 2  # shared by every caller, so read-only
 
     bow = MixedGraph(3, [(0, 1), (1, 2)], [(0, 1), (0, 2)])
     found = bow.bow_violations()
@@ -177,7 +177,7 @@ def test_cached_structure_agrees_with_a_fresh_graph():
         g.layer_decomposition(), g.bow_violations()  # fill the caches
         fresh = MixedGraph(g.n, g.directed, g.bidirected)
         assert g.is_k_layered() == fresh.is_k_layered()
-        assert g.layer_decomposition() == fresh.layer_decomposition()
+        np.testing.assert_array_equal(g.layer_decomposition(), fresh.layer_decomposition())
         assert _bow_outcome(g) == _bow_outcome(fresh)
     assert any(g.is_k_layered() for g in graphs) and not all(g.is_k_layered() for g in graphs)
     assert _bow_outcome(graphs[-1]) == [(1, 2)]
@@ -256,19 +256,15 @@ def _observed(g):
         assert all(b in g.children(a) for a, b in zip(cycle, cycle[1:]))
         with pytest.raises(CycleError):
             g.layer_decomposition()
-        order = layer = None
-    else:
-        layer = g.layer_decomposition()
-        assert layer.layers == {
-            d: tuple(v for v in range(g.n) if layer.layer_of[v] == d) for d in sorted(set(layer.layer_of))
-        }
+        order = None
+    acyclic = order is not None
     return {
         "parents": [g.parents(v) for v in range(g.n)],
         "children": [g.children(v) for v in range(g.n)],
         "order": order,
-        "layer_of": layer and layer.layer_of,
-        "k_layered": layer and g.is_k_layered(),
-        "free_vertices": layer and list(g.free_vertices),
+        "layer_of": tuple(g.layer_decomposition().tolist()) if acyclic else None,
+        "k_layered": g.is_k_layered() if acyclic else None,
+        "free_vertices": list(g.free_vertices) if acyclic else None,
         "bows": g.bow_violations(),
         "forced": g.forced_weights,
         "doc": graph_to_dict(g),

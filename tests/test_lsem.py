@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from bowfree.generators import (
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import (
-    Covariance,
     ParamSet,
     dag_inverse,
     forward_map,
@@ -32,7 +33,7 @@ def test_forward_map_identity_when_no_edges():
     g = MixedGraph(3, [], [(0, 1)])
     omega = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.5]])
     cov = forward_map(g, ParamSet(np.zeros((3, 3)), omega))
-    np.testing.assert_allclose(cov.sigma, omega)
+    np.testing.assert_allclose(cov, omega)
 
 
 def test_forward_map_two_node_closed_form():
@@ -41,7 +42,7 @@ def test_forward_map_two_node_closed_form():
     g = MixedGraph(2, [(0, 1)])
     lam = np.array([[0.0, w], [0.0, 0.0]])
     cov = forward_map(g, ParamSet(lam, np.eye(2)))
-    np.testing.assert_allclose(cov.sigma, [[1.0, w], [w, 1.0 + w**2]], atol=1e-15)
+    np.testing.assert_allclose(cov, [[1.0, w], [w, 1.0 + w**2]], atol=1e-15)
 
 
 def test_forward_map_matches_dense_inverse_oracle(rng):
@@ -52,7 +53,7 @@ def test_forward_map_matches_dense_inverse_oracle(rng):
     omega[0, 2] = omega[2, 0] = 0.4
     inv = np.linalg.inv(np.eye(3) - lam)
     expected = inv.T @ omega @ inv
-    got = forward_map(g, ParamSet(lam, omega)).sigma
+    got = forward_map(g, ParamSet(lam, omega))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -74,6 +75,19 @@ def test_forward_map_rejects_indefinite_omega():
     assert str(err.value) == "omega must be positive semidefinite"
 
 
+@pytest.mark.parametrize("where", ["omega", "lambda"])
+def test_forward_map_rejects_non_finite_parameters(where):
+    # An inf in omega gave an all-inf covariance and only a RuntimeWarning.
+    lam = np.array([[0.0, 0.5], [0.0, 0.0]])
+    omega = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    if where == "lambda":
+        lam, omega = np.array([[0.0, np.nan], [0.0, 0.0]]), np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PatternError, match="^lambda and omega must be finite$"):
+            forward_map(MixedGraph(2, [(0, 1)]), ParamSet(lam, omega))
+
+
 def test_forward_map_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -87,12 +101,12 @@ def test_forward_map_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
     lam = np.zeros((3, 3))
     lam[0, 1] = 0.5
     definite = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.3], [0.5, 0.3, 1.0]])
-    np.testing.assert_array_equal(forward_map(g, ParamSet(lam, definite)).sigma,
-                                  forward_map(g, ParamSet(lam, definite), check=False).sigma)
+    np.testing.assert_array_equal(forward_map(g, ParamSet(lam, definite)),
+                                  forward_map(g, ParamSet(lam, definite), check=False))
     assert calls == []
     # Singular but semidefinite (rank 1): Cholesky fails, the eigenvalues accept it.
     singular = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
-    assert np.isfinite(forward_map(g, ParamSet(lam, singular)).sigma).all()
+    assert np.isfinite(forward_map(g, ParamSet(lam, singular))).all()
     assert calls == [(3, 3)]
     indefinite = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
     with pytest.raises(DefinitenessError, match="^omega must be positive semidefinite$"):
@@ -112,7 +126,7 @@ def test_dag_inverse_equals_dense_inverse(rng):
 def _assert_matches_dense_inverse_oracle(g, lam, omega):
     inv = np.linalg.inv(np.eye(g.n) - lam)
     expected = inv.T @ omega @ inv
-    got = forward_map(g, ParamSet(lam, omega)).sigma
+    got = forward_map(g, ParamSet(lam, omega))
     assert snorm(got - expected) <= 1e-10 * max(1.0, snorm(expected))
 
 
@@ -144,7 +158,7 @@ def test_forward_map_positive_definite(rng):
         lam = random_dag_lambda(6, 0.5, local)
         g = graph_from_lambda(lam)
         cov = forward_map(g, ParamSet(lam, np.eye(6)))
-        assert np.linalg.eigvalsh(cov.sigma)[0] > 0
+        assert np.linalg.eigvalsh(cov)[0] > 0
 
 
 def test_recover_omega_identity():
@@ -165,7 +179,7 @@ def test_recover_omega_round_trip(rng):
 def test_recover_omega_perturbation_norm_bound(rng):
     lam = random_dag_lambda(5, 0.6, rng)
     g = graph_from_lambda(lam)
-    sigma = forward_map(g, ParamSet(lam, np.eye(5))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(5)))
     noise = rng.standard_normal((5, 5))
     noise = (noise + noise.T) / 2
     noise *= 1e-6 / snorm(noise)
@@ -210,18 +224,18 @@ def test_project_omega_convergence_error():
 
 def test_sample_covariance_identical_rows():
     x = np.tile([1.0, 2.0, 3.0], (5, 1))
-    np.testing.assert_allclose(sample_covariance(x).sigma, np.zeros((3, 3)))
+    np.testing.assert_allclose(sample_covariance(x), np.zeros((3, 3)))
 
 
 def test_sample_covariance_two_rows_hand_computed():
     x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(sample_covariance(x).sigma, [[2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(sample_covariance(x), [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_sample_covariance_statistical():
     sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
     x = np.random.default_rng(0).multivariate_normal([0, 0], sigma, size=100_000)
-    got = sample_covariance(x).sigma
+    got = sample_covariance(x)
     assert np.max(np.abs(got - sigma) / np.abs(sigma)) < 0.05
 
 
@@ -230,7 +244,7 @@ def test_sample_covariance_normalizes_rows():
     cov = sample_covariance(x, normalize_rows=True)
     normalized = x / np.linalg.norm(x, axis=1, keepdims=True)
     centered = normalized - normalized.mean(axis=0)
-    np.testing.assert_allclose(cov.sigma, centered.T @ centered / 2)
+    np.testing.assert_allclose(cov, centered.T @ centered / 2)
 
 
 def test_sample_covariance_needs_two_rows():
@@ -277,9 +291,3 @@ def test_matrix_and_params_serialization(tmp_path, rng):
     np.testing.assert_allclose(loaded.lam, params.lam)
     np.testing.assert_allclose(loaded.omega, params.omega)
 
-
-def test_exact_covariance_requires_pd():
-    with pytest.raises(DefinitenessError):
-        Covariance.exact(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    cov = Covariance.exact(np.eye(2))
-    assert cov.provenance == "exact"

@@ -40,7 +40,7 @@ def _chain3_sigma(w01=0.7, w12=-0.4):
     lam = np.zeros((3, 3))
     lam[0, 1], lam[1, 2] = w01, w12
     g = MixedGraph(3, [(0, 1), (1, 2)], [])
-    return g, lam, forward_map(g, ParamSet(lam, np.eye(3))).sigma
+    return g, lam, forward_map(g, ParamSet(lam, np.eye(3)))
 
 
 def test_build_system_chain_hand_expansion():
@@ -63,7 +63,7 @@ def test_build_system_diamond_matches_block_oracle(rng):
     lam = np.zeros((4, 4))
     lam[0, 1], lam[0, 2], lam[1, 3], lam[2, 3] = 0.6, -0.5, 0.8, 0.3
     g = graph_from_lambda(lam)
-    sigma = forward_map(g, ParamSet(lam, np.eye(4))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
     partial = np.where(g.target == 3, 0.0, lam[g.source, g.target])
     system = build_system(g, sigma, partial, 3)
     pa, spa = [1, 2], [0]
@@ -138,7 +138,7 @@ def test_both_forms_agree_when_no_grandparents():
     g = MixedGraph(3, [(0, 2), (1, 2)], [])
     lam = np.zeros((3, 3))
     lam[0, 2], lam[1, 2] = 0.5, -0.7
-    sigma = forward_map(g, ParamSet(lam, np.eye(3))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(3)))
     direct = recover_first_layers(g, sigma, 2)[0]
     system = build_system(g, sigma, np.zeros(2), 2)
     np.testing.assert_allclose(recover_vertex(system)[0], direct, atol=1e-12)
@@ -164,7 +164,7 @@ def test_recover_all_no_edges():
 def test_recover_all_forced_pass_through():
     g = MixedGraph(3, [(0, 1, 0.25), (1, 2)], [])
     lam = np.array([[0.0, 0.25, 0.0], [0.0, 0.0, 0.6], [0.0, 0.0, 0.0]])
-    sigma = forward_map(g, ParamSet(lam, np.eye(3)), check=False).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(3)), check=False)
     result = recover_all(g, sigma)
     assert result.lambda_hat[0, 1] == 0.25
     assert result.forced_edges_respected
@@ -191,7 +191,7 @@ def test_recover_full_params_zero_lambda():
     omega[0, 1] = omega[1, 0] = 0.4
     sigma = forward_map(g, ParamSet(np.zeros((3, 3)), omega))
     params = recover_full_params(g, sigma)
-    projected = project_omega_pattern(sigma.sigma, g.bidirected)
+    projected = project_omega_pattern(sigma, g.bidirected)
     np.testing.assert_allclose(params.omega, projected, atol=1e-9)
 
 
@@ -206,7 +206,7 @@ def test_recover_full_params_perturbed_sigma():
 def test_layer_monotone_recovery_reads_lower_layers_only():
     inst = gen_generative_instance(n=15, k=2, p=0.8, seed=2)
     g = inst.graph
-    layers = g.layer_decomposition().layer_of
+    layers = g.layer_decomposition()
     result = recover_all(g, inst.sigma)
     for v in range(g.n):
         for p in g.parents(v):
@@ -252,7 +252,7 @@ def _assert_stack_matches_per_draw(g, stack):
 
 
 def _perturbed_stack(sigma, trials, seed, gamma=1e-3):
-    draws = [sample_perturbation(sigma, PerturbationSpec(gamma, 2, seed + t, strict=False)).sigma
+    draws = [sample_perturbation(sigma, PerturbationSpec(gamma, 2, seed + t, strict=False))
              for t in range(trials)]
     return np.stack([sigma] + draws)
 
@@ -269,7 +269,7 @@ def test_stack_recovery_matches_per_covariance(n, p, seed, trials, mode):
     g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
     lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
     omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))
-    sigma = forward_map(g, ParamSet(lam, omega)).sigma
+    sigma = forward_map(g, ParamSet(lam, omega))
     stack = _perturbed_stack(sigma, trials, seed)
     if mode == "reduced":
         red = reduce_instance(g, sigma)
@@ -283,7 +283,7 @@ def test_stack_recovery_matches_per_covariance(n, p, seed, trials, mode):
 def test_stack_with_a_singular_trial_fails_only_that_trial():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph
-    stack = _perturbed_stack(inst.sigma.sigma, 3, seed=5, gamma=1e-6)
+    stack = _perturbed_stack(inst.sigma, 3, seed=5, gamma=1e-6)
     # Trial 2: two parents of one vertex become perfectly correlated copies.
     v = next(v for v in range(g.n) if len(g.parents(v)) >= 2)
     p1, p2 = g.parents(v)[:2]
@@ -301,7 +301,7 @@ def test_stack_with_a_singular_trial_fails_only_that_trial():
 
 def test_stack_diagnostics_are_per_trial():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=3)
-    stack = _perturbed_stack(inst.sigma.sigma, 2, seed=1, gamma=1e-6)
+    stack = _perturbed_stack(inst.sigma, 2, seed=1, gamma=1e-6)
     batched = recover_all(inst.graph, stack)
     for v, diag in batched.per_vertex.items():
         assert diag.condition.shape == (3,) and diag.residual.shape == (3,)
@@ -322,7 +322,7 @@ def test_recover_vertex_masks_singular_trials_of_a_stack():
 def test_recover_many_splits_into_bounded_stacks(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph
-    stack = _perturbed_stack(inst.sigma.sigma, 4, seed=5, gamma=1e-6)
+    stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
     stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
     whole = list(recover_many(g, stack))
     calls = []
@@ -347,7 +347,7 @@ def test_recover_many_splits_into_bounded_stacks(monkeypatch):
 def test_recover_many_weights_scatter_to_lambda_hat_bitwise(monkeypatch, per_stack):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph
-    stack = _perturbed_stack(inst.sigma.sigma, 4, seed=5, gamma=1e-6)
+    stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
     stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
     whole = recover_all(g, stack)
     assert whole.failed_vertex[3] >= 0 and (np.delete(whole.failed_vertex, 3) < 0).all()
@@ -393,7 +393,7 @@ def _golden_one():
 
 def _golden_stack():
     inst = _golden_sdd()
-    draws = [sample_perturbation(inst.sigma, PerturbationSpec(1e-3, 2, seed, strict=False)).sigma
+    draws = [sample_perturbation(inst.sigma, PerturbationSpec(1e-3, 2, seed, strict=False))
              for seed in range(3)]
     return recover_all(inst.graph, np.stack(draws))
 

@@ -16,7 +16,7 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
 )
 from bowfree.graphs import MixedGraph, graph_to_dict
-from bowfree.lsem import Covariance, ParamSet, ReducedCovariance, dag_inverse, forward_map
+from bowfree.lsem import ParamSet, ReducedCovariance, dag_inverse, forward_map
 from bowfree.recovery import build_system, recover_all, recover_full_params
 from bowfree.reduction import (
     _IdAllocator,
@@ -130,7 +130,7 @@ def _random_instance(seed, n=8):
     g = gen_random_bowfree_graph(RandomGraphConfig(n, 0.45, seed=seed))
     lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1000))
     omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2000))
-    return g, forward_map(g, ParamSet(lam, omega)).sigma
+    return g, forward_map(g, ParamSet(lam, omega))
 
 
 def test_reduction_preserves_recovery_on_random_instances():
@@ -161,12 +161,13 @@ def test_corrupted_reduced_covariance_is_detected():
     g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
     lam = np.zeros((4, 4))
     lam[0, 1], lam[1, 2], lam[2, 3], lam[0, 3] = 0.5, 0.4, -0.3, 0.25
-    sigma = forward_map(g, ParamSet(lam, np.eye(4))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
     red = reduce_instance(g, sigma)
     corrupted = red.sigma_prime.sigma.copy()
     collector = red.gadgets[0].collector
     corrupted[0, collector] = corrupted[collector, 0] = 0.0
-    bad = dataclasses.replace(red, sigma_prime=Covariance(corrupted, "reduced"))
+    identity = np.arange(red.g_prime.n)
+    bad = dataclasses.replace(red, sigma_prime=ReducedCovariance(corrupted, identity, np.ones(red.g_prime.n)))
     report = verify_reduction(g, sigma, bad)
     assert not report.all_ok
     assert not report.systems_match or not report.collector_weights_ok
@@ -182,13 +183,15 @@ def test_manifest_round_trip(tmp_path):
     g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
     lam = np.zeros((4, 4))
     lam[0, 1], lam[1, 2], lam[2, 3], lam[0, 3] = 0.5, 0.4, -0.3, 0.25
-    sigma = forward_map(g, ParamSet(lam, np.eye(4))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
     red = reduce_instance(g, sigma)
     manifest = reduction_manifest(red)
     assert manifest["original_n"] == 4
     assert manifest["n_prime"] == red.g_prime.n
     assert manifest["gadgets"][0]["head"] == 1  # 1-based
     assert set(manifest) == {"original_n", "n_prime", "r", "k_layers", "gadgets"}
+    assert type(manifest["k_layers"]) is int and manifest["k_layers"] == 4  # the path 0 -> 1 -> 2 -> 3
+    assert reduction_manifest(reduce_instance(MixedGraph(0), np.zeros((0, 0))))["k_layers"] == 0
 
 
 def _dense(sigma, head, factor):
@@ -247,7 +250,7 @@ def test_dense_callers_accept_the_implicit_reduced_covariance():
 def test_reduce_instance_does_not_build_the_dense_reduced_covariance():
     g = gen_random_bowfree_graph(RandomGraphConfig(20, 0.4, seed=0))
     sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
-                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2))))
     tracemalloc.start()
     try:
         red = reduce_instance(g, sigma)
@@ -301,7 +304,7 @@ def test_reduce_and_verify_build_no_per_edge_objects_for_g_prime():
 def test_reduce_and_verify_stay_below_one_dense_weight_matrix():
     g = gen_random_bowfree_graph(RandomGraphConfig(20, 0.4, seed=0))
     sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
-                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2))))
     tracemalloc.start()
     try:
         red = reduce_instance(g, sigma)
@@ -319,7 +322,7 @@ def test_n40_reduces_and_verifies():
     # n' = 19,372: a dense n' x n' weight matrix alone would take 3 GB.
     g = gen_random_bowfree_graph(RandomGraphConfig(40, 0.4, seed=0))
     sigma = forward_map(g, ParamSet(gen_lambda_range(g, SDDNoiseConfig(0.5, 1)),
-                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2)))).sigma
+                                    gen_omega_sdd(g, SDDNoiseConfig(0.5, 2))))
     red = reduce_instance(g, sigma)
     assert red.g_prime.n == 19_372
     report = verify_reduction(g, sigma, red)

@@ -67,7 +67,7 @@ def test_sample_perturbation_entrywise_bound():
     cap = gamma / math.sqrt(k)
     for seed in range(10_000):
         spec = PerturbationSpec(gamma, k, seed, strict=False)
-        eps = sample_perturbation(sigma, spec).sigma - sigma
+        eps = sample_perturbation(sigma, spec) - sigma
         assert np.all(np.abs(eps) <= cap * np.abs(sigma) + 1e-18)
         assert np.allclose(eps, eps.T)
 
@@ -75,7 +75,7 @@ def test_sample_perturbation_entrywise_bound():
 def test_sample_perturbation_tight_entry():
     sigma = np.array([[4.0, 1.0], [1.0, 2.0]])
     spec = PerturbationSpec(1e-3, 1, 7, enforce_tight=True, strict=False)
-    eps = sample_perturbation(sigma, spec).sigma - sigma
+    eps = sample_perturbation(sigma, spec) - sigma
     assert eps[0, 0] == pytest.approx(1e-3 * 4.0)
     assert relative_distance(sigma, sigma + eps) == pytest.approx(1e-3)
 
@@ -87,25 +87,24 @@ def test_sample_perturbation_gamma_limits():
     with pytest.raises(ConfigError):
         sample_perturbation(sigma, PerturbationSpec(0.5, 2, 0, strict=True))
     # permitted when the strict regime flag is dropped
-    out = sample_perturbation(sigma, PerturbationSpec(0.5, 2, 0, strict=False))
-    assert out.meta["strict"] is False
+    sample_perturbation(sigma, PerturbationSpec(0.5, 2, 0, strict=False))
 
 
 def test_sample_perturbation_vanishes_with_gamma():
     sigma = np.eye(3) * 2
     out = sample_perturbation(sigma, PerturbationSpec(1e-15, 1, 3, strict=False))
-    np.testing.assert_allclose(out.sigma, sigma, atol=1e-14)
+    np.testing.assert_allclose(out, sigma, atol=1e-14)
 
 
 def test_sample_perturbation_block_norm_bounds():
     # per-vertex norm bounds implied by the entrywise constraint
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=21)
-    g, sigma = inst.graph, inst.sigma.sigma
+    g, sigma = inst.graph, inst.sigma
     gamma, k = 1e-6, 2
     profile = check_assumptions(g, sigma, inst.params.lam)
     alpha = profile.alpha
     for seed in range(50):
-        eps = sample_perturbation(sigma, PerturbationSpec(gamma, k, seed)).sigma - sigma
+        eps = sample_perturbation(sigma, PerturbationSpec(gamma, k, seed)) - sigma
         for v in range(g.n):
             pa = list(g.parents(v))
             if not pa:
@@ -122,14 +121,14 @@ def test_sample_perturbation_block_norm_bounds():
 def test_perturbation_preserves_definiteness_for_small_gamma():
     inst = gen_generative_instance(n=12, k=2, p=0.6, seed=5)
     out = sample_perturbation(inst.sigma, PerturbationSpec(1e-5, 2, 1))
-    assert np.linalg.eigvalsh(out.sigma)[0] > 0
+    assert np.linalg.eigvalsh(out)[0] > 0
 
 
 def test_sample_perturbation_keeps_its_bits():
     # sha256 of the draws, recorded before the mirror of the upper triangle
     # became one np.where; the second covariance has signed zeros.
     inst = gen_sdd_instance(n=9, k=2, p=0.6, weight_range=1.0, seed=4)
-    signed = inst.sigma.sigma.copy()
+    signed = inst.sigma.copy()
     signed[0, 5] = signed[5, 0] = signed[2, 7] = signed[7, 2] = -0.0
     signed[1, 8] = signed[8, 1] = 0.0
     signed[3, 3] = -0.0
@@ -138,7 +137,7 @@ def test_sample_perturbation_keeps_its_bits():
         for tight in (False, True):
             for seed in range(6):
                 spec = PerturbationSpec(1e-3, 2, seed, enforce_tight=tight, strict=False)
-                digest.update(sample_perturbation(sigma, spec).sigma.tobytes())
+                digest.update(sample_perturbation(sigma, spec).tobytes())
     assert digest.hexdigest() == "5024975d13b24fe319911e1f2d7dfbf9157674d8f8f10b3ef7beec15d065da8b"
 
 
@@ -202,7 +201,7 @@ def test_grouped_profile_matches_the_per_vertex_loop(n, p, seed, sigma_kind, wei
     g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
     rng = np.random.default_rng(seed)
     lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
-    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2)))).sigma
+    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))))
     if sigma_kind == "low-rank":  # parent blocks of more than two vertices are (near) singular
         x = rng.standard_normal((n, 2))
         sigma = x @ x.T + 10.0 ** rng.uniform(-16, -10) * np.eye(n)
@@ -227,8 +226,8 @@ def test_check_assumptions_trivial_instance():
 
 def test_check_assumptions_scale_invariant():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=9)
-    base = check_assumptions(inst.graph, inst.sigma.sigma, inst.params.lam)
-    scaled = check_assumptions(inst.graph, 7.3 * inst.sigma.sigma, inst.params.lam)
+    base = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+    scaled = check_assumptions(inst.graph, 7.3 * inst.sigma, inst.params.lam)
     assert base.alpha == pytest.approx(scaled.alpha, rel=1e-10)
     assert base.kappa0 == pytest.approx(scaled.kappa0, rel=1e-10)
 
@@ -326,10 +325,10 @@ def test_condition_estimate_matches_directional_derivative():
     w = 0.6
     g = MixedGraph(2, [(0, 1)])
     lam = np.array([[0.0, w], [0.0, 0.0]])
-    sigma = forward_map(g, ParamSet(lam, np.eye(2))).sigma
+    sigma = forward_map(g, ParamSet(lam, np.eye(2)))
     est = estimate_condition_number(g, sigma, 1, [1e-9], seed=0, enforce_tight=True)
     record = est.records[0]
-    eps = sample_perturbation(sigma, PerturbationSpec(1e-9, 1, record_seed(0))).sigma - sigma
+    eps = sample_perturbation(sigma, PerturbationSpec(1e-9, 1, record_seed(0))) - sigma
 
     def recovered(s):
         return recover_all(g, s).lambda_hat[0, 1]
@@ -346,7 +345,7 @@ def record_seed(trial, seed=0, gamma_index=0):
 
 def test_condition_estimate_records_the_vertex_of_failed_draws(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
-    g, sigma = inst.graph, inst.sigma.sigma
+    g, sigma = inst.graph, inst.sigma
     base = recover_all(g, sigma)
     worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
     # A tolerance just inside the base's worst system: draws that raise that
@@ -389,7 +388,7 @@ def test_singular_base_is_reported_before_a_strict_gamma_error():
 
 def test_condition_estimate_within_error_rate_bound():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
-    profile = check_assumptions(inst.graph, inst.sigma.sigma, inst.params.lam)
+    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
     assert stability_premise(profile).holds
     constants = eta_bound(profile, 12, 2, 1e-8)
     bound = condition_bound(constants, profile, 12, 2)
@@ -402,7 +401,7 @@ def test_condition_estimate_within_error_rate_bound():
 
 def test_per_vertex_error_check_small_gamma_passes():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=51)
-    profile = check_assumptions(inst.graph, inst.sigma.sigma, inst.params.lam)
+    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
     constants = eta_bound(profile, 12, 2, 1e-8)
     base = recover_all(inst.graph, inst.sigma).lambda_hat
     for tight in (False, True):
@@ -424,8 +423,8 @@ def test_relative_distance_of_edge_weights_is_the_dense_value_bitwise(n, p, seed
     if not g.source.size:
         return
     lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
-    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2)))).sigma
-    draws = [sample_perturbation(sigma, PerturbationSpec(1e-3, 2, seed + t, strict=False)).sigma for t in range(3)]
+    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))))
+    draws = [sample_perturbation(sigma, PerturbationSpec(1e-3, 2, seed + t, strict=False)) for t in range(3)]
     result = recover_all(g, np.stack([sigma] + draws))
     for t in range(1, 4):
         dense = relative_distance(result.lambda_hat[0], result.lambda_hat[t])
@@ -435,7 +434,7 @@ def test_relative_distance_of_edge_weights_is_the_dense_value_bitwise(n, p, seed
 
 def test_per_vertex_error_check_matches_a_dense_reference(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
-    g, sigma, lam_true = inst.graph, inst.sigma.sigma, inst.params.lam
+    g, sigma, lam_true = inst.graph, inst.sigma, inst.params.lam
     base = recover_all(g, sigma)
     worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
     # As in test_condition_estimate_records_the_vertex_of_failed_draws: some draws fail.
@@ -443,7 +442,7 @@ def test_per_vertex_error_check_matches_a_dense_reference(monkeypatch):
     spec = PerturbationSpec(1e-4, 2, 3, strict=False)
     constants = eta_bound(check_assumptions(g, sigma, lam_true), 12, 2, 1e-8)
     checks = per_vertex_error_check(g, sigma, lam_true, spec, constants, trials=12)
-    draws = [sample_perturbation(sigma, replace(spec, seed=derived_seed(spec.seed, t))).sigma for t in range(12)]
+    draws = [sample_perturbation(sigma, replace(spec, seed=derived_seed(spec.seed, t))) for t in range(12)]
     dense = recover_all(g, np.stack(draws)).lambda_hat
     want = []
     for t in range(12):
