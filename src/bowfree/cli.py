@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", parents=[], help="generate a random instance")
     gen.add_argument("--kind", choices=["bowfree", "layered", "generative", "sdd"], default="generative")
-    gen.add_argument("--n", type=nonnegative_int, required=True)
+    gen.add_argument("--n", type=positive_int, required=True)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--p", type=float, default=0.5)
     gen.add_argument("--mu", type=float, default=None)

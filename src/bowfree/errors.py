@@ -10,19 +10,21 @@ class GraphStructureError(BowfreeError):
 
 
 class CycleError(BowfreeError):
-    """Directed part of the graph is not acyclic."""
+    """Directed part of the graph is not acyclic. ``cycle`` holds 0-based
+    vertices; the message names them 1-based, as the graph files do."""
 
     def __init__(self, cycle):
         self.cycle = list(cycle)
-        super().__init__("directed edges contain the cycle " + " -> ".join(map(str, self.cycle)))
+        super().__init__("directed edges contain the cycle " + " -> ".join(str(v + 1) for v in self.cycle))
 
 
 class BowViolationError(BowfreeError):
-    """A vertex pair carries both a directed and a bidirected edge."""
+    """A vertex pair carries both a directed and a bidirected edge. ``pairs``
+    holds 0-based vertices; the message names them 1-based."""
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
-        super().__init__(f"graph is not bow-free, violating pairs: {self.pairs}")
+        super().__init__(f"graph is not bow-free, violating pairs: {[(u + 1, v + 1) for u, v in self.pairs]}")
 
 
 class PatternError(BowfreeError):
@@ -34,7 +36,8 @@ class DefinitenessError(BowfreeError):
 
 
 class NearSingularError(BowfreeError):
-    """Linear system is numerically singular (identifiability failure)."""
+    """Linear system is numerically singular (identifiability failure).
+    ``vertex`` is 0-based; messages name it 1-based."""
 
     def __init__(self, message, vertex=None):
         self.vertex = vertex

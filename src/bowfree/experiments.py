@@ -98,8 +98,9 @@ def load_dataset(path) -> np.ndarray:
     return data
 
 
-def gene_standin_dataset(m: int = 118, v: int = 13, seed: int = 0) -> np.ndarray:
-    """Shape-compatible synthetic stand-in for the gene-expression matrix.
+def gene_standin_dataset(seed: int = 0) -> np.ndarray:
+    """Shape-compatible synthetic stand-in for the 118 x 13 gene-expression
+    matrix.
 
     Single-pathway expression profiles are strongly co-expressed, so the
     stand-in is a known LSEM with one common driver and unit column
@@ -109,6 +110,7 @@ def gene_standin_dataset(m: int = 118, v: int = 13, seed: int = 0) -> np.ndarray
     """
     from .graphs import MixedGraph
 
+    m, v = 118, 13
     rng = np.random.default_rng(derived_seed(seed, 0))
     driver_edges = [(0, j) for j in range(1, v)]
     g = MixedGraph(v, driver_edges, [])
@@ -316,17 +318,6 @@ def summarise(report: dict) -> dict:
         }
     report["summary"] = summary
     return report
-
-
-def merge_reports(first: dict, second: dict) -> dict:
-    """Merge two reports produced from disjoint graph ranges of one config."""
-    for key in ("schema", "mode"):
-        if first.get(key) != second.get(key):
-            raise ConfigError(f"cannot merge reports with different {key}")
-    merged = dict(first)
-    merged["records"] = first["records"] + second["records"]
-    merged["config"] = dict(first["config"], graphs=first["config"]["graphs"] + second["config"]["graphs"])
-    return summarise(merged)
 
 
 def report_bytes(report: dict) -> bytes:

@@ -19,7 +19,6 @@ from .errors import ConfigError, DefinitenessError
 from .graphs import MixedGraph
 from .lsem import ParamSet, as_matrix, forward_map
 
-C_CONC_DEFAULT = 3.0
 _RETRY_CAP = 1_000_000
 # Largest n x d float64 matrix of unit vectors gen_omega_spherical may hold
 # (1 GiB); d_min grows as k^8 ln(n)^4, past 36 GiB at n=500, k=3.
@@ -53,7 +52,6 @@ class GenerativeConfig:
     k: int
     mu: float
     d: int
-    c_conc: float = C_CONC_DEFAULT
     seed: int = 0
 
     def validate(self):
@@ -226,11 +224,6 @@ def d_min(k: int, n: int, c: float = 1.0) -> int:
     if n < 2:
         raise ConfigError("need n >= 2")
     return math.ceil(c * k**8 * math.log(n) ** 4)
-
-
-def gram_tail_bound(k: int, d: int, c_conc: float = C_CONC_DEFAULT) -> float:
-    """The off-pattern Gram bound k^2 * c / d^0.25 used by the norm tests."""
-    return k**2 * c_conc / d**0.25
 
 
 def sample_observations(sigma, m: int, seed: int) -> np.ndarray:

@@ -9,8 +9,8 @@ A graph is stored as arrays: the directed edges as int64 ``source`` and
 ``target`` sorted by (source, target), their forced weights as the float
 array ``forced`` (NaN for a free edge), and the bidirected pairs as the
 sorted, unique (m, 2) array ``pairs`` of (min, max). Array position is
-edge order everywhere. The per-edge Python views ``directed``,
-``bidirected`` and ``forced_weights`` are built only when read.
+edge order everywhere. Messages name vertices 1-based, as the JSON files
+do; the vertices an exception carries stay 0-based.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class MixedGraph:
     Parameters
     ----------
     n : vertex count; vertices are 0..n-1.
-    directed : iterable of (u, v) or (u, v, weight) or DirectedEdge; a
-        weight of None or NaN marks a free edge.
+    directed : iterable of (u, v) or (u, v, weight); a weight of None or
+        NaN marks a free edge.
     bidirected : iterable of unordered vertex pairs.
 
     ``MixedGraph.from_arrays`` takes the same edges as arrays. Construction
@@ -77,11 +77,7 @@ class MixedGraph:
     """
 
     def __init__(self, n, directed=(), bidirected=()):
-        rows = [
-            (e.source, e.target, e.forced_weight) if isinstance(e, DirectedEdge)
-            else (*e[:2], e[2] if len(e) > 2 else None)
-            for e in directed
-        ]
+        rows = [(*e[:2], e[2] if len(e) > 2 else None) for e in directed]
         source, target, forced = zip(*rows) if rows else ((), (), ())
         self._build(n, source, target, np.array(forced, dtype=float), bidirected)  # None becomes NaN
 
@@ -110,7 +106,7 @@ class MixedGraph:
         for kind, (u, v), dup in (("directed", (source, target), repeat), ("bidirected", pairs.T, False)):
             out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
             for i in np.flatnonzero(out | (u == v) | dup)[:1]:
-                x, y = int(u[i]), int(v[i])
+                x, y = int(u[i]) + 1, int(v[i]) + 1
                 if out[i]:
                     raise GraphStructureError(f"{kind} edge ({x}, {y}) out of range for n={n}")
                 if x == y:
@@ -141,21 +137,12 @@ class MixedGraph:
     def __hash__(self):
         return hash((self.n, self.source.tobytes(), self.target.tobytes(), self.pairs.tobytes()))
 
-    # -- per-edge views, built on first read ------------------------------
-
     @cached_property
     def directed(self) -> tuple[DirectedEdge, ...]:
+        """The directed edges as objects, built on first read. Nothing in the
+        package reads them; the benchmark harness does."""
         weights = [None if math.isnan(w) else w for w in self.forced.tolist()]
         return tuple(map(DirectedEdge, self.source.tolist(), self.target.tolist(), weights))
-
-    @cached_property
-    def bidirected(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.pairs.tolist()))
-
-    @cached_property
-    def forced_weights(self) -> dict[tuple[int, int], float]:
-        idx = np.flatnonzero(~np.isnan(self.forced))
-        return dict(zip(zip(self.source[idx].tolist(), self.target[idx].tolist()), self.forced[idx].tolist()))
 
     # -- adjacency ----------------------------------------------------------
 
@@ -171,17 +158,14 @@ class MixedGraph:
         """Row pointers of the out-edges, which are already sorted by source."""
         return _row_pointers(self.source, self.n).tolist()
 
-    def _check_vertex(self, v):
-        if not (0 <= v < self.n):
-            raise GraphStructureError(f"vertex {v} out of range for n={self.n}")
-
     def in_edges(self, v) -> np.ndarray:
         """Indices of v's in-edges into ``source``, ``target`` and ``forced``,
         by ascending parent; memoised per vertex, as ``parents`` is."""
         try:
             return self._in_edge_memo[v]
         except KeyError:
-            self._check_vertex(v)
+            if not (0 <= v < self.n):
+                raise GraphStructureError(f"vertex {v + 1} out of range for n={self.n}") from None
             order, ptr = self._in
             out = self._in_edge_memo[v] = order[ptr[v] : ptr[v + 1]]
             return out
@@ -192,11 +176,6 @@ class MixedGraph:
         except KeyError:
             out = self._parent_memo[v] = tuple(self.source[self.in_edges(v)].tolist())
             return out
-
-    def children(self, v) -> tuple[int, ...]:
-        self._check_vertex(v)
-        ptr = self._out_ptr
-        return tuple(self.target[ptr[v] : ptr[v + 1]].tolist())
 
     def spa(self, v) -> tuple[int, ...]:
         """Second parents: union of parents of parents of v."""

@@ -86,9 +86,10 @@ def dag_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
     return inv
 
 
-def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
+def check_pattern(g: MixedGraph, params: ParamSet):
     """Raise PatternError when (lam, omega) do not fit g: wrong shapes,
-    non-finite entries, or weight off the zero patterns of g."""
+    non-finite entries, or weight above PATTERN_ATOL off the zero patterns
+    of g. The message names the first offending entry 1-based."""
     lam, omega = params.lam, params.omega
     if lam.shape != (g.n, g.n) or omega.shape != (g.n, g.n):
         raise PatternError(
@@ -98,23 +99,23 @@ def check_pattern(g: MixedGraph, params: ParamSet, atol: float = PATTERN_ATOL):
         raise PatternError("lambda and omega must be finite")
     allowed = np.zeros((g.n, g.n), dtype=bool)
     allowed[g.source, g.target] = True
-    off = np.abs(lam) > atol
+    off = np.abs(lam) > PATTERN_ATOL
     if np.any(off & ~allowed):
-        where = np.argwhere(off & ~allowed)
+        where = np.argwhere(off & ~allowed) + 1
         raise PatternError(f"lambda has weight on non-edges, e.g. {tuple(where[0].tolist())}")
 
-    if not np.allclose(omega, omega.T, atol=atol):
+    if not np.allclose(omega, omega.T, atol=PATTERN_ATOL):
         raise PatternError("omega must be symmetric")
     allowed_om = np.eye(g.n, dtype=bool)
     us, vs = g.pairs.T
     allowed_om[us, vs] = allowed_om[vs, us] = True
-    off_om = np.abs(omega) > atol
+    off_om = np.abs(omega) > PATTERN_ATOL
     if np.any(off_om & ~allowed_om):
-        where = np.argwhere(off_om & ~allowed_om)
+        where = np.argwhere(off_om & ~allowed_om) + 1
         raise PatternError(f"omega is nonzero off the bidirected pattern, e.g. {tuple(where[0].tolist())}")
 
 
-def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> np.ndarray:
+def forward_map(g: MixedGraph, params: ParamSet) -> np.ndarray:
     """Observational covariance of the model (lam, omega) on graph g.
 
     Verifies the zero patterns and that omega is positive semidefinite,
@@ -122,15 +123,14 @@ def forward_map(g: MixedGraph, params: ParamSet, check: bool = True) -> np.ndarr
     ``dag_inverse`` and symmetrizes the result. Eigenvalues are computed
     only when Cholesky fails, as for a singular semidefinite omega.
     """
-    if check:
-        check_pattern(g, params)
-        omega = symmetrize(params.omega)
-        try:
-            np.linalg.cholesky(omega)
-        except np.linalg.LinAlgError:
-            eigs = np.linalg.eigvalsh(omega)
-            if eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
-                raise DefinitenessError("omega must be positive semidefinite") from None
+    check_pattern(g, params)
+    omega = symmetrize(params.omega)
+    try:
+        np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(omega)
+        if eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
+            raise DefinitenessError("omega must be positive semidefinite") from None
     inv = dag_inverse(g, params.lam)
     return symmetrize(inv.T @ params.omega @ inv)
 
@@ -147,11 +147,13 @@ def recover_omega(g: MixedGraph, lam: np.ndarray, sigma) -> np.ndarray:
 
 def project_omega_pattern(
     omega_hat: np.ndarray,
-    bidirected: frozenset | set,
+    pairs: np.ndarray,
     tol: float = 1e-10,
     max_iters: int = 10_000,
 ) -> np.ndarray:
-    """Alternating projections onto the zero-pattern subspace and the PSD cone.
+    """Alternating projections onto the zero-pattern subspace, the diagonal
+    plus the (m, 2) integer array ``pairs`` of bidirected edges, and the
+    PSD cone.
 
     Stops when successive iterates differ by less than ``tol`` in Frobenius
     norm; raises ConvergenceError (carrying the last iterate) otherwise.
@@ -159,8 +161,8 @@ def project_omega_pattern(
     x = symmetrize(np.asarray(omega_hat, dtype=float))
     n = x.shape[0]
     mask = np.eye(n, dtype=bool)
-    for u, v in bidirected:
-        mask[u, v] = mask[v, u] = True
+    us, vs = np.asarray(pairs).T
+    mask[us, vs] = mask[vs, us] = True
 
     for _ in range(max_iters):
         masked = np.where(mask, x, 0.0)

@@ -87,7 +87,6 @@ class RecoveryResult:
     graph: MixedGraph = field(repr=False, compare=False)
     weights: np.ndarray  # (..., |E|) in the graph's edge order
     per_vertex: dict[int, VertexDiagnostics] = field(default_factory=dict)
-    forced_edges_respected: bool = True
     # Stacks only: per trial, the first vertex (in recovery order) whose
     # system was near-singular, or -1 when the trial recovered.
     failed_vertex: np.ndarray | None = None
@@ -122,7 +121,7 @@ def source_vertex(g: MixedGraph, v: int) -> int:
     seen = set()
     while g.parents(v) and not g.free_in_degree[v]:
         if v in seen:
-            raise OrderingError(f"forced-edge chain through vertex {v} is cyclic")
+            raise OrderingError(f"forced-edge chain through vertex {v + 1} is cyclic")
         seen.add(v)
         v = g.parents(v)[0]
     return v
@@ -205,7 +204,7 @@ def _solve(a, b, vertex):
     singular = s_min <= SING_TOL * s_max
     if singular.ndim == 0 and singular:
         raise NearSingularError(
-            f"vertex {vertex}: system is numerically singular "
+            f"vertex {vertex + 1}: system is numerically singular "
             f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})",
             vertex=vertex,
         )
@@ -230,7 +229,7 @@ def recover_first_layers(g: MixedGraph, sigma, v: int):
     """Closed form for vertices without grandparents,
     sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
     if g.spa(v):
-        raise OrderingError(f"vertex {v} has grandparents; use the general system")
+        raise OrderingError(f"vertex {v + 1} has grandparents; use the general system")
     sig = _gatherable(sigma)
     pa = np.array(g.parents(v), dtype=int)
     return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], v)
@@ -254,8 +253,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
 
-    forced = ~np.isnan(g.forced)
-    recovered = np.broadcast_to(np.where(forced, g.forced, 0.0), sig.shape[:-2] + g.forced.shape).copy()
+    recovered = np.broadcast_to(np.where(np.isnan(g.forced), 0.0, g.forced), sig.shape[:-2] + g.forced.shape).copy()
     failed = np.full(sig.shape[:-2], -1)
 
     per_vertex: dict[int, VertexDiagnostics] = {}
@@ -270,7 +268,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
         singular = ~np.isfinite(residual)
         if singular.any():
             if sig.ndim == 2:
-                raise NearSingularError(f"vertex {v}: solve gave non-finite values", vertex=v)
+                raise NearSingularError(f"vertex {v + 1}: solve gave non-finite values", vertex=v)
             failed[singular & (failed < 0)] = v
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
@@ -279,11 +277,10 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
             residual, condition = float(residual), float(condition)
         per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
 
-    forced_ok = bool(np.all(recovered[..., forced] == g.forced[forced]))
     if sig.ndim == 2:
-        return RecoveryResult(g, recovered, per_vertex, forced_ok)
+        return RecoveryResult(g, recovered, per_vertex)
     recovered[failed >= 0] = np.nan
-    return RecoveryResult(g, recovered, per_vertex, forced_ok, failed)
+    return RecoveryResult(g, recovered, per_vertex, failed)
 
 
 def recover_many(g: MixedGraph, covariances):
@@ -308,7 +305,7 @@ def recover_full_params(g: MixedGraph, sigma) -> ParamSet:
     """Full parameter recovery: weights, implied noise covariance, pattern
     projection."""
     lam = recover_all(g, sigma).lambda_hat
-    return ParamSet(lam, project_omega_pattern(recover_omega(g, lam, sigma), g.bidirected))
+    return ParamSet(lam, project_omega_pattern(recover_omega(g, lam, sigma), g.pairs))
 
 
 def recovery_to_dict(result: RecoveryResult) -> dict:
@@ -323,5 +320,4 @@ def recovery_to_dict(result: RecoveryResult) -> dict:
             }
             for v, d in sorted(result.per_vertex.items())
         },
-        "forced_edges_respected": result.forced_edges_respected,
     }

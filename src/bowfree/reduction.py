@@ -35,6 +35,8 @@ from .graphs import MixedGraph, graph_to_dict
 from .lsem import ReducedCovariance, as_matrix, save_matrix_csv
 from .recovery import build_system, recover_all
 
+VERIFY_TOL = 1e-8  # absolute
+
 
 @dataclass(frozen=True)
 class GadgetSpec:
@@ -50,10 +52,6 @@ class GadgetSpec:
         """The gadget's new vertices are the ids first..collector, stage by stage."""
         return self.collector - sum(map(len, self.inner_layers))
 
-    @property
-    def new_vertices(self) -> tuple[int, ...]:
-        return tuple(range(self.first, self.collector + 1))
-
 
 @dataclass(frozen=True)
 class ReductionOutput:
@@ -65,35 +63,21 @@ class ReductionOutput:
     gadgets: tuple[GadgetSpec, ...]
 
 
-class _IdAllocator:
-    def __init__(self, start: int, capacity: int):
-        self.next_id = start
-        self.capacity = capacity
-
-    def take(self, count: int) -> int:
-        """First of ``count`` consecutive fresh ids."""
-        if self.next_id + count > self.capacity:
-            raise ConfigError("vertex id allocator exhausted")
-        first = self.next_id
-        self.next_id += count
-        return first
-
-
-def build_gadgets(heads, tails, qs, r: int, allocator: _IdAllocator):
+def build_gadgets(heads, tails, qs, r: int, start: int):
     """Create the forced-weight path structures for replaced edges.
 
     Gadget i replaces heads[i] -> tails[i] and takes the next consecutive
-    block of ids. Returns (specs, (source, target, forced)), the edges as
-    arrays with NaN marking each free collector -> tail edge. q >= 1 builds
-    q inner stages (widths r, ..., r, r^2) feeding the collector through
-    1/r weights; q = 0 wires the head straight to the collector at forced
-    weight 1.
+    block of ids from ``start`` on, so the last collector is the largest id.
+    Returns (specs, (source, target, forced)), the edges as arrays with NaN
+    marking each free collector -> tail edge. q >= 1 builds q inner stages
+    (widths r, ..., r, r^2) feeding the collector through 1/r weights;
+    q = 0 wires the head straight to the collector at forced weight 1.
     """
     heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
     if (qs < 0).any() or r < 1:
         raise ConfigError(f"invalid gadget parameters q={qs.tolist()}, r={r}")
     sizes = np.where(qs > 0, (qs - 1) * r + r * r, 0) + 1
-    firsts = allocator.take(int(sizes.sum())) + np.cumsum(sizes) - sizes
+    firsts = start + np.cumsum(sizes) - sizes
     specs, edges = [None] * heads.size, [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for q in sorted(set(qs.tolist())):
         # One edge template, in ids relative to a gadget's first id with -1
@@ -134,9 +118,8 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     if not skip.any():
         return g, (), r
 
-    allocator = _IdAllocator(g.n, max(g.n**6, g.n + 1))
     heads, tails = g.source[skip], g.target[skip]  # in (head, tail) order, as edges are
-    gadgets, (source, target, forced) = build_gadgets(heads, tails, span[skip] - 2, r, allocator)
+    gadgets, (source, target, forced) = build_gadgets(heads, tails, span[skip] - 2, r, g.n)
     collectors = np.array([spec.collector for spec in gadgets])
 
     # Collector c mirrors each bidirected partner w of its head and tail;
@@ -145,7 +128,7 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     partner[g.pairs[:, 0], g.pairs[:, 1]] = partner[g.pairs[:, 1], g.pairs[:, 0]] = True
     gadget, w = np.nonzero(partner[heads] | partner[tails])
     g_prime = MixedGraph.from_arrays(
-        allocator.next_id,
+        gadgets[-1].collector + 1,
         np.concatenate([g.source[~skip], source]),
         np.concatenate([g.target[~skip], target]),
         np.concatenate([np.full(np.count_nonzero(~skip), np.nan), forced]),
@@ -223,13 +206,9 @@ def _edge_weights(g: MixedGraph, weights: np.ndarray, u: np.ndarray, v: np.ndarr
     return np.where(keys[pos] == want, weights[..., pos], 0.0)
 
 
-def verify_reduction(
-    g: MixedGraph,
-    sigma,
-    red: ReductionOutput,
-    tol: float = 1e-8,
-) -> ReductionReport:
-    """Itemized checks that the reduction preserves structure and recovery."""
+def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionReport:
+    """Itemized checks that the reduction preserves structure and recovery,
+    the latter to VERIFY_TOL in weights and system entries."""
     notes = []
     bow_free = not red.g_prime.bow_violations()
     layered = red.g_prime.is_k_layered()
@@ -257,9 +236,10 @@ def verify_reduction(
     want = _edge_weights(g, base.weights, heads, tails)
     err = np.abs(got - want)
     max_err = float(np.fmax.reduce(err, initial=0.0))  # NaN-blind, as max()
-    collector_ok = not (err > tol).any()
-    for h, t, a, b in zip(heads[err > tol], tails[err > tol], got[err > tol], want[err > tol]):
-        notes.append(f"gadget {h}->{t}: recovered {a:.12g}, expected {b:.12g}")
+    bad = err > VERIFY_TOL
+    collector_ok = not bad.any()
+    for h, t, a, b in zip(heads[bad], tails[bad], got[bad], want[bad]):
+        notes.append(f"gadget {h + 1}->{t + 1}: recovered {a:.12g}, expected {b:.12g}")
 
     mismatched = []
     head = _gadget_heads(red.g_prime.n, red.gadgets)
@@ -272,8 +252,8 @@ def verify_reduction(
         a_new = new.a_matrix[np.ix_(order, order)]
         b_new = new.b_vector[order]
         if not (
-            np.allclose(orig.a_matrix, a_new, atol=tol, rtol=0.0)
-            and np.allclose(orig.b_vector, b_new, atol=tol, rtol=0.0)
+            np.allclose(orig.a_matrix, a_new, atol=VERIFY_TOL, rtol=0.0)
+            and np.allclose(orig.b_vector, b_new, atol=VERIFY_TOL, rtol=0.0)
         ):
             mismatched.append(v)
     systems_match = not mismatched

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,15 +258,9 @@ class ErrorRateConstants:
         return {"eta": self.eta, "tau": self.tau, "c_quad": self.c_quad, "premise_ok": self.premise_ok}
 
 
-def eta_bound(
-    profile: AssumptionProfile,
-    n: int,
-    k: int,
-    gamma: float,
-    rel_tol: float = 1e-12,
-    max_iters: int = 100,
-) -> ErrorRateConstants:
-    """Iterate the error-rate fixed point to convergence.
+def eta_bound(profile: AssumptionProfile, n: int, k: int, gamma: float) -> ErrorRateConstants:
+    """Iterate the error-rate fixed point until successive iterates agree to
+    1e-12 relative, in at most 100 iterations.
 
     The equation solved is
 
@@ -300,13 +294,13 @@ def eta_bound(
         return numer + c_quad * gamma, tau, c_quad
 
     eta = 0.0
-    for _ in range(max_iters):
+    for _ in range(100):
         numer, tau, c_quad = rhs(eta)
         eta_next = numer / d_lin
-        if abs(eta_next - eta) <= rel_tol * max(abs(eta_next), 1e-300):
+        if abs(eta_next - eta) <= 1e-12 * max(abs(eta_next), 1e-300):
             return ErrorRateConstants(eta_next, k * eta_next / n**2, rhs(eta_next)[2], True)
         eta = eta_next
-    raise ConvergenceError(f"error-rate fixed point did not converge in {max_iters} iterations")
+    raise ConvergenceError("error-rate fixed point did not converge in 100 iterations")
 
 
 def condition_bound(constants: ErrorRateConstants, profile: AssumptionProfile, n: int, k: int) -> float:
@@ -409,46 +403,3 @@ def estimate_condition_number(
         records.append(ConditionTrial(gamma, t, ratio, rel_sig, rel_lam, False))
     failures = sum(rec.failed for rec in records)
     return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))
-
-
-@dataclass(frozen=True)
-class VertexErrorCheck:
-    vertex: int
-    trial: int
-    error: float | None
-    bound: float
-    passed: bool | None  # None when the trial's recovery failed
-
-
-def per_vertex_error_check(
-    g: MixedGraph,
-    sigma,
-    lambda_true: np.ndarray,
-    spec: PerturbationSpec,
-    constants: ErrorRateConstants,
-    trials: int = 1,
-) -> list[VertexErrorCheck]:
-    """Per-vertex check that recovered-weight perturbations stay within
-    eta * gamma in 2-norm, for every vertex with parents; trials are
-    recovered together through recover_many."""
-    sig = as_matrix(sigma)
-    lam_true = np.asarray(lambda_true, dtype=float)
-    bound = constants.eta * spec.gamma
-
-    def perturbed():
-        for t in range(trials):
-            trial_spec = replace(spec, seed=derived_seed(spec.seed, t))
-            yield sample_perturbation(sig, trial_spec)
-
-    out = []
-    for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed())):
-        for v in range(g.n):
-            pa = list(g.parents(v))
-            if not pa:
-                continue
-            if failed >= 0:
-                out.append(VertexErrorCheck(v, t, None, bound, None))
-                continue
-            err = float(np.linalg.norm(lam_true[pa, v] - recovered[g.in_edges(v)]))
-            out.append(VertexErrorCheck(v, t, err, bound, err <= bound))
-    return out

@@ -15,18 +15,18 @@ from bowfree.generators import d_min, gen_generative_instance, gen_random_bowfre
 from bowfree.generators import RandomGraphConfig, SDDNoiseConfig, gen_lambda_range, gen_omega_sdd
 from bowfree.lsem import ParamSet, forward_map
 from bowfree.recovery import recover_all
-from bowfree.reduction import reduce_instance, verify_reduction
+from bowfree.reduction import VERIFY_TOL, reduce_instance, verify_reduction
 from bowfree.robustness import (
     PerturbationSpec,
     check_assumptions,
     condition_bound,
     estimate_condition_number,
     eta_bound,
-    per_vertex_error_check,
     stability_premise,
 )
 
 import test_numeric_props as numeric_props
+from helpers import per_vertex_error_check
 
 
 def _report(index, name, ok, detail, elapsed, budget):
@@ -169,6 +169,7 @@ def test_criterion_4_generative_assumption_prevalence():
 
 
 def test_criterion_5_reduction_correctness():
+    assert VERIFY_TOL == 1e-8  # the tolerance verify_reduction checks systems and weights to
     start = time.monotonic()
     worst = 0.0
     for seed in range(100):
@@ -181,7 +182,7 @@ def test_criterion_5_reduction_correctness():
         assert red.g_prime.bow_violations() == []
         assert red.g_prime.is_k_layered()
         assert red.g_prime.n <= n**6
-        report = verify_reduction(g, sigma, red, tol=1e-8)
+        report = verify_reduction(g, sigma, red)
         assert report.all_ok, (seed, report)
         worst = max(worst, report.max_weight_error)
     elapsed = time.monotonic() - start

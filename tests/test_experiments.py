@@ -15,12 +15,12 @@ from bowfree.experiments import (
     ExperimentConfig,
     gene_standin_dataset,
     load_dataset,
-    merge_reports,
     report_bytes,
     run_assumption_survey,
     run_experiment,
     run_gene_style,
     run_simulated,
+    summarise,
     summary_csv_lines,
     write_report,
 )
@@ -146,6 +146,17 @@ def test_reports_are_byte_identical():
     a = report_bytes(run_experiment(cfg))
     b = report_bytes(run_experiment(cfg))
     assert a == b
+
+
+def merge_reports(first: dict, second: dict) -> dict:
+    """Merge two reports produced from disjoint graph ranges of one config."""
+    for key in ("schema", "mode"):
+        if first.get(key) != second.get(key):
+            raise ConfigError(f"cannot merge reports with different {key}")
+    merged = dict(first)
+    merged["records"] = first["records"] + second["records"]
+    merged["config"] = dict(first["config"], graphs=first["config"]["graphs"] + second["config"]["graphs"])
+    return summarise(merged)
 
 
 def test_merge_matches_single_run():
@@ -303,7 +314,7 @@ def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
         "nan-weight": f"bowfree: {path}: parameters have non-finite entries",
         "wrong-shape": "bowfree: parameter shapes (2, 2), (2, 2) do not match n=8",
         "graph-json": f"bowfree: {path}: malformed parameter document: 'lambda'",
-        "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (7, 0)",
+        "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (8, 1)",
     }[bad]]
     assert not report.exists()
 
@@ -439,7 +450,7 @@ def test_cli_condition_singular_base_beats_strict_gamma(tmp_path, capsys):
                  "--seed", "1", "--out", str(tmp_path / "o.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("bowfree: numerical failure: vertex 2: system is numerically singular (sigma_min=")
+    assert err.startswith("bowfree: numerical failure: vertex 3: system is numerically singular (sigma_min=")
 
 
 @pytest.mark.parametrize("command", ["recover", "condition", "reduce"])
@@ -465,7 +476,7 @@ def test_cli_rejects_non_finite_or_non_square_covariance(tmp_path, capsys, comma
 @pytest.mark.parametrize("command", ["recover", "condition"])
 def test_cli_non_finite_solve_exits_2(tmp_path, capsys, command):
     # Finite positive semidefinite inputs whose solves overflow: weight
-    # 1e-10 / 1e-320 of vertex 1, and of vertex 2, whose grandparent has
+    # 1e-10 / 1e-320 of vertex 2, and of vertex 3, whose grandparent has
     # weight 0. Unchecked, such solves put Infinity or NaN into the report
     # and exited 0.
     graph = tmp_path / "g.json"
@@ -473,7 +484,7 @@ def test_cli_non_finite_solve_exits_2(tmp_path, capsys, command):
     sigma = tmp_path / "s.csv"
     out = tmp_path / "o.json"
     extra = ["--seed", "1"] if command == "condition" else []
-    for text, vertex in (("1e-320,1e-10,0\n1e-10,1e301,0\n0,0,1\n", 1), ("1,0,0\n0,1e-320,1e-10\n0,1e-10,1e301\n", 2)):
+    for text, vertex in (("1e-320,1e-10,0\n1e-10,1e301,0\n0,0,1\n", 2), ("1,0,0\n0,1e-320,1e-10\n0,1e-10,1e301\n", 3)):
         sigma.write_text(text)
         assert main([command, "--graph", str(graph), "--sigma", str(sigma), "--out", str(out)] + extra) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -540,6 +551,42 @@ def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, messa
     assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
     prefix = f"{graph}: " if message.startswith("not valid") else ""
     assert capsys.readouterr().err.splitlines() == [f"bowfree: {prefix}{message}"]
+
+
+_PATH2 = {"n": 2, "directed": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "graph, params, message",
+    [
+        ({"n": 2, "directed": [[1, 1]]}, None, "self-loop (1, 1) not allowed"),
+        ({"n": 2, "directed": [[0, 2]]}, None, "directed edge (0, 2) out of range for n=2"),
+        ({"n": 2, "directed": [[1, 2], [1, 2]]}, None, "duplicate directed edge (1, 2)"),
+        ({"n": 2, "bidirected": [[2, 3]]}, None, "bidirected edge (2, 3) out of range for n=2"),
+        ({**_PATH2, "bidirected": [[1, 2]]}, None, "graph is not bow-free, violating pairs: [(1, 2)]"),
+        ({"n": 3, "directed": [[1, 2], [2, 3], [3, 1]]}, None, "directed edges contain the cycle 2 -> 3 -> 1 -> 2"),
+        (_PATH2, {"lambda": [[0, 0.5], [0.5, 0]], "omega": [[1, 0], [0, 1]]},
+         "lambda has weight on non-edges, e.g. (2, 1)"),
+        (_PATH2, {"lambda": [[0, 0.5], [0, 0]], "omega": [[1, 0.3], [0.3, 1]]},
+         "omega is nonzero off the bidirected pattern, e.g. (1, 2)"),
+    ],
+    ids=["self-loop", "out-of-range", "duplicate", "bidirected-out-of-range", "bow", "cycle", "lambda-pattern",
+         "omega-pattern"],
+)
+def test_cli_messages_name_vertices_1_based(tmp_path, capsys, graph, params, message):
+    # The files are 1-based; the messages named the same vertices 0-based.
+    graph_path, sigma, out = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "o.json"
+    graph_path.write_text(json.dumps(graph))
+    np.savetxt(sigma, 2.0 * np.eye(graph["n"]), delimiter=",")
+    argv = ["--graph", str(graph_path), "--sigma", str(sigma), "--out", str(out)]
+    if params is None:
+        argv = ["recover", *argv]
+    else:
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        argv = ["check", "--params", str(tmp_path / "p.json"), *argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["recover", "condition", "check", "reduce"])
@@ -626,15 +673,20 @@ def test_cli_condition_rejects_a_non_finite_gamma(tmp_path, capsys, gamma):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("command", [["generate", "--kind", "sdd"], ["experiment", "--mode", "simulated"]],
-                         ids=["generate", "experiment"])
-def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, n, low",
+    [(["generate", "--kind", "sdd"], "-3", 1), (["generate", "--kind", "sdd"], "0", 1),
+     (["experiment", "--mode", "simulated"], "-3", 0)],
+    ids=["generate", "generate-zero", "experiment"],
+)
+def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys, command, n, low):
+    # generate --n 0 wrote a sigma.csv that every command then rejected
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--n", "-3", "--seed", "1", "--out" if command[0] == "experiment" else "--out-dir",
+        main(command + ["--n", n, "--seed", "1", "--out" if command[0] == "experiment" else "--out-dir",
                         str(tmp_path / "out")])
     assert exc.value.code == 64
     last_line = capsys.readouterr().err.splitlines()[-1]
-    assert last_line == f"bowfree {command[0]}: error: argument --n: must be at least 0, got -3"
+    assert last_line == f"bowfree {command[0]}: error: argument --n: must be at least {low}, got {n}"
     assert not (tmp_path / "out").exists()
 
 

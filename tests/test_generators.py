@@ -19,17 +19,23 @@ from bowfree.generators import (
     gen_omega_sdd,
     gen_omega_spherical,
     gen_random_bowfree_graph,
-    gram_tail_bound,
     sample_observations,
 )
 from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.linalg import snorm
 
+C_CONC_DEFAULT = 3.0
+
+
+def gram_tail_bound(k: int, d: int, c_conc: float = C_CONC_DEFAULT) -> float:
+    """The off-pattern Gram bound k^2 * c / d^0.25 used by the norm tests."""
+    return k**2 * c_conc / d**0.25
+
 
 def test_random_graph_p_zero_has_no_directed_edges():
     g = gen_random_bowfree_graph(RandomGraphConfig(8, 0.0, seed=1))
     assert g.directed == ()
-    assert len(g.bidirected) >= 1
+    assert len(g.pairs) >= 1
 
 
 def test_random_graph_p_one_is_complete_dag():
@@ -177,7 +183,7 @@ def test_omega_sdd_diagonally_dominant_and_pd():
         off = np.abs(omega).sum(axis=1) - np.abs(np.diag(omega))
         assert np.all(np.diag(omega) >= off)
         assert np.linalg.eigvalsh(omega)[0] > 0
-        allowed = {(u, v) for u, v in g.bidirected} | {(v, u) for u, v in g.bidirected}
+        allowed = {(u, v) for u, v in g.pairs.tolist()} | {(v, u) for u, v in g.pairs.tolist()}
         nz = {(int(i), int(j)) for i, j in np.argwhere(omega != 0) if i != j}
         assert nz <= allowed
 

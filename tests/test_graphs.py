@@ -71,7 +71,7 @@ def test_layer_decomposition_no_edges():
 def test_parents_spa_children(chain3):
     assert chain3.parents(2) == (1,)
     assert chain3.spa(2) == (0,)
-    assert chain3.children(0) == (1,)
+    assert chain3.target[chain3.source == 0].tolist() == [1]  # children, as out-edges sort by source
     assert chain3.parents(0) == ()
     assert chain3.spa(0) == ()
 
@@ -136,7 +136,7 @@ def test_json_round_trip(tmp_path, chain3):
     forced = MixedGraph(2, [(0, 1, 0.5)])
     doc = graph_to_dict(forced)
     assert doc["directed"] == [[1, 2, 0.5]]
-    assert graph_from_dict(doc).forced_weights == {(0, 1): 0.5}
+    assert graph_from_dict(doc).forced.tolist() == [0.5]
 
 
 def test_malformed_json_document():
@@ -175,7 +175,7 @@ def test_cached_structure_agrees_with_a_fresh_graph():
     graphs += [MixedGraph(3, [(0, 1), (1, 2)], [(0, 2)]), MixedGraph(3, [(0, 1), (1, 2)], [(1, 2)])]
     for g in graphs:
         g.layer_decomposition(), g.bow_violations()  # fill the caches
-        fresh = MixedGraph(g.n, g.directed, g.bidirected)
+        fresh = MixedGraph.from_arrays(g.n, g.source, g.target, g.forced, g.pairs)
         assert g.is_k_layered() == fresh.is_k_layered()
         np.testing.assert_array_equal(g.layer_decomposition(), fresh.layer_decomposition())
         assert _bow_outcome(g) == _bow_outcome(fresh)
@@ -193,17 +193,17 @@ def _reference(n, directed, bidirected):
     if n < 0:
         raise GraphStructureError(f"vertex count must be nonnegative, got {n}")
 
-    def check_pair(u, v, kind):
+    def check_pair(u, v, kind):  # messages name vertices 1-based
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphStructureError(f"{kind} edge ({u}, {v}) out of range for n={n}")
+            raise GraphStructureError(f"{kind} edge ({u + 1}, {v + 1}) out of range for n={n}")
         if u == v:
-            raise GraphStructureError(f"self-loop ({u}, {v}) not allowed")
+            raise GraphStructureError(f"self-loop ({u + 1}, {v + 1}) not allowed")
 
     weights = {}
     for u, v, w in directed:
         check_pair(u, v, "directed")
         if (u, v) in weights:
-            raise GraphStructureError(f"duplicate directed edge ({u}, {v})")
+            raise GraphStructureError(f"duplicate directed edge ({u + 1}, {v + 1})")
         weights[u, v] = w
     pairs = set()
     for u, v in bidirected:
@@ -253,20 +253,23 @@ def _observed(g):
     except CycleError as exc:
         cycle = exc.cycle
         assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
-        assert all(b in g.children(a) for a, b in zip(cycle, cycle[1:]))
+        edges = set(zip(g.source.tolist(), g.target.tolist()))
+        assert all((a, b) in edges for a, b in zip(cycle, cycle[1:]))
         with pytest.raises(CycleError):
             g.layer_decomposition()
         order = None
     acyclic = order is not None
     return {
         "parents": [g.parents(v) for v in range(g.n)],
-        "children": [g.children(v) for v in range(g.n)],
+        "children": [tuple(g.target[g.source == v].tolist()) for v in range(g.n)],
         "order": order,
         "layer_of": tuple(g.layer_decomposition().tolist()) if acyclic else None,
         "k_layered": g.is_k_layered() if acyclic else None,
         "free_vertices": list(g.free_vertices) if acyclic else None,
         "bows": g.bow_violations(),
-        "forced": g.forced_weights,
+        "forced": {
+            (u, v): w for u, v, w in zip(g.source.tolist(), g.target.tolist(), g.forced.tolist()) if not np.isnan(w)
+        },
         "doc": graph_to_dict(g),
     }
 
@@ -332,6 +335,6 @@ def test_array_core_matches_the_per_edge_reference(inputs):
             assert got == want
             continue
         assert _observed(got) == want
-        assert got == MixedGraph(n, got.directed, got.bidirected)
+        assert got == MixedGraph.from_arrays(n, got.source, got.target, got.forced, got.pairs)
         assert graph_from_dict(graph_to_dict(got)) == got
         assert hash(graph_from_dict(graph_to_dict(got))) == hash(got)

@@ -12,7 +12,7 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
 )
 from bowfree.graphs import MixedGraph
-from bowfree.linalg import snorm
+from bowfree.linalg import snorm, symmetrize
 from bowfree.lsem import (
     ParamSet,
     dag_inverse,
@@ -101,8 +101,8 @@ def test_forward_map_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
     lam = np.zeros((3, 3))
     lam[0, 1] = 0.5
     definite = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.3], [0.5, 0.3, 1.0]])
-    np.testing.assert_array_equal(forward_map(g, ParamSet(lam, definite)),
-                                  forward_map(g, ParamSet(lam, definite), check=False))
+    inv = dag_inverse(g, lam)  # the congruence without the checks
+    np.testing.assert_array_equal(forward_map(g, ParamSet(lam, definite)), symmetrize(inv.T @ definite @ inv))
     assert calls == []
     # Singular but semidefinite (rank 1): Cholesky fails, the eigenvalues accept it.
     singular = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
@@ -191,13 +191,13 @@ def test_recover_omega_perturbation_norm_bound(rng):
 
 def test_project_omega_feasible_fixed_point():
     omega = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    out = project_omega_pattern(omega, {(0, 1)})
+    out = project_omega_pattern(omega, np.array([[0, 1]]))
     np.testing.assert_allclose(out, omega, atol=1e-9)
 
 
 def test_project_omega_masks_and_keeps_psd():
     omega = np.array([[1.0, 0.1], [0.1, 1.0]])
-    out = project_omega_pattern(omega, set())
+    out = project_omega_pattern(omega, np.zeros((0, 2), dtype=int))
     np.testing.assert_allclose(np.diag(out), [1.0, 1.0], atol=1e-9)
     assert abs(out[0, 1]) <= 1e-12
     assert np.linalg.eigvalsh(out)[0] >= -1e-12
@@ -206,7 +206,7 @@ def test_project_omega_masks_and_keeps_psd():
 def test_project_omega_clips_rank_deficient(rng):
     a = rng.standard_normal((4, 2))
     low_rank = a @ a.T - 0.5 * np.eye(4)  # indefinite
-    full = {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    full = np.argwhere(np.triu(np.ones((4, 4), dtype=bool), k=1))
     out = project_omega_pattern(low_rank, full, tol=1e-10)
     assert np.linalg.eigvalsh(out)[0] >= -1e-10
     # eigenvalue-clip oracle: with the full pattern one clip step suffices
@@ -218,7 +218,7 @@ def test_project_omega_clips_rank_deficient(rng):
 def test_project_omega_convergence_error():
     omega = np.array([[1.0, 0.9], [0.9, 1.0]])
     with pytest.raises(ConvergenceError) as err:
-        project_omega_pattern(omega, set(), tol=1e-14, max_iters=1)
+        project_omega_pattern(omega, np.zeros((0, 2), dtype=int), tol=1e-14, max_iters=1)
     assert err.value.last_iterate is not None
 
 

@@ -164,10 +164,11 @@ def test_recover_all_no_edges():
 def test_recover_all_forced_pass_through():
     g = MixedGraph(3, [(0, 1, 0.25), (1, 2)], [])
     lam = np.array([[0.0, 0.25, 0.0], [0.0, 0.0, 0.6], [0.0, 0.0, 0.0]])
-    sigma = forward_map(g, ParamSet(lam, np.eye(3)), check=False)
+    sigma = forward_map(g, ParamSet(lam, np.eye(3)))
     result = recover_all(g, sigma)
     assert result.lambda_hat[0, 1] == 0.25
-    assert result.forced_edges_respected
+    forced = ~np.isnan(g.forced)
+    assert np.all(result.weights[..., forced] == g.forced[forced])
     np.testing.assert_allclose(result.lambda_hat, lam, atol=1e-10)
 
 
@@ -191,7 +192,7 @@ def test_recover_full_params_zero_lambda():
     omega[0, 1] = omega[1, 0] = 0.4
     sigma = forward_map(g, ParamSet(np.zeros((3, 3)), omega))
     params = recover_full_params(g, sigma)
-    projected = project_omega_pattern(sigma, g.bidirected)
+    projected = project_omega_pattern(sigma, g.pairs)
     np.testing.assert_allclose(params.omega, projected, atol=1e-9)
 
 
@@ -217,7 +218,7 @@ def test_layer_monotone_recovery_reads_lower_layers_only():
 def test_recovery_to_dict_schema():
     g, lam, sigma = _chain3_sigma()
     payload = recovery_to_dict(recover_all(g, sigma))
-    assert set(payload) == {"lambda", "diagnostics", "forced_edges_respected"}
+    assert set(payload) == {"lambda", "diagnostics"}
     assert set(payload["diagnostics"]) == {"2", "3"}
     assert set(payload["diagnostics"]["2"]) == {"residual", "condition", "partial_form"}
 
@@ -308,7 +309,8 @@ def test_stack_diagnostics_are_per_trial():
         single = recover_all(inst.graph, stack[1]).per_vertex[v]
         assert diag.condition[1] == pytest.approx(single.condition, rel=1e-12)
         assert diag.used_partial_form == single.used_partial_form
-    assert batched.forced_edges_respected
+    forced = ~np.isnan(inst.graph.forced)
+    assert np.all(batched.weights[..., forced] == inst.graph.forced[forced])
 
 
 def test_recover_vertex_masks_singular_trials_of_a_stack():
@@ -370,7 +372,7 @@ def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():
     g = MixedGraph(3, [(0, 1), (1, 2)])
     sigma = 2.0 * np.eye(3)
     sigma[1, 2] = sigma[2, 1] = np.nan
-    with pytest.raises(NearSingularError, match="vertex 2: solve gave non-finite values") as exc:
+    with pytest.raises(NearSingularError, match="vertex 3: solve gave non-finite values") as exc:
         recover_all(g, sigma)
     assert exc.value.vertex == 2
     result = recover_all(g, np.stack([2.0 * np.eye(3), sigma]))

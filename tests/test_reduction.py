@@ -19,7 +19,6 @@ from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.lsem import ParamSet, ReducedCovariance, dag_inverse, forward_map
 from bowfree.recovery import build_system, recover_all, recover_full_params
 from bowfree.reduction import (
-    _IdAllocator,
     build_gadgets,
     reduce_covariance,
     reduce_graph,
@@ -31,9 +30,8 @@ from bowfree.robustness import check_assumptions
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
-    allocator = _IdAllocator(n_original, 10_000)
-    (spec,), edges = build_gadgets(u, v, q, r, allocator)
-    g = MixedGraph.from_arrays(allocator.next_id, *edges)
+    (spec,), edges = build_gadgets(u, v, q, r, n_original)
+    g = MixedGraph.from_arrays(spec.collector + 1, *edges)
     return spec, g
 
 
@@ -41,8 +39,8 @@ def test_gadget_q1_r2_collector_copies_head():
     spec, g = _gadget_graph(0, 1, q=1, r=2)
     assert len(spec.inner_layers) == 1 and len(spec.inner_layers[0]) == 4
     lam = np.zeros((g.n, g.n))
-    for (a, b), w in g.forced_weights.items():
-        lam[a, b] = w
+    forced = ~np.isnan(g.forced)
+    lam[g.source[forced], g.target[forced]] = g.forced[forced]
     # X_collector = 4 * (1/2) * (1/2) * X_head
     paths = dag_inverse(g, lam)
     assert paths[spec.head, spec.collector] == pytest.approx(1.0, abs=1e-15)
@@ -51,7 +49,7 @@ def test_gadget_q1_r2_collector_copies_head():
 
 def test_gadget_vertex_count():
     spec, g = _gadget_graph(0, 1, q=2, r=2)
-    assert len(spec.new_vertices) == 2 + 4 + 1
+    assert spec.collector + 1 - spec.first == 2 + 4 + 1
     assert g.n == 2 + 7
 
 
@@ -69,7 +67,9 @@ def test_gadget_path_product_is_exactly_one():
 def test_gadget_degenerate_forced_unit_weight():
     spec, g = _gadget_graph(0, 1, q=0, r=3)
     assert spec.inner_layers == ()
-    assert g.forced_weights == {(0, spec.collector): 1.0}
+    forced = ~np.isnan(g.forced)
+    assert (g.source[forced].tolist(), g.target[forced].tolist(), g.forced[forced].tolist()) == (
+        [0], [spec.collector], [1.0])
 
 
 def test_gadget_subgraph_is_layered():
@@ -79,15 +79,9 @@ def test_gadget_subgraph_is_layered():
 
 def test_gadget_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        build_gadgets(0, 1, -1, 2, _IdAllocator(2, 10))
+        build_gadgets(0, 1, -1, 2, 2)
     with pytest.raises(ConfigError):
-        build_gadgets(0, 1, 1, 0, _IdAllocator(2, 10))
-
-
-def test_allocator_capacity_error():
-    allocator = _IdAllocator(2, 3)
-    with pytest.raises(ConfigError):
-        build_gadgets(0, 1, 2, 2, allocator)
+        build_gadgets(0, 1, 1, 0, 2)
 
 
 def test_reduce_layered_graph_is_identity():
@@ -110,7 +104,7 @@ def test_reduce_four_node_skip_edge():
     assert g_prime.is_k_layered()
     assert g_prime.bow_violations() == []
     # the bidirected neighbour of the head is mirrored onto the collector
-    assert (2, spec.collector) in g_prime.bidirected
+    assert [2, spec.collector] in g_prime.pairs.tolist()
 
 
 def test_reduce_covariance_factor_map():
@@ -147,7 +141,6 @@ def test_reduction_preserves_system_conditioning():
     red = reduce_instance(g, sigma)
     base = recover_all(g, sigma)
     reduced = recover_all(red.g_prime, red.sigma_prime)
-    head_of = {x: s.head for s in red.gadgets for x in s.new_vertices}
     for v in range(g.n):
         if not g.parents(v):
             continue
@@ -225,6 +218,8 @@ def test_recovery_on_the_implicit_reduced_covariance_is_bitwise_dense():
         red = reduce_instance(g, sigma)
         implicit = recover_all(red.g_prime, red.sigma_prime)
         dense = recover_all(red.g_prime, red.sigma_prime.sigma)
+        forced = ~np.isnan(red.g_prime.forced)
+        assert forced.any() and np.all(implicit.weights[..., forced] == red.g_prime.forced[forced])
         np.testing.assert_array_equal(implicit.lambda_hat, dense.lambda_hat)
         assert implicit.per_vertex == dense.per_vertex
         for v in range(g.n):
@@ -295,8 +290,8 @@ def test_reduce_and_verify_build_no_per_edge_objects_for_g_prime():
     red = reduce_instance(g, sigma)
     assert verify_reduction(g, sigma, red).all_ok
     assert red.g_prime.n > 100
-    # the per-edge views are cached on first read, so an unread one is absent
-    assert not {"directed", "bidirected", "forced_weights"} & set(vars(red.g_prime))
+    # the per-edge view is cached on first read, so an unread one is absent
+    assert "directed" not in vars(red.g_prime)
     assert len(red.g_prime.directed) == red.g_prime.source.size  # still there when asked for
     assert "directed" in vars(red.g_prime)
 

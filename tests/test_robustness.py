@@ -31,11 +31,12 @@ from bowfree.robustness import (
     condition_bound,
     estimate_condition_number,
     eta_bound,
-    per_vertex_error_check,
     relative_distance,
     sample_perturbation,
     stability_premise,
 )
+
+from helpers import per_vertex_error_check
 
 
 def test_relative_distance_examples():
