@@ -219,11 +219,11 @@ def gen_lambda_range(g: MixedGraph, cfg: SDDNoiseConfig) -> np.ndarray:
     return lam
 
 
-def d_min(k: int, n: int, c: float = 1.0) -> int:
-    """Sphere dimension ceil(c * k^8 * ln(n)^4) taming the Gram tails."""
+def d_min(k: int, n: int) -> int:
+    """Sphere dimension ceil(k^8 * ln(n)^4) taming the Gram tails."""
     if n < 2:
         raise ConfigError("need n >= 2")
-    return math.ceil(c * k**8 * math.log(n) ** 4)
+    return math.ceil(k**8 * math.log(n) ** 4)
 
 
 def sample_observations(sigma, m: int, seed: int) -> np.ndarray:

@@ -16,7 +16,8 @@ they are dropped from the unknown set and folded into the right-hand side.
 A parent whose incoming edges are all forced is a deterministic copy of a
 unique upstream "source" vertex; its equation row is taken at that source,
 which is what makes recovery on reduced graphs solve the same systems as on
-the original graph.
+the original graph. The indices of every vertex's system, those sources
+included, are compiled once per graph into its RecoveryPlan.
 
 Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
 ``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is
@@ -42,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NearSingularError, OrderingError
-from .graphs import MixedGraph
+from .errors import GraphStructureError, NearSingularError, OrderingError
+from .graphs import MixedGraph, _row_pointers
 from .lsem import (
     ParamSet,
     ReducedCovariance,
@@ -113,30 +114,87 @@ def _gatherable(sigma):
     return sigma if isinstance(sigma, ReducedCovariance) else as_matrix(sigma)
 
 
-def source_vertex(g: MixedGraph, v: int) -> int:
-    """Follow forced in-edges upstream to the vertex v is a copy of.
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """Every free vertex's system as index arrays, compiled once per graph by
+    recovery_plan. The columns of ``ptr[v]:ptr[v + 1]`` delimit vertex v's rows,
+    its columns and its flattened upstream blocks; a vertex without free
+    in-edges has no rows and the one column v."""
 
-    Identity for vertices with any unforced (or no) incoming edge.
-    """
-    seen = set()
-    while g.parents(v) and not g.free_in_degree[v]:
-        if v in seen:
-            raise OrderingError(f"forced-edge chain through vertex {v + 1} is cyclic")
-        seen.add(v)
-        v = g.parents(v)[0]
-    return v
+    ptr: np.ndarray  # (n + 1, 3)
+    rows: np.ndarray  # equation rows: the sources of the unknown parents
+    free_edges: np.ndarray  # the unknown parents' edges, row by row
+    cols: np.ndarray  # unknown parents, then forced parents, then v
+    col_forced: np.ndarray  # each column's forced weight, NaN unless a forced parent
+    edge_idx: np.ndarray  # a (rows, width) block: each row's in-edges, padded with edge 0
+    live: np.ndarray  # 1.0 on an in-edge, 0.0 on padding
+    pa_idx: np.ndarray  # the in-edges' sources, 0 on padding
+    partial: np.ndarray  # (n,) the closed form applies: no grandparents and no forced in-edge, or nothing to solve
+
+    def system(self, v: int):
+        """v's rows, columns, forced weights of its known columns and its
+        (edge_idx, live, pa_idx) blocks."""
+        if not 0 <= v < self.partial.size:
+            raise GraphStructureError(f"vertex {v + 1} out of range for n={self.partial.size}")
+        (r0, c0, b0), (r1, c1, b1) = self.ptr[v : v + 2].tolist()
+        m = r1 - r0
+        blocks = (a[b0:b1].reshape(m, (b1 - b0) // max(m, 1)) for a in (self.edge_idx, self.live, self.pa_idx))
+        return self.rows[r0:r1], self.cols[c0:c1], self.col_forced[c0 + m : c1 - 1], *blocks
 
 
-def _split_in_edges(g: MixedGraph, v: int):
-    """v's free parents, forced parents, their forced weights and the free
-    in-edges' ids, each by ascending parent."""
-    parents = g.parents(v)
-    edges = g.in_edges(v)
-    if g.free_in_degree[v] == len(parents):  # no forced in-edge, as on every unreduced graph
-        return parents, (), (), edges
-    free = np.isnan(g.forced[edges])
-    forced = edges[~free]
-    return tuple(g.source[edges[free]].tolist()), tuple(g.source[forced].tolist()), g.forced[forced], edges[free]
+def recovery_plan(g: MixedGraph) -> RecoveryPlan:
+    """g's plan, compiled on first use and kept on the graph, which is immutable."""
+    if "_recovery_plan" not in vars(g):
+        g._recovery_plan = _compile_plan(g)
+    return g._recovery_plan
+
+
+def _compile_plan(g: MixedGraph) -> RecoveryPlan:
+    """Index every free vertex's system with numpy over edges, no vertex loop."""
+    n, src, tgt, m = g.n, g.source, g.target, g.free_in_degree
+    order = g._in[0]  # edge ids by (target, source)
+    in_ptr = _row_pointers(tgt, n)
+    indeg = np.diff(in_ptr)
+    # A vertex whose in-edges are all forced copies its first parent, and an
+    # equation row is taken at the end of such a chain, found by pointer jumping.
+    copies = (indeg > 0) & (m == 0)
+    copy_of = np.arange(n)
+    copy_of[copies] = src[order[in_ptr[:-1][copies]]]
+    for _ in range(n.bit_length()):  # 2^k steps after k rounds, and a chain has fewer than n
+        copy_of = copy_of[copy_of]
+    if copies[copy_of].any():
+        raise OrderingError(f"forced-edge chain through vertex {np.argmax(copies[copy_of]) + 1} is cyclic")
+
+    # The free vertices' in-edges, one run of ``order`` per vertex, with the
+    # unknown parents first. Vertex t's columns are its k[t] parents and then
+    # t, so they start after t own columns of lower vertices.
+    k = np.where(m > 0, indeg, 0)
+    into = order[np.repeat(in_ptr[:-1] - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    into = into[np.argsort(2 * tgt[into] + ~np.isnan(g.forced[into]), kind="stable")]
+    at = np.arange(into.size) + tgt[into]
+    cols, col_forced = np.repeat(np.arange(n), k + 1), np.full(into.size + n, np.nan)
+    cols[at], col_forced[at] = src[into], g.forced[into]
+    free = np.isnan(g.forced[into])
+    unknown = into[free]
+    rows = copy_of[src[unknown]]
+    # Row i lists the in-edges of rows[i], padded to its vertex's widest row.
+    degree = indeg[rows]
+    width = np.zeros(n, dtype=np.int64)
+    np.maximum.at(width, tgt[unknown], degree)
+    row_width = width[tgt[unknown]]
+    row = np.repeat(np.arange(rows.size), row_width)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(row_width) - row_width, row_width)
+    live = slot < degree[row]
+    edge_idx = np.where(live, order[np.where(live, in_ptr[rows[row]] + slot, 0)], 0)
+
+    ptr = np.zeros((n + 1, 3), dtype=np.int64)
+    np.cumsum(np.stack([m, k + 1, m * width], axis=1), axis=0, out=ptr[1:])
+    partial = np.bincount(tgt[into[~free | (indeg[src[into]] > 0)]], minlength=n) == 0
+    plan = RecoveryPlan(ptr, rows, unknown, cols, col_forced, edge_idx, live.astype(float),
+                        np.where(live, src[edge_idx], 0), partial)
+    for a in vars(plan).values():
+        a.flags.writeable = False
+    return plan
 
 
 def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
@@ -146,7 +204,7 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
     the recovered weights of every vertex in strictly lower layers (and all
     forced weights), with the same trial axis as ``sigma`` if it has one.
     The equation rows are the sources of v's unforced parents, each
-    transformed.
+    transformed; their indices come from the graph's recovery plan.
     """
     sig = _gatherable(sigma)
     weights = np.asarray(weights, dtype=float)
@@ -155,37 +213,19 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
             f"edge weights of shape {weights.shape} do not match {g.source.size} edges "
             f"and a covariance of shape {sig.shape}"
         )
-    unknown, known, known_weights, _ = _split_in_edges(g, v)
-    rows = [source_vertex(g, p) for p in unknown]
-
-    cols = np.array([*unknown, *known, v], dtype=int)
-    full = sig[..., np.array(rows, dtype=int)[:, None], cols]
-    # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols]; the
-    # in-edge lists are padded to one width with zero weights at vertex 0.
-    upstream = [g.in_edges(y) for y in rows]
-    width = max(map(len, upstream), default=0)
-    if width:
-        edge_idx = np.zeros((len(rows), width), dtype=int)
-        live = np.zeros((len(rows), width))
-        for i, edges in enumerate(upstream):
-            edge_idx[i, : len(edges)] = edges
-            live[i, : len(edges)] = 1.0
-        pa_idx = np.where(live > 0, g.source[edge_idx], 0)
+    rows, cols, known_weights, edge_idx, live, pa_idx = recovery_plan(g).system(v)
+    full = sig[..., rows[:, None], cols]
+    if edge_idx.size:
+        # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols].
         full = full - np.einsum(
             "...rp,...rpc->...rc", weights[..., edge_idx] * live, sig[..., pa_idx[:, :, None], cols]
         )
 
-    m = len(unknown)
+    m = rows.size
     b = full[..., -1]
-    if known:
+    if known_weights.size:
         b = b - full[..., m:-1] @ known_weights
-    return RecoverySystem(
-        vertex=v,
-        y_set=tuple(rows),
-        parents=unknown,
-        a_matrix=full[..., :m],
-        b_vector=b,
-    )
+    return RecoverySystem(v, tuple(rows.tolist()), tuple(cols[:m].tolist()), full[..., :m], b)
 
 
 def _solve(a, b, vertex):
@@ -209,9 +249,12 @@ def _solve(a, b, vertex):
             vertex=vertex,
         )
     # Singular trials of a stack solve the identity instead and report NaN.
-    weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
-    weights[singular] = np.nan
-    residual = np.linalg.norm((a @ weights[..., None])[..., 0] - b, axis=-1)
+    safe = np.where(singular[..., None, None], np.eye(m), a) if singular.any() else a
+    weights = np.linalg.solve(safe, b[..., None])[..., 0]
+    if safe is not a:
+        weights[singular] = np.nan
+    r = (a @ weights[..., None])[..., 0] - b
+    residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
     condition = np.divide(s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min > 0)
     return weights, residual, condition
 
@@ -226,12 +269,13 @@ def recover_vertex(system: RecoverySystem):
 
 
 def recover_first_layers(g: MixedGraph, sigma, v: int):
-    """Closed form for vertices without grandparents,
+    """Closed form for vertices without grandparents or forced in-edges,
     sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
-    if g.spa(v):
-        raise OrderingError(f"vertex {v + 1} has grandparents; use the general system")
+    plan = recovery_plan(g)
+    pa = plan.system(v)[0]  # v's parents, when the closed form applies
+    if not plan.partial[v]:
+        raise OrderingError(f"vertex {v + 1} has grandparents or forced in-edges; use the general system")
     sig = _gatherable(sigma)
-    pa = np.array(g.parents(v), dtype=int)
     return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], v)
 
 
@@ -256,11 +300,11 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     recovered = np.broadcast_to(np.where(np.isnan(g.forced), 0.0, g.forced), sig.shape[:-2] + g.forced.shape).copy()
     failed = np.full(sig.shape[:-2], -1)
 
+    plan = recovery_plan(g)
+    row_ptr, partial = plan.ptr[:, 0].tolist(), plan.partial.tolist()
     per_vertex: dict[int, VertexDiagnostics] = {}
     for v in g.free_vertices:
-        _, known, _, free_edges = _split_in_edges(g, v)
-        partial_form = not known and not g.spa(v)
-        if partial_form:
+        if partial[v]:
             weights, residual, condition = recover_first_layers(g, sig, v)
         else:
             weights, residual, condition = recover_vertex(build_system(g, sig, recovered, v))
@@ -272,10 +316,10 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
             failed[singular & (failed < 0)] = v
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
-        recovered[..., free_edges] = weights
+        recovered[..., plan.free_edges[row_ptr[v] : row_ptr[v + 1]]] = weights
         if sig.ndim == 2:
             residual, condition = float(residual), float(condition)
-        per_vertex[v] = VertexDiagnostics(residual, condition, partial_form)
+        per_vertex[v] = VertexDiagnostics(residual, condition, partial[v])
 
     if sig.ndim == 2:
         return RecoveryResult(g, recovered, per_vertex)

@@ -176,8 +176,6 @@ def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
 class ReductionReport:
     bow_free: bool
     layered: bool
-    layer_count_ok: bool
-    size_ok: bool
     collector_weights_ok: bool
     systems_match: bool
     max_weight_error: float
@@ -186,14 +184,7 @@ class ReductionReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.bow_free
-            and self.layered
-            and self.layer_count_ok
-            and self.size_ok
-            and self.collector_weights_ok
-            and self.systems_match
-        )
+        return self.bow_free and self.layered and self.collector_weights_ok and self.systems_match
 
 
 def _edge_weights(g: MixedGraph, weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -212,8 +203,6 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
     notes = []
     bow_free = not red.g_prime.bow_violations()
     layered = red.g_prime.is_k_layered()
-    layer_count_ok = red.k_layers <= g.n**2
-    size_ok = red.g_prime.n <= g.n**6
 
     sig = as_matrix(sigma)
     base = recover_all(g, sig)
@@ -223,8 +212,6 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
         return ReductionReport(
             bow_free,
             layered,
-            layer_count_ok,
-            size_ok,
             collector_weights_ok=False,
             systems_match=False,
             max_weight_error=float("inf"),
@@ -261,8 +248,6 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
     return ReductionReport(
         bow_free,
         layered,
-        layer_count_ok,
-        size_ok,
         collector_ok,
         systems_match,
         max_err,

@@ -7,8 +7,43 @@ import numpy as np
 from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.lsem import as_matrix
-from bowfree.recovery import recover_many
+from bowfree.recovery import RecoverySystem, recover_many
 from bowfree.robustness import ErrorRateConstants, PerturbationSpec, sample_perturbation
+
+
+def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
+    """build_system assembled by walking the graph's adjacency from vertex v:
+    the reference that the compiled recovery plan must match bit for bit.
+    ``sigma`` is an array or a ReducedCovariance."""
+
+    def source(y):  # follow forced in-edges upstream to the vertex y copies
+        while g.parents(y) and not g.free_in_degree[y]:
+            y = g.parents(y)[0]
+        return y
+
+    edges = g.in_edges(v)
+    free = np.isnan(g.forced[edges])
+    unknown, known = g.source[edges[free]].tolist(), g.source[edges[~free]].tolist()
+    rows = [source(p) for p in unknown]
+    cols = np.array([*unknown, *known, v], dtype=int)
+    full = sigma[..., np.array(rows, dtype=int)[:, None], cols]
+    upstream = [g.in_edges(y) for y in rows]
+    width = max(map(len, upstream), default=0)
+    if width:
+        edge_idx = np.zeros((len(rows), width), dtype=int)
+        live = np.zeros((len(rows), width))
+        for i, up in enumerate(upstream):
+            edge_idx[i, : len(up)] = up
+            live[i, : len(up)] = 1.0
+        pa_idx = np.where(live > 0, g.source[edge_idx], 0)
+        full = full - np.einsum(
+            "...rp,...rpc->...rc", weights[..., edge_idx] * live, sigma[..., pa_idx[:, :, None], cols]
+        )
+    m = len(unknown)
+    b = full[..., -1]
+    if known:
+        b = b - full[..., m:-1] @ g.forced[edges[~free]]
+    return RecoverySystem(v, tuple(rows), tuple(unknown), full[..., :m], b)
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,15 @@ from bowfree.recovery import (
     recover_full_params,
     recover_many,
     recover_vertex,
+    recovery_plan,
     recovery_to_dict,
-    source_vertex,
     weight_matrix,
 )
 from bowfree.reduction import reduce_covariance, reduce_instance
 from bowfree.robustness import PerturbationSpec, sample_perturbation
 
 from conftest import graph_from_lambda
+from helpers import reference_build_system
 
 
 def _chain3_sigma(w01=0.7, w12=-0.4):
@@ -173,10 +174,73 @@ def test_recover_all_forced_pass_through():
 
 
 def test_source_vertex_follows_forced_chains():
-    g = MixedGraph(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3)])
-    assert source_vertex(g, 2) == 0
-    assert source_vertex(g, 3) == 3
-    assert source_vertex(g, 0) == 0
+    # Vertex 3's parent 2 copies 0 through two forced edges; vertex 4's
+    # parents 0 (parentless) and 3 (a free in-edge) are their own sources.
+    g = MixedGraph(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3), (0, 4), (3, 4)])
+    weights = np.zeros(g.source.size)
+    assert build_system(g, np.eye(5), weights, 3).y_set == (0,)
+    assert build_system(g, np.eye(5), weights, 4).y_set == (0, 3)
+    assert build_system(g, np.eye(5), weights, 2).y_set == ()
+
+
+def test_cyclic_forced_chain_is_an_ordering_error():
+    g = MixedGraph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2)])
+    with pytest.raises(OrderingError, match="cyclic"):
+        build_system(g, np.eye(3), np.zeros(3), 2)
+
+
+def test_recover_first_layers_rejects_forced_in_edges():
+    g = MixedGraph(3, [(0, 2, 0.5), (1, 2)])
+    with pytest.raises(OrderingError, match="vertex 3 has grandparents or forced in-edges"):
+        recover_first_layers(g, np.eye(3), 2)
+
+
+def test_recovery_plan_is_compiled_once_and_read_only():
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
+    plan = recovery_plan(g)
+    recover_all(g, inst.sigma)
+    build_system(g, inst.sigma, np.zeros(g.source.size), g.free_vertices[-1])
+    assert recovery_plan(g) is plan
+    for name, a in vars(plan).items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_recover_all_walks_no_per_vertex_adjacency():
+    inst = _golden_sdd()
+    fresh = MixedGraph.from_arrays(inst.graph.n, inst.graph.source, inst.graph.target, bidirected=inst.graph.pairs)
+    red = reduce_instance(*_golden_reduced_instance())
+    for g, sigma in ((fresh, inst.sigma), (red.g_prime, red.sigma_prime)):
+        recover_all(g, sigma)
+        assert g._parent_memo == {} and g._in_edge_memo == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    p=st.floats(0.2, 0.9),
+    seed=st.integers(0, 10_000),
+    trials=st.sampled_from([None, 3]),
+    mode=st.sampled_from(["plain", "reduced", "reduced-implicit"]),
+)
+def test_plan_systems_equal_the_per_vertex_assembly_bitwise(n, p, seed, trials, mode):
+    g = gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed))
+    lam = gen_lambda_range(g, SDDNoiseConfig(0.6, seed + 1))
+    sigma = forward_map(g, ParamSet(lam, gen_omega_sdd(g, SDDNoiseConfig(0.6, seed + 2))))
+    if trials:
+        sigma = _perturbed_stack(sigma, trials - 1, seed)
+    if mode != "plain":
+        red = reduce_instance(g, sigma)
+        g, sigma = red.g_prime, red.sigma_prime if mode == "reduced-implicit" else red.sigma_prime.sigma
+    rng = np.random.default_rng(seed)
+    weights = np.where(np.isnan(g.forced), rng.uniform(-1, 1, sigma.shape[:-2] + g.forced.shape), g.forced)
+    for v in g.free_vertices:
+        got, want = build_system(g, sigma, weights, v), reference_build_system(g, sigma, weights, v)
+        assert got.y_set == want.y_set and got.parents == want.parents
+        np.testing.assert_array_equal(got.a_matrix, want.a_matrix)
+        np.testing.assert_array_equal(got.b_vector, want.b_vector)
 
 
 def test_recover_full_params_round_trip():
@@ -400,11 +464,15 @@ def _golden_stack():
     return recover_all(inst.graph, np.stack(draws))
 
 
-def _golden_reduced():
+def _golden_reduced_instance():
     g = gen_random_bowfree_graph(RandomGraphConfig(8, 0.5, seed=3))
     lam = gen_lambda_range(g, SDDNoiseConfig(0.6, 4))
     omega = gen_omega_sdd(g, SDDNoiseConfig(0.6, 5))
-    red = reduce_instance(g, forward_map(g, ParamSet(lam, omega)))
+    return g, forward_map(g, ParamSet(lam, omega))
+
+
+def _golden_reduced():
+    red = reduce_instance(*_golden_reduced_instance())
     return recover_all(red.g_prime, red.sigma_prime)
 
 
