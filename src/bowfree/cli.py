@@ -184,9 +184,10 @@ def _cmd_condition(args) -> int:
     premise = stability_premise(profile)
     eta = bound = None
     if premise.holds:
-        constants = eta_bound(profile, n, max(g.max_degree(), 1), max(gammas))
+        k = max(profile.k, 1)
+        constants = eta_bound(profile, n, k, max(gammas))
         eta = constants.eta
-        bound = condition_bound(constants, profile, n, max(g.max_degree(), 1))
+        bound = condition_bound(constants, profile, n, k)
     report = estimate.to_dict()
     report.update(
         {

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphStructureError, NearSingularError, OrderingError
+from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
 from .graphs import MixedGraph, _row_pointers
 from .lsem import (
     ParamSet,
@@ -290,12 +290,15 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     trial on a stack. A near-singular system or a non-finite solve raises
     NearSingularError on a single covariance. On a stack it fails the trial:
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
-    would raise for, and ``weights[t]`` is NaN throughout.
+    would raise for, and ``weights[t]`` is NaN throughout. A covariance
+    with a non-finite entry raises ConfigError before any solve.
     """
     g.require_bow_free()
     sig = _gatherable(sigma)
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
+    if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
+        raise ConfigError("covariance has non-finite entries")
 
     recovered = np.broadcast_to(np.where(np.isnan(g.forced), 0.0, g.forced), sig.shape[:-2] + g.forced.shape).copy()
     failed = np.full(sig.shape[:-2], -1)

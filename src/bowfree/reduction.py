@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,19 +39,16 @@ from .recovery import build_system, recover_all
 VERIFY_TOL = 1e-8  # absolute
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
-    head: int
-    tail: int
-    collector: int
-    q: int  # inner stage count; 0 for the degenerate span-2 form
-    r: int
-    inner_layers: tuple[tuple[int, ...], ...]
+class Gadgets(NamedTuple):
+    """One entry per replaced edge head -> tail, in edge order. Gadget i's new
+    vertices are the ids first[i]..collector[i], stage by stage, and the
+    gadgets take consecutive blocks, so the last collector is the largest id."""
 
-    @property
-    def first(self) -> int:
-        """The gadget's new vertices are the ids first..collector, stage by stage."""
-        return self.collector - sum(map(len, self.inner_layers))
+    head: np.ndarray
+    tail: np.ndarray
+    q: np.ndarray  # inner stage count; 0 for the degenerate span-2 form
+    first: np.ndarray
+    collector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,47 +58,48 @@ class ReductionOutput:
     original_n: int
     r: int
     k_layers: int
-    gadgets: tuple[GadgetSpec, ...]
+    gadgets: Gadgets
+
+
+def _stage_widths(q: int, r: int) -> list[int]:
+    """Inner stage widths of a gadget: r, ..., r, r^2 (none for q = 0)."""
+    return [r] * (q - 1) + [r * r] if q else []
 
 
 def build_gadgets(heads, tails, qs, r: int, start: int):
     """Create the forced-weight path structures for replaced edges.
 
     Gadget i replaces heads[i] -> tails[i] and takes the next consecutive
-    block of ids from ``start`` on, so the last collector is the largest id.
-    Returns (specs, (source, target, forced)), the edges as arrays with NaN
-    marking each free collector -> tail edge. q >= 1 builds q inner stages
-    (widths r, ..., r, r^2) feeding the collector through 1/r weights;
-    q = 0 wires the head straight to the collector at forced weight 1.
+    block of ids from ``start`` on. Returns (gadgets, (source, target,
+    forced)), the edges as arrays with NaN marking each free collector ->
+    tail edge. q >= 1 builds q inner stages feeding the collector through
+    1/r weights; q = 0 wires the head straight to the collector at forced
+    weight 1.
     """
     heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
     if (qs < 0).any() or r < 1:
         raise ConfigError(f"invalid gadget parameters q={qs.tolist()}, r={r}")
     sizes = np.where(qs > 0, (qs - 1) * r + r * r, 0) + 1
     firsts = start + np.cumsum(sizes) - sizes
-    specs, edges = [None] * heads.size, [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    edges = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for q in sorted(set(qs.tolist())):
         # One edge template, in ids relative to a gadget's first id with -1
         # for the head and -2 for the tail, serves every gadget of this q.
-        widths = [r] * (q - 1) + [r * r] if q else []
-        starts = np.cumsum([0] + widths)  # stage s is starts[s]:starts[s + 1]; the collector is starts[-1]
+        starts = np.cumsum([0] + _stage_widths(q, r))  # stage s is starts[s]:starts[s + 1]; the collector is starts[-1]
         chain = [np.array([-1])] + [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])] + [starts[-1:]]
         src = np.concatenate([np.repeat(a, b.size) for a, b in zip(chain, chain[1:])] + [starts[-1:]])
         tgt = np.concatenate([np.tile(b, a.size) for a, b in zip(chain, chain[1:])] + [[-2]])
         weight = np.full(src.size, 1.0 / r if q else 1.0)
         weight[-1] = np.nan  # collector -> tail is the free edge
         members = np.flatnonzero(qs == q)
-        for i in members.tolist():
-            first = int(firsts[i])
-            inner = tuple(tuple(range(first + a, first + b)) for a, b in zip(starts[:-1], starts[1:]))
-            specs[i] = GadgetSpec(int(heads[i]), int(tails[i]), first + int(starts[-1]), q, r, inner)
         head, tail, base = heads[members, None], tails[members, None], firsts[members, None]
         ends = [np.select([t == -1, t == -2], [head, tail], t + base).ravel() for t in (src, tgt)]
         edges.append((*ends, np.tile(weight, members.size)))
-    return tuple(specs), tuple(np.concatenate(x) for x in zip(*edges))
+    gadgets = Gadgets(heads, tails, qs, firsts, firsts + sizes - 1)
+    return gadgets, tuple(np.concatenate(x) for x in zip(*edges))
 
 
-def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int]:
+def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
     """Replace every layer-skipping edge by a path gadget of matching span.
 
     Returns (g_prime, gadgets, r). Adjacent-layer edges and all original
@@ -114,30 +113,27 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, tuple[GadgetSpec, ...], int
     r = max(1, math.ceil(math.sqrt(g.n)))
 
     span = layer[g.target] - layer[g.source]
-    skip = span >= 2
+    skip = span >= 2  # gadgets come in (head, tail) order, as edges do
+    gadgets, (source, target, forced) = build_gadgets(g.source[skip], g.target[skip], span[skip] - 2, r, g.n)
     if not skip.any():
-        return g, (), r
-
-    heads, tails = g.source[skip], g.target[skip]  # in (head, tail) order, as edges are
-    gadgets, (source, target, forced) = build_gadgets(heads, tails, span[skip] - 2, r, g.n)
-    collectors = np.array([spec.collector for spec in gadgets])
+        return g, gadgets, r
 
     # Collector c mirrors each bidirected partner w of its head and tail;
     # w is an original vertex, so the pair is (w, c).
     partner = np.zeros((g.n, g.n), dtype=bool)
     partner[g.pairs[:, 0], g.pairs[:, 1]] = partner[g.pairs[:, 1], g.pairs[:, 0]] = True
-    gadget, w = np.nonzero(partner[heads] | partner[tails])
+    gadget, w = np.nonzero(partner[gadgets.head] | partner[gadgets.tail])
     g_prime = MixedGraph.from_arrays(
-        gadgets[-1].collector + 1,
+        int(gadgets.collector[-1]) + 1,
         np.concatenate([g.source[~skip], source]),
         np.concatenate([g.target[~skip], target]),
         np.concatenate([np.full(np.count_nonzero(~skip), np.nan), forced]),
-        np.concatenate([g.pairs, np.stack([w, collectors[gadget]], axis=1)]),
+        np.concatenate([g.pairs, np.stack([w, gadgets.collector[gadget]], axis=1)]),
     )
     return g_prime, gadgets, r
 
 
-def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...], r: int) -> ReducedCovariance:
+def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: Gadgets, r: int) -> ReducedCovariance:
     """Covariance of the reduced model via the equivalent linear system.
 
     Every new variable is factor * X_head with factor 1/r on inner stages
@@ -146,16 +142,15 @@ def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: tuple[GadgetSpec, ...
     """
     head = _gadget_heads(g_prime.n, gadgets)
     factor = np.where(head == np.arange(g_prime.n), 1.0, 1.0 / r)
-    factor[[spec.collector for spec in gadgets]] = 1.0
+    factor[gadgets.collector] = 1.0
     return ReducedCovariance(as_matrix(sigma), head, factor)
 
 
-def _gadget_heads(n_prime: int, gadgets: tuple[GadgetSpec, ...]) -> np.ndarray:
-    """Each vertex's head: its gadget's head for a new vertex, else itself."""
-    head = np.arange(n_prime)
-    for spec in gadgets:
-        head[spec.first : spec.collector + 1] = spec.head
-    return head
+def _gadget_heads(n_prime: int, gadgets: Gadgets) -> np.ndarray:
+    """Each vertex's head: its gadget's head for a new vertex, else itself.
+    The gadgets' id blocks fill the ids after the original vertices."""
+    sizes = gadgets.collector + 1 - gadgets.first
+    return np.concatenate([np.arange(n_prime - sizes.sum()), np.repeat(gadgets.head, sizes)])
 
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
@@ -218,7 +213,7 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
             notes=(f"recovery failed on the reduced instance: {exc}",),
         )
 
-    heads, tails, collectors = np.array([(s.head, s.tail, s.collector) for s in red.gadgets], dtype=int).reshape(-1, 3).T
+    heads, tails, _, _, collectors = red.gadgets
     got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
     want = _edge_weights(g, base.weights, heads, tails)
     err = np.abs(got - want)
@@ -236,12 +231,8 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
         orig = build_system(g, sig, base.weights, v)
         new = build_system(red.g_prime, red.sigma_prime, reduced.weights, v)
         order = np.argsort(head[list(new.parents)])
-        a_new = new.a_matrix[np.ix_(order, order)]
-        b_new = new.b_vector[order]
-        if not (
-            np.allclose(orig.a_matrix, a_new, atol=VERIFY_TOL, rtol=0.0)
-            and np.allclose(orig.b_vector, b_new, atol=VERIFY_TOL, rtol=0.0)
-        ):
+        new_system = np.c_[new.a_matrix[np.ix_(order, order)], new.b_vector[order]]
+        if not np.abs(np.c_[orig.a_matrix, orig.b_vector] - new_system).max() <= VERIFY_TOL:  # NaN fails
             mismatched.append(v)
     systems_match = not mismatched
 
@@ -260,22 +251,25 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
 
 
 def reduction_manifest(red: ReductionOutput) -> dict:
+    gadgets = []
+    for head, tail, q, first, collector in zip(*(col.tolist() for col in red.gadgets)):
+        starts = np.cumsum([first + 1] + _stage_widths(q, red.r)).tolist()  # 1-based
+        gadgets.append(
+            {
+                "head": head + 1,
+                "tail": tail + 1,
+                "collector": collector + 1,
+                "q": q,
+                "r": red.r,
+                "inner_layers": [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])],
+            }
+        )
     return {
         "original_n": red.original_n,
         "n_prime": red.g_prime.n,
         "r": red.r,
         "k_layers": red.k_layers,
-        "gadgets": [
-            {
-                "head": spec.head + 1,
-                "tail": spec.tail + 1,
-                "collector": spec.collector + 1,
-                "q": spec.q,
-                "r": spec.r,
-                "inner_layers": [[x + 1 for x in stage] for stage in spec.inner_layers],
-            }
-            for spec in red.gadgets
-        ],
+        "gadgets": gadgets,
     }
 
 

@@ -158,14 +158,17 @@ def check_assumptions(
     block; the three neighbouring-block norm ratios; the norm of the
     grandparent-to-parent weight block. Aggregates are worst cases over
     vertices. A singular parent block marks that vertex failed instead of
-    aborting. When ``gamma`` is given, the condition-number cap 1/(2 gamma)
-    is included in the first check.
+    aborting; a non-finite covariance raises ConfigError. When ``gamma``
+    is given, the condition-number cap 1/(2 gamma) is included in the first
+    check.
 
     Vertices with equal (|pa|, |spa|) are measured together: one gather per
     block and one batched SVD or norm per quantity, with the bits the
     per-vertex computation gives.
     """
     sig = as_matrix(sigma)
+    if not np.isfinite(sig).all():
+        raise ConfigError("covariance has non-finite entries")
     lam = np.asarray(lam, dtype=float)
     kappa_cap = (0.5 / gamma) if gamma else float("inf")
     n2_floor = 1.0 / g.n**2 if g.n else 0.0
@@ -226,10 +229,9 @@ class PremiseCheck:
         }
 
 
-def stability_premise(profile: AssumptionProfile, k: int | None = None) -> PremiseCheck:
+def stability_premise(profile: AssumptionProfile) -> PremiseCheck:
     """Evaluate the two stability inequalities on a measured profile."""
-    k = profile.k if k is None else k
-    k = max(k, 1)
+    k = max(profile.k, 1)
     a, b, k0 = profile.alpha, profile.beta, profile.kappa0
     product = a * b * k0
     if product >= 1.0 or not math.isfinite(k0):
@@ -252,10 +254,6 @@ class ErrorRateConstants:
     eta: float
     tau: float
     c_quad: float
-    premise_ok: bool
-
-    def to_dict(self) -> dict:
-        return {"eta": self.eta, "tau": self.tau, "c_quad": self.c_quad, "premise_ok": self.premise_ok}
 
 
 def eta_bound(profile: AssumptionProfile, n: int, k: int, gamma: float) -> ErrorRateConstants:
@@ -298,7 +296,7 @@ def eta_bound(profile: AssumptionProfile, n: int, k: int, gamma: float) -> Error
         numer, tau, c_quad = rhs(eta)
         eta_next = numer / d_lin
         if abs(eta_next - eta) <= 1e-12 * max(abs(eta_next), 1e-300):
-            return ErrorRateConstants(eta_next, k * eta_next / n**2, rhs(eta_next)[2], True)
+            return ErrorRateConstants(eta_next, k * eta_next / n**2, rhs(eta_next)[2])
         eta = eta_next
     raise ConvergenceError("error-rate fixed point did not converge in 100 iterations")
 

@@ -431,11 +431,13 @@ def test_recover_many_weights_scatter_to_lambda_hat_bitwise(monkeypatch, per_sta
 
 
 def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():
-    # NaN in sigma[1, 2] reaches only vertex 2's right-hand side: its system
-    # matrix stays regular and the solve gives a NaN weight.
+    # The covariance is finite (a non-finite one is rejected before any
+    # solve), but vertex 2's weight sigma[1, 2] / sigma[1, 1] = 2e308
+    # overflows: its system matrix stays regular and the solve gives inf.
     g = MixedGraph(3, [(0, 1), (1, 2)])
     sigma = 2.0 * np.eye(3)
-    sigma[1, 2] = sigma[2, 1] = np.nan
+    sigma[1, 1] = 0.5
+    sigma[1, 2] = sigma[2, 1] = 1e308
     with pytest.raises(NearSingularError, match="vertex 3: solve gave non-finite values") as exc:
         recover_all(g, sigma)
     assert exc.value.vertex == 2

@@ -30,26 +30,27 @@ from bowfree.robustness import check_assumptions
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
-    (spec,), edges = build_gadgets(u, v, q, r, n_original)
-    g = MixedGraph.from_arrays(spec.collector + 1, *edges)
-    return spec, g
+    gadgets, edges = build_gadgets(u, v, q, r, n_original)
+    g = MixedGraph.from_arrays(int(gadgets.collector[-1]) + 1, *edges)
+    return gadgets, g
 
 
 def test_gadget_q1_r2_collector_copies_head():
-    spec, g = _gadget_graph(0, 1, q=1, r=2)
-    assert len(spec.inner_layers) == 1 and len(spec.inner_layers[0]) == 4
+    gadgets, g = _gadget_graph(0, 1, q=1, r=2)
+    (head,), (first,), (collector,) = gadgets.head, gadgets.first, gadgets.collector
+    assert gadgets.q.tolist() == [1] and collector - first == 4  # one inner stage of r^2 = 4 vertices
     lam = np.zeros((g.n, g.n))
     forced = ~np.isnan(g.forced)
     lam[g.source[forced], g.target[forced]] = g.forced[forced]
     # X_collector = 4 * (1/2) * (1/2) * X_head
     paths = dag_inverse(g, lam)
-    assert paths[spec.head, spec.collector] == pytest.approx(1.0, abs=1e-15)
-    assert paths[spec.head, spec.inner_layers[0][0]] == pytest.approx(0.5)
+    assert paths[head, collector] == pytest.approx(1.0, abs=1e-15)
+    assert paths[head, first] == pytest.approx(0.5)
 
 
 def test_gadget_vertex_count():
-    spec, g = _gadget_graph(0, 1, q=2, r=2)
-    assert spec.collector + 1 - spec.first == 2 + 4 + 1
+    gadgets, g = _gadget_graph(0, 1, q=2, r=2)
+    assert (gadgets.collector + 1 - gadgets.first).tolist() == [2 + 4 + 1]
     assert g.n == 2 + 7
 
 
@@ -65,11 +66,11 @@ def test_gadget_path_product_is_exactly_one():
 
 
 def test_gadget_degenerate_forced_unit_weight():
-    spec, g = _gadget_graph(0, 1, q=0, r=3)
-    assert spec.inner_layers == ()
+    gadgets, g = _gadget_graph(0, 1, q=0, r=3)
+    assert gadgets.first.tolist() == gadgets.collector.tolist()  # no inner stage
     forced = ~np.isnan(g.forced)
     assert (g.source[forced].tolist(), g.target[forced].tolist(), g.forced[forced].tolist()) == (
-        [0], [spec.collector], [1.0])
+        [0], gadgets.collector.tolist(), [1.0])
 
 
 def test_gadget_subgraph_is_layered():
@@ -88,7 +89,7 @@ def test_reduce_layered_graph_is_identity():
     g = MixedGraph(3, [(0, 1), (1, 2)], [(0, 2)])
     g_prime, gadgets, _ = reduce_graph(g)
     assert g_prime == g
-    assert gadgets == ()
+    assert all(col.size == 0 for col in gadgets)
     red = reduce_instance(g, np.eye(3))
     np.testing.assert_array_equal(red.sigma_prime.sigma, np.eye(3))
 
@@ -97,26 +98,25 @@ def test_reduce_four_node_skip_edge():
     g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2)])
     g_prime, gadgets, r = reduce_graph(g)
     assert r == 2
-    assert len(gadgets) == 1
-    spec = gadgets[0]
-    assert (spec.head, spec.tail) == (0, 3)
-    assert spec.q == 1  # span 3 edge: one inner stage plus the collector
+    assert gadgets.head.size == 1
+    assert (gadgets.head.tolist(), gadgets.tail.tolist()) == ([0], [3])
+    assert gadgets.q.tolist() == [1]  # span 3 edge: one inner stage plus the collector
     assert g_prime.is_k_layered()
     assert g_prime.bow_violations() == []
     # the bidirected neighbour of the head is mirrored onto the collector
-    assert [2, spec.collector] in g_prime.pairs.tolist()
+    assert [2, int(gadgets.collector[0])] in g_prime.pairs.tolist()
 
 
 def test_reduce_covariance_factor_map():
-    spec, g_prime = _gadget_graph(0, 1, q=1, r=2)
+    gadgets, g_prime = _gadget_graph(0, 1, q=1, r=2)
     g = MixedGraph(2, [(0, 1)], [])
     sigma = np.array([[2.0, 0.6], [0.6, 1.5]])
-    cov = reduce_covariance(sigma, g_prime, (spec,), r=2)
-    inner = spec.inner_layers[0][0]
+    cov = reduce_covariance(sigma, g_prime, gadgets, r=2)
+    (inner,), (collector,) = gadgets.first, gadgets.collector
     assert cov.sigma[0, inner] == pytest.approx(sigma[0, 0] / 2)
-    assert cov.sigma[0, spec.collector] == pytest.approx(sigma[0, 0])
+    assert cov.sigma[0, collector] == pytest.approx(sigma[0, 0])
     assert cov.sigma[inner, inner] == pytest.approx(sigma[0, 0] / 4)
-    assert cov.sigma[spec.collector, spec.collector] == pytest.approx(sigma[0, 0])
+    assert cov.sigma[collector, collector] == pytest.approx(sigma[0, 0])
     np.testing.assert_allclose(cov.sigma[:2, :2], sigma)
 
 
@@ -157,13 +157,38 @@ def test_corrupted_reduced_covariance_is_detected():
     sigma = forward_map(g, ParamSet(lam, np.eye(4)))
     red = reduce_instance(g, sigma)
     corrupted = red.sigma_prime.sigma.copy()
-    collector = red.gadgets[0].collector
+    (collector,) = red.gadgets.collector
     corrupted[0, collector] = corrupted[collector, 0] = 0.0
     identity = np.arange(red.g_prime.n)
     bad = dataclasses.replace(red, sigma_prime=ReducedCovariance(corrupted, identity, np.ones(red.g_prime.n)))
     report = verify_reduction(g, sigma, bad)
     assert not report.all_ok
     assert not report.systems_match or not report.collector_weights_ok
+
+
+@pytest.mark.parametrize("entry", [(0, 8), (0, 3)], ids=["system-matrix", "right-hand-side"])
+def test_mismatched_systems_names_the_tail_of_a_corrupted_gadget(entry):
+    g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
+    lam = np.zeros((4, 4))
+    lam[0, 1], lam[1, 2], lam[2, 3], lam[0, 3] = 0.5, 0.4, -0.3, 0.25
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
+    red = reduce_instance(g, sigma)
+    assert red.gadgets.collector.tolist() == [8]
+    # sigma' as a dense matrix with identity heads passes: verification takes
+    # the head map from the gadgets, not from the covariance under test.
+    identity = np.arange(red.g_prime.n)
+    dense = red.sigma_prime.sigma.copy()
+    assert verify_reduction(g, sigma, dataclasses.replace(
+        red, sigma_prime=ReducedCovariance(dense, identity, np.ones(red.g_prime.n)))).all_ok
+    # 0-based (0, 8), head and collector, enters vertex 3's system matrix;
+    # (0, 3) enters only its right-hand side.
+    dense[entry] += 0.01
+    dense[entry[::-1]] += 0.01
+    bad = dataclasses.replace(red, sigma_prime=ReducedCovariance(dense, identity, np.ones(red.g_prime.n)))
+    report = verify_reduction(g, sigma, bad)
+    assert report.mismatched_systems == (3,)
+    assert not report.systems_match and not report.collector_weights_ok
+    assert len(report.notes) == 1 and report.notes[0].startswith("gadget 1->4: ")
 
 
 def test_reduce_rejects_forced_input():

@@ -20,9 +20,10 @@ from bowfree.generators import (
 )
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
-from bowfree.lsem import ParamSet, forward_map
+from bowfree.lsem import ParamSet, ReducedCovariance, forward_map
 from bowfree import recovery
 from bowfree.recovery import recover_all
+from bowfree.reduction import reduce_instance, verify_reduction
 from bowfree.robustness import (
     AssumptionProfile,
     VertexAssumptions,
@@ -241,6 +242,29 @@ def test_check_assumptions_flags_singular_block():
     assert not math.isfinite(profile.kappa0)
 
 
+_NON_FINITE_ENTRY_POINTS = {
+    "recover_all": lambda g, sigma: recover_all(g, sigma),
+    "recover_all-stack": lambda g, sigma: recover_all(g, np.stack([2.0 * np.eye(3), sigma])),
+    "recover_all-reduced": lambda g, sigma: recover_all(g, ReducedCovariance(sigma, np.arange(3), np.ones(3))),
+    "check_assumptions": lambda g, sigma: check_assumptions(g, sigma, np.zeros((3, 3))),
+    "estimate_condition_number": lambda g, sigma: estimate_condition_number(g, sigma, 2, [1e-9], 0, strict=False),
+    # the original covariance is finite; the NaN is in sigma' only
+    "verify_reduction": lambda g, sigma: verify_reduction(g, 2.0 * np.eye(3), reduce_instance(g, sigma)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("entry_ij", [(1, 2), (1, 1)], ids=["rhs", "system"])
+def test_non_finite_covariance_is_rejected_in_one_line(entry, entry_ij):
+    # (1, 2) reached only vertex 2's right-hand side and gave a NaN weight or
+    # a silent profile; (1, 1) made LAPACK's SVD fail.
+    g = MixedGraph(3, [(0, 1), (1, 2)])
+    sigma = 2.0 * np.eye(3)
+    sigma[entry_ij] = sigma[entry_ij[::-1]] = np.nan
+    with pytest.raises(ConfigError, match=r"^covariance has non-finite entries$"):
+        _NON_FINITE_ENTRY_POINTS[entry](g, sigma)
+
+
 def _profile(alpha, beta, kappa0, floor=0.1, k=2):
     return AssumptionProfile(alpha, beta, kappa0, floor, k)
 
@@ -307,7 +331,7 @@ def test_eta_premise_error():
 
 def test_condition_bound_arithmetic():
     constants = eta_bound(_profile(0.05, 0.05, 1.2), n=10, k=4, gamma=1e-9)
-    fake = constants.__class__(1.0, constants.tau, constants.c_quad, True)
+    fake = constants.__class__(1.0, constants.tau, constants.c_quad)
     profile = _profile(0.05, 0.05, 1.2, floor=0.005, k=4)  # floor below 1/n^2
     assert condition_bound(fake, profile, 10, 4) == pytest.approx(200.0)
     tighter = _profile(0.05, 0.05, 1.2, floor=0.5, k=4)
