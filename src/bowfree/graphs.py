@@ -98,7 +98,9 @@ class MixedGraph:
         if not source.shape == target.shape == forced.shape:
             raise GraphStructureError(f"edge arrays of shapes {source.shape}, {target.shape}, {forced.shape}")
 
-        order = np.lexsort((target, source))  # stable, so a repeat sorts after its first occurrence
+        # Stable, so a repeat sorts after its first occurrence. Only out-of-range keys collide,
+        # and one sorted between a repeat and its first occurrence is an earlier offender.
+        order = np.argsort(source * max(n, 1) + target, kind="stable")
         s, t = source[order], target[order]
         repeat = np.zeros(source.size, dtype=bool)
         repeat[order[1:][(s[1:] == s[:-1]) & (t[1:] == t[:-1])]] = True
@@ -265,17 +267,22 @@ class MixedGraph:
         out_ptr = _row_pointers(self.source, self.n)
         out_degree = np.diff(out_ptr)
         layer = np.zeros(self.n, dtype=np.int64)
+        slot = np.empty(self.n, dtype=np.int64)  # scratch: one position in kids per child
         frontier = np.flatnonzero(indeg == 0)
         depth = 0
-        while frontier.size:
+        while frontier.size:  # each round costs the frontier's out-edges, not n
             depth += 1
             layer[frontier] = depth
             # the out-edges of the frontier: one run of edge indices per vertex
             counts = out_degree[frontier]
-            runs = np.repeat(out_ptr[frontier] - np.cumsum(counts) + counts, counts)
-            kids = self.target[runs + np.arange(runs.size)]
-            np.subtract.at(indeg, kids, 1)
-            frontier = _unique(kids[indeg[kids] == 0])
+            at = np.arange(counts.sum())
+            kids = self.target[np.repeat(out_ptr[frontier] - np.cumsum(counts) + counts, counts) + at]
+            slot[kids] = at  # one writer wins per distinct child
+            hits = np.bincount(slot[kids])  # nonzero at the winners only: each child's in-edges from the frontier
+            first = np.flatnonzero(hits)
+            child = kids[first]
+            indeg[child] -= hits[first]
+            frontier = child[indeg[child] == 0]
         if (layer == 0).any():
             self.topological_order()  # raises CycleError
         layer.flags.writeable = False

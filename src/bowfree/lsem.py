@@ -74,6 +74,11 @@ def as_matrix(sigma) -> np.ndarray:
     return np.asarray(sigma, dtype=float)
 
 
+def gatherable(sigma):
+    """``sigma`` indexable as ``sig[..., rows, cols]``, a reduced one kept implicit."""
+    return sigma if isinstance(sigma, ReducedCovariance) else as_matrix(sigma)
+
+
 def dag_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
     """(I - lam)^{-1} by one solve in the topological order of g, where
     I - lam is unit upper triangular: the LU factorisation does not pivot,

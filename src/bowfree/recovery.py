@@ -49,6 +49,7 @@ from .lsem import (
     ParamSet,
     ReducedCovariance,
     as_matrix,
+    gatherable,
     project_omega_pattern,
     recover_omega,
 )
@@ -107,11 +108,6 @@ def weight_matrix(g: MixedGraph, weights) -> np.ndarray:
     lam = np.zeros(weights.shape[:-1] + (g.n, g.n))
     lam[..., g.source, g.target] = weights
     return lam
-
-
-def _gatherable(sigma):
-    """``sigma`` indexable as ``sig[..., rows, cols]``, a reduced one kept implicit."""
-    return sigma if isinstance(sigma, ReducedCovariance) else as_matrix(sigma)
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
     The equation rows are the sources of v's unforced parents, each
     transformed; their indices come from the graph's recovery plan.
     """
-    sig = _gatherable(sigma)
+    sig = gatherable(sigma)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != sig.shape[:-2] + g.source.shape:
         raise OrderingError(
@@ -275,7 +271,7 @@ def recover_first_layers(g: MixedGraph, sigma, v: int):
     pa = plan.system(v)[0]  # v's parents, when the closed form applies
     if not plan.partial[v]:
         raise OrderingError(f"vertex {v + 1} has grandparents or forced in-edges; use the general system")
-    sig = _gatherable(sigma)
+    sig = gatherable(sigma)
     return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], v)
 
 
@@ -294,7 +290,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     with a non-finite entry raises ConfigError before any solve.
     """
     g.require_bow_free()
-    sig = _gatherable(sigma)
+    sig = gatherable(sigma)
     if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
         raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
     if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():

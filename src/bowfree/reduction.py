@@ -61,42 +61,40 @@ class ReductionOutput:
     gadgets: Gadgets
 
 
-def _stage_widths(q: int, r: int) -> list[int]:
-    """Inner stage widths of a gadget: r, ..., r, r^2 (none for q = 0)."""
-    return [r] * (q - 1) + [r * r] if q else []
-
-
 def build_gadgets(heads, tails, qs, r: int, start: int):
     """Create the forced-weight path structures for replaced edges.
 
     Gadget i replaces heads[i] -> tails[i] and takes the next consecutive
     block of ids from ``start`` on. Returns (gadgets, (source, target,
-    forced)), the edges as arrays with NaN marking each free collector ->
-    tail edge. q >= 1 builds q inner stages feeding the collector through
-    1/r weights; q = 0 wires the head straight to the collector at forced
-    weight 1.
+    forced)), the edges as arrays, gadget by gadget, with NaN marking each
+    free collector -> tail edge. q >= 1 builds q inner stages feeding the
+    collector through 1/r weights; q = 0 wires the head straight to the
+    collector at forced weight 1.
     """
     heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
     if (qs < 0).any() or r < 1:
         raise ConfigError(f"invalid gadget parameters q={qs.tolist()}, r={r}")
     sizes = np.where(qs > 0, (qs - 1) * r + r * r, 0) + 1
     firsts = start + np.cumsum(sizes) - sizes
-    edges = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    for q in sorted(set(qs.tolist())):
-        # One edge template, in ids relative to a gadget's first id with -1
-        # for the head and -2 for the tail, serves every gadget of this q.
-        starts = np.cumsum([0] + _stage_widths(q, r))  # stage s is starts[s]:starts[s + 1]; the collector is starts[-1]
-        chain = [np.array([-1])] + [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])] + [starts[-1:]]
-        src = np.concatenate([np.repeat(a, b.size) for a, b in zip(chain, chain[1:])] + [starts[-1:]])
-        tgt = np.concatenate([np.tile(b, a.size) for a, b in zip(chain, chain[1:])] + [[-2]])
-        weight = np.full(src.size, 1.0 / r if q else 1.0)
-        weight[-1] = np.nan  # collector -> tail is the free edge
-        members = np.flatnonzero(qs == q)
-        head, tail, base = heads[members, None], tails[members, None], firsts[members, None]
-        ends = [np.select([t == -1, t == -2], [head, tail], t + base).ravel() for t in (src, tgt)]
-        edges.append((*ends, np.tile(weight, members.size)))
     gadgets = Gadgets(heads, tails, qs, firsts, firsts + sizes - 1)
-    return gadgets, tuple(np.concatenate(x) for x in zip(*edges))
+    # Gadget i is a chain of q + 3 vertex ranges: head, stages j = 1..q of
+    # widths r, ..., r, r^2, collector, tail. Each range feeds the next
+    # through one complete bipartite block; all blocks expand in one pass.
+    gid = np.repeat(np.arange(qs.size), qs + 3)
+    j = np.arange(gid.size) - np.repeat(np.cumsum(qs + 3) - qs - 3, qs + 3)
+    q = qs[gid]
+    lo = np.select([j == 0, j <= q, j == q + 1],  # each range's first id
+                   [heads[gid], firsts[gid] + (j - 1) * r, gadgets.collector[gid]], tails[gid])
+    width = np.where((j == 0) | (j > q), 1, np.where(j < q, r, r * r))
+    # the forced weight of the edges into each range; collector -> tail is free
+    into = np.where(j == q + 2, np.nan, np.where(q > 0, 1.0 / r, 1.0))
+    s, t = j < q + 2, j > 0  # block b joins the b-th range that is no tail to the b-th that is no head
+    # Row i of block b joins vertex lo[s][b] + i to the width[t][b] vertices from lo[t][b] on.
+    block = np.repeat(np.arange(np.count_nonzero(s)), width[s])
+    row = np.arange(block.size) - np.repeat(np.cumsum(width[s]) - width[s], width[s])
+    cols = width[t][block]
+    target = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols - lo[t][block], cols)
+    return gadgets, (np.repeat(lo[s][block] + row, cols), target, np.repeat(into[t][block], cols))
 
 
 def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
@@ -231,20 +229,10 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
         orig = build_system(g, sig, base.weights, v)
         new = build_system(red.g_prime, red.sigma_prime, reduced.weights, v)
         order = np.argsort(head[list(new.parents)])
-        new_system = np.c_[new.a_matrix[np.ix_(order, order)], new.b_vector[order]]
-        if not np.abs(np.c_[orig.a_matrix, orig.b_vector] - new_system).max() <= VERIFY_TOL:  # NaN fails
+        a_err = np.abs(orig.a_matrix - new.a_matrix[order[:, None], order]).max()
+        if not (a_err <= VERIFY_TOL and np.abs(orig.b_vector - new.b_vector[order]).max() <= VERIFY_TOL):  # NaN fails
             mismatched.append(v)
-    systems_match = not mismatched
-
-    return ReductionReport(
-        bow_free,
-        layered,
-        collector_ok,
-        systems_match,
-        max_err,
-        tuple(mismatched),
-        tuple(notes),
-    )
+    return ReductionReport(bow_free, layered, collector_ok, not mismatched, max_err, tuple(mismatched), tuple(notes))
 
 
 # -- serialization -------------------------------------------------------------
@@ -253,7 +241,8 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
 def reduction_manifest(red: ReductionOutput) -> dict:
     gadgets = []
     for head, tail, q, first, collector in zip(*(col.tolist() for col in red.gadgets)):
-        starts = np.cumsum([first + 1] + _stage_widths(q, red.r)).tolist()  # 1-based
+        widths = [red.r] * (q - 1) + [red.r * red.r] if q else []  # inner stages: r, ..., r, r^2
+        starts = np.cumsum([first + 1] + widths).tolist()  # 1-based
         gadgets.append(
             {
                 "head": head + 1,

@@ -21,7 +21,7 @@ from .errors import ConfigError, ConvergenceError, PremiseError
 from .generators import derived_seed
 from .graphs import MixedGraph
 from .linalg import snorm, symmetrize
-from .lsem import as_matrix
+from .lsem import ReducedCovariance, as_matrix, gatherable
 from .recovery import recover_all, recover_many, weight_matrix
 
 
@@ -166,8 +166,8 @@ def check_assumptions(
     block and one batched SVD or norm per quantity, with the bits the
     per-vertex computation gives.
     """
-    sig = as_matrix(sigma)
-    if not np.isfinite(sig).all():
+    sig = gatherable(sigma)  # a reduced one stays implicit: only blocks are read
+    if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
         raise ConfigError("covariance has non-finite entries")
     lam = np.asarray(lam, dtype=float)
     kappa_cap = (0.5 / gamma) if gamma else float("inf")
@@ -183,11 +183,11 @@ def check_assumptions(
     per_vertex: dict[int, VertexAssumptions] = {}
     for members in groups.values():
         vs, pa, spa = (np.array(col, dtype=np.intp) for col in zip(*members))
-        svals = np.linalg.svd(sig[pa[:, :, None], pa[:, None, :]], compute_uv=False)
+        svals = np.linalg.svd(sig[..., pa[:, :, None], pa[:, None, :]], compute_uv=False)
         denom, low = svals[:, 0], svals[:, -1]
         kappas = np.divide(denom, low, out=np.full_like(denom, np.inf), where=low > 1e-12 * denom)
-        norms = np.stack([_row_norms(sig[pa, vs[:, None]]), snorm(sig[spa[:, :, None], pa[:, None, :]]),
-                          _row_norms(sig[spa, vs[:, None]])], axis=1)  # 0 where spa is empty
+        norms = np.stack([_row_norms(sig[..., pa, vs[:, None]]), snorm(sig[..., spa[:, :, None], pa[:, None, :]]),
+                          _row_norms(sig[..., spa, vs[:, None]])], axis=1)  # 0 where spa is empty
         ratios = np.divide(norms, denom[:, None], out=np.full_like(norms, np.inf), where=denom[:, None] > 0)
         betas = snorm(lam[spa[:, :, None], pa[:, None, :]])
         floors = np.abs(lam[pa, vs[:, None]]).tolist()

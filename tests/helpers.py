@@ -8,6 +8,7 @@ from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.lsem import as_matrix
 from bowfree.recovery import RecoverySystem, recover_many
+from bowfree.reduction import Gadgets
 from bowfree.robustness import ErrorRateConstants, PerturbationSpec, sample_perturbation
 
 
@@ -44,6 +45,32 @@ def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) ->
     if known:
         b = b - full[..., m:-1] @ g.forced[edges[~free]]
     return RecoverySystem(v, tuple(rows), tuple(unknown), full[..., :m], b)
+
+
+def reference_build_gadgets(heads, tails, qs, r: int, start: int):
+    """build_gadgets built from one edge template per distinct q: the
+    reference that the one-pass build must match. Returns the same table and
+    the same edges, grouped by q rather than by gadget."""
+    heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
+    sizes = np.where(qs > 0, (qs - 1) * r + r * r, 0) + 1
+    firsts = start + np.cumsum(sizes) - sizes
+    edges = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for q in sorted(set(qs.tolist())):
+        # In ids relative to a gadget's first id, with -1 for the head and
+        # -2 for the tail.
+        widths = [r] * (q - 1) + [r * r] if q else []
+        starts = np.cumsum([0] + widths)  # stage s is starts[s]:starts[s + 1]; the collector is starts[-1]
+        chain = [np.array([-1])] + [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])] + [starts[-1:]]
+        src = np.concatenate([np.repeat(a, b.size) for a, b in zip(chain, chain[1:])] + [starts[-1:]])
+        tgt = np.concatenate([np.tile(b, a.size) for a, b in zip(chain, chain[1:])] + [[-2]])
+        weight = np.full(src.size, 1.0 / r if q else 1.0)
+        weight[-1] = np.nan  # collector -> tail is the free edge
+        members = np.flatnonzero(qs == q)
+        head, tail, base = heads[members, None], tails[members, None], firsts[members, None]
+        ends = [np.select([t == -1, t == -2], [head, tail], t + base).ravel() for t in (src, tgt)]
+        edges.append((*ends, np.tile(weight, members.size)))
+    gadgets = Gadgets(heads, tails, qs, firsts, firsts + sizes - 1)
+    return gadgets, tuple(np.concatenate(x) for x in zip(*edges))
 
 
 @dataclass(frozen=True)

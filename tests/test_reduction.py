@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bowfree.errors import ConfigError
 from bowfree.generators import (
@@ -27,6 +29,7 @@ from bowfree.reduction import (
     verify_reduction,
 )
 from bowfree.robustness import check_assumptions
+from helpers import reference_build_gadgets
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
@@ -83,6 +86,29 @@ def test_gadget_rejects_bad_parameters():
         build_gadgets(0, 1, -1, 2, 2)
     with pytest.raises(ConfigError):
         build_gadgets(0, 1, 1, 0, 2)
+
+
+def _by_edge(edges):
+    source, target, forced = edges
+    order = np.lexsort((target, source))
+    return source[order], target[order], forced[order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 6)), max_size=8))
+@example(3, [])
+def test_one_pass_gadgets_equal_the_per_q_templates(r, rows):
+    heads, tails, qs = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    gadgets, edges = build_gadgets(heads, tails, qs, r, 10)
+    want, want_edges = reference_build_gadgets(heads, tails, qs, r, 10)
+    for got, ref in zip(gadgets, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for got, ref in zip(_by_edge(edges), _by_edge(want_edges)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref, equal_nan=True)
+    source, target, forced = _by_edge(edges)
+    free = np.isnan(forced)
+    assert sorted(zip(source[free].tolist(), target[free].tolist())) == sorted(
+        zip(gadgets.collector.tolist(), gadgets.tail.tolist()))
 
 
 def test_reduce_layered_graph_is_identity():
@@ -265,6 +291,20 @@ def test_dense_callers_accept_the_implicit_reduced_covariance():
     lam = dense.lam
     assert (check_assumptions(red.g_prime, red.sigma_prime, lam).to_dict()
             == check_assumptions(red.g_prime, red.sigma_prime.sigma, lam).to_dict())
+
+
+def test_check_assumptions_reads_the_reduced_covariance_without_densifying(monkeypatch):
+    g, sigma = _random_instance(3)
+    red = reduce_instance(g, sigma)
+    dense = red.sigma_prime.sigma
+    lam = recover_full_params(red.g_prime, dense).lam
+    want = check_assumptions(red.g_prime, dense, lam).to_dict()
+
+    def refuse(self):
+        raise AssertionError("the dense reduced covariance was built")
+
+    monkeypatch.setattr(ReducedCovariance, "sigma", property(refuse))
+    assert check_assumptions(red.g_prime, red.sigma_prime, lam).to_dict() == want
 
 
 def test_reduce_instance_does_not_build_the_dense_reduced_covariance():
