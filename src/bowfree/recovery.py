@@ -38,6 +38,7 @@ covariances through such passes in stacks of bounded size.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,11 +57,11 @@ from .lsem import (
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
-# recover_many stacks at most this many bytes of covariances and edge
-# weights, 8 * (n * n + |E|) per trial. Peak memory grows by up to about
-# twice this over recovering one covariance at a time. 8 MiB holds 46
-# covariances of n = 150, enough to amortise the Python layer walk: larger
-# stacks were barely faster there.
+# A recovery stack (stack_trials) holds at most this many bytes of
+# covariances and edge weights, 8 * (n * n + |E|) per trial; recover_many's
+# list and stack take up to twice this. 8 MiB holds 46 covariances of
+# n = 150, enough to amortise the Python layer walk: larger stacks were
+# barely faster there.
 STACK_BYTES = 8 * 2**20
 
 
@@ -244,15 +245,15 @@ def _solve(a, b, vertex):
             f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})",
             vertex=vertex,
         )
-    # Singular trials of a stack solve the identity instead and report NaN.
-    safe = np.where(singular[..., None, None], np.eye(m), a) if singular.any() else a
-    weights = np.linalg.solve(safe, b[..., None])[..., 0]
-    if safe is not a:
+    if singular.any():  # only on a stack: its singular trials solve the identity and report NaN
+        weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
         weights[singular] = np.nan
+        s_max, s_min = np.where(s_min == 0, [[np.inf], [1.0]], [s_max, s_min])  # condition inf, even for 0/0
+    else:
+        weights = np.linalg.solve(a, b[..., None])[..., 0]
     r = (a @ weights[..., None])[..., 0] - b
     residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
-    condition = np.divide(s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min > 0)
-    return weights, residual, condition
+    return weights, residual, s_max / s_min
 
 
 def recover_vertex(system: RecoverySystem):
@@ -308,22 +309,26 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
         else:
             weights, residual, condition = recover_vertex(build_system(g, sig, recovered, v))
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
-        singular = ~np.isfinite(residual)
-        if singular.any():
-            if sig.ndim == 2:
+        if sig.ndim == 2:
+            residual, condition = float(residual), float(condition)
+            if not math.isfinite(residual):
                 raise NearSingularError(f"vertex {v + 1}: solve gave non-finite values", vertex=v)
+        elif (singular := ~np.isfinite(residual)).any():
             failed[singular & (failed < 0)] = v
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
         recovered[..., plan.free_edges[row_ptr[v] : row_ptr[v + 1]]] = weights
-        if sig.ndim == 2:
-            residual, condition = float(residual), float(condition)
         per_vertex[v] = VertexDiagnostics(residual, condition, partial[v])
 
     if sig.ndim == 2:
         return RecoveryResult(g, recovered, per_vertex)
     recovered[failed >= 0] = np.nan
     return RecoveryResult(g, recovered, per_vertex, failed)
+
+
+def stack_trials(g: MixedGraph) -> int:
+    """How many covariances of g one recovery stack of STACK_BYTES holds."""
+    return max(1, STACK_BYTES // (8 * max(g.n**2 + g.source.size, 1)))
 
 
 def recover_many(g: MixedGraph, covariances):
@@ -335,9 +340,8 @@ def recover_many(g: MixedGraph, covariances):
     Covariances are taken lazily and stacked up to STACK_BYTES at a time,
     so memory stays bounded however many there are.
     """
-    per_stack = max(1, STACK_BYTES // (8 * max(g.n**2 + g.source.size, 1)))
     remaining = iter(covariances)
-    while chunk := list(itertools.islice(remaining, per_stack)):
+    while chunk := list(itertools.islice(remaining, stack_trials(g))):
         stack = np.stack([as_matrix(s) for s in chunk])
         del chunk
         result = recover_all(g, stack)

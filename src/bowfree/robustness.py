@@ -11,7 +11,6 @@ mirroring the upper triangle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,28 +18,33 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PremiseError
 from .generators import derived_seed
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _row_pointers, _unique
 from .linalg import snorm, symmetrize
 from .lsem import ReducedCovariance, as_matrix, gatherable
-from .recovery import recover_all, recover_many, weight_matrix
+from .recovery import recover_all, stack_trials, weight_matrix
 
 
-def relative_distance(a, b) -> float:
+def relative_distance(a, b) -> float | np.ndarray:
     """Max entrywise relative deviation of b from a over nonzero entries of a.
 
     Not symmetric: entries of ``a`` are the denominators, and positions
-    where a is zero are skipped entirely.
+    where a is zero are skipped entirely. A stack ``b`` (..., *a.shape)
+    gives one distance per member, each with the bits of that member alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if b.shape[b.ndim - a.ndim :] != a.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    nonzero = a != 0
-    if not nonzero.any():
+    zero = np.flatnonzero(a == 0)
+    if zero.size == a.size:
         raise ConfigError("relative distance is undefined for an all-zero reference")
-    rel = np.abs(a - b)
-    np.divide(rel, np.abs(a), out=rel, where=nonzero)
-    return float(np.max(rel, where=nonzero, initial=0.0))
+    # Unmasked passes, faster than where=: a zero of a divides by 1, without a warning, and is then reset.
+    mag, rel, out = np.where(a == 0, 1.0, np.abs(a)), np.empty(a.shape), np.empty(b.shape[: b.ndim - a.ndim])
+    for i in np.ndindex(out.shape):  # in one scratch of a's size: a chunk-sized one was no faster
+        np.divide(np.abs(np.subtract(a, b[i], out=rel), out=rel), mag, out=rel)
+        rel.flat[zero] = 0.0
+        out[i] = np.max(rel, initial=0.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -68,26 +72,37 @@ class PerturbationSpec:
             )
 
 
-def sample_perturbation(sigma, spec: PerturbationSpec) -> np.ndarray:
+def sample_perturbation(sigma, spec: PerturbationSpec | list[PerturbationSpec], out=None) -> np.ndarray:
     """Draw sigma + eps with |eps_ij| <= (gamma / sqrt(k)) |sigma_ij|.
 
     With ``enforce_tight`` the entry of largest magnitude is set to exactly
     (gamma / sqrt(k)) sigma_ij so the relative distance of the draw equals
-    gamma / sqrt(k).
+    gamma / sqrt(k). A sequence of specs gives one draw each, with the bits
+    of that spec alone, stacked (T, n, n) into ``out`` when it is given.
     """
     sig = as_matrix(sigma)
     n = sig.shape[0]
-    spec.validate(n)
-    rng = np.random.default_rng(spec.seed)
-    bound = (spec.gamma / math.sqrt(spec.k)) * np.abs(sig)
-    eps = rng.uniform(-1.0, 1.0, size=sig.shape) * bound
-    eps = np.where(np.tri(n, k=-1, dtype=bool), eps.T, eps)  # the upper triangle, mirrored
-    eps += 0.0  # -0.0 becomes 0.0, as it did when the two triangles were summed
-    if spec.enforce_tight:
-        i, j = np.unravel_index(np.argmax(np.abs(sig)), sig.shape)
-        eps[i, j] = (spec.gamma / math.sqrt(spec.k)) * sig[i, j]
-        eps[j, i] = eps[i, j]
-    return symmetrize(sig + eps)
+    specs = [spec] if isinstance(spec, PerturbationSpec) else spec
+    draws = np.empty((len(specs), *sig.shape)) if out is None else out
+    mag, lower = np.abs(sig), np.tri(n, k=-1, dtype=bool)
+    sig0 = sig + 0.0  # sig0 + eps has the bits of sig + (eps + 0.0): a -0.0 in eps counts as 0.0
+    i, j = np.unravel_index(np.argmax(mag), sig.shape)
+    # Draws of a symmetric sigma are symmetric, and |draw| <= (1 + c) max|sigma|
+    # up to rounding: below 2^1022 the mirror average x + x cannot overflow.
+    symmetric, top = np.array_equal(sig, sig.T), mag.max(initial=0.0)
+    eps, bound = np.empty(sig.shape), np.empty(sig.shape)
+    for s, x in zip(specs, draws):
+        s.validate(n)
+        c = s.gamma / math.sqrt(s.k)
+        np.multiply(np.random.default_rng(s.seed).random(out=eps), 2.0, out=eps)
+        np.multiply(np.subtract(eps, 1.0, out=eps), np.multiply(c, mag, out=bound), out=eps)  # uniform(-1, 1)'s bits
+        np.add(sig0, eps, out=x)
+        np.add(sig0, eps.T, out=x, where=lower)  # the upper triangle of eps, mirrored
+        if s.enforce_tight:
+            x[i, j], x[j, i] = sig[i, j] + c * sig[i, j], sig[j, i] + c * sig[i, j]
+        if not (symmetric and (1.0 + c) * top < 2.0**1022):
+            x[...] = symmetrize(x)
+    return draws[0] if isinstance(spec, PerturbationSpec) else draws
 
 
 # -- structural assumptions -------------------------------------------------
@@ -174,15 +189,19 @@ def check_assumptions(
     n2_floor = 1.0 / g.n**2 if g.n else 0.0
     lambda_floor = float(np.fmin.reduce(np.abs(lam[g.source, g.target]), initial=np.inf))  # NaN-blind, as min()
 
-    groups: dict[tuple[int, int], list] = {}
-    for v in range(g.n):
-        pa = g.parents(v)
-        if pa:
-            spa = g.spa(v)
-            groups.setdefault((len(pa), len(spa)), []).append((v, pa, spa))
+    # v's parents are parents[ptr[v]:ptr[v + 1]], ascending; its second parents, each edge
+    # p -> v joined to p's in-edges and sorted once, are second[spa_ptr[v]:spa_ptr[v + 1]].
+    ptr, span = _row_pointers(g.target, g.n), g.n + 1
+    parents, k = g.source[g._in[0]], np.diff(ptr)[g.source]
+    grand = parents[np.repeat(ptr[g.source] - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    keys = _unique(np.repeat(g.target, k) * span + grand)
+    second, spa_ptr = keys % span, _row_pointers(keys // span, g.n)
+    sizes = np.diff(ptr) * span + np.diff(spa_ptr)  # (|pa|, |spa|) as one number
     per_vertex: dict[int, VertexAssumptions] = {}
-    for members in groups.values():
-        vs, pa, spa = (np.array(col, dtype=np.intp) for col in zip(*members))
+    for size in _unique(sizes[ptr[1:] > ptr[:-1]]).tolist():
+        vs = np.flatnonzero(sizes == size)
+        pa = parents[ptr[vs, None] + np.arange(size // span)]
+        spa = second[spa_ptr[vs, None] + np.arange(size % span)]
         svals = np.linalg.svd(sig[..., pa[:, :, None], pa[:, None, :]], compute_uv=False)
         denom, low = svals[:, 0], svals[:, -1]
         kappas = np.divide(denom, low, out=np.full_like(denom, np.inf), where=low > 1e-12 * denom)
@@ -360,44 +379,41 @@ def estimate_condition_number(
     Recovery failures on perturbed draws are counted, with the vertex that
     failed, and excluded from the max. Trial seeds are derived from
     (seed, gamma index, trial index) so a longer run extends a shorter one.
-    The unperturbed covariance and the draws are recovered together, in as
-    few passes as recover_many's memory bound allows. NearSingularError is
-    raised when the unperturbed one fails, before any invalid gamma is
-    reported.
+    The unperturbed covariance and then the draws fill one reused stack of
+    recovery.stack_trials(g) slots, each chunk drawn in place, recovered and
+    measured in one pass. NearSingularError is raised when the unperturbed
+    one fails, before any invalid gamma is reported.
     """
     sig = as_matrix(sigma)
     k = max(g.max_degree(), 1)
-    draws = [(gamma, gi, t) for gi, gamma in enumerate(gammas) for t in range(trials)]
-
-    def perturbed():
-        for gamma, gi, t in draws:
-            spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
-            yield sample_perturbation(sig, spec)
-
-    recovered = recover_many(g, itertools.chain([sig], perturbed()))
-    try:
-        _, base, failed = next(recovered)
-    except ConfigError:
-        recover_all(g, sig)  # a singular base is reported before a bad gamma
-        raise
-    if failed >= 0:
-        # Alone, the base raises NearSingularError with its singular values.
-        base = recover_all(g, sig).weights
-    else:
-        base = base.copy()  # a view would keep its whole stack alive
-    records = []
-    kappa_hat = 0.0
-    for (gamma, _, t), (draw, lam, failed) in zip(draws, recovered):
-        rel_sig = relative_distance(sig, draw)
-        if failed >= 0:
-            records.append(ConditionTrial(gamma, t, None, rel_sig, None, True, int(failed)))
-            continue
-        if np.all(base == 0) or rel_sig == 0:
-            records.append(ConditionTrial(gamma, t, None, rel_sig, None, False))
-            continue
-        rel_lam = relative_distance(base, lam)
-        ratio = rel_lam / rel_sig
-        kappa_hat = max(kappa_hat, ratio)
-        records.append(ConditionTrial(gamma, t, ratio, rel_sig, rel_lam, False))
+    specs = [PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
+             for gi, gamma in enumerate(gammas) for t in range(trials)]
+    stack = np.empty((min(stack_trials(g), len(specs) + 1), *sig.shape))
+    stack[0] = sig
+    records, kappa_hat = [], 0.0
+    for lo in range(0, len(specs) + 1, len(stack)):  # positions in (sigma, *draws)
+        first = lo == 0
+        chunk = specs[lo - 1 + first : lo - 1 + len(stack)]
+        try:
+            draws = sample_perturbation(sig, chunk, out=stack[first : first + len(chunk)])
+            result = recover_all(g, stack[: first + len(chunk)])
+        except ConfigError:
+            if first:
+                recover_all(g, sig)  # a singular base is reported before a bad gamma
+            raise
+        if first:  # alone, a failed base raises NearSingularError with its singular values
+            base = recover_all(g, sig).weights if result.failed_vertex[0] >= 0 else result.weights[0]
+            zero_base = bool(np.all(base == 0))
+        rel_sig = relative_distance(sig, draws).tolist()
+        rel_lam = [None] * len(chunk) if zero_base else relative_distance(base, result.weights[first:]).tolist()
+        failed_at = result.failed_vertex[first:].tolist()
+        for j, (spec, failed, rs, rl) in enumerate(zip(chunk, failed_at, rel_sig, rel_lam), lo - 1 + first):
+            if failed >= 0:
+                records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, True, failed))
+            elif zero_base or rs == 0:
+                records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, False))
+            else:
+                kappa_hat = max(kappa_hat, rl / rs)
+                records.append(ConditionTrial(spec.gamma, j % trials, rl / rs, rs, rl, False))
     failures = sum(rec.failed for rec in records)
     return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))

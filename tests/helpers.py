@@ -1,15 +1,25 @@
 """Test-side helpers that measure the library rather than extend it."""
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from bowfree.errors import ConfigError
 from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
+from bowfree.linalg import symmetrize
 from bowfree.lsem import as_matrix
-from bowfree.recovery import RecoverySystem, recover_many
+from bowfree.recovery import RecoverySystem, recover_all, recover_many, weight_matrix
 from bowfree.reduction import Gadgets
-from bowfree.robustness import ErrorRateConstants, PerturbationSpec, sample_perturbation
+from bowfree.robustness import (
+    ConditionEstimate,
+    ConditionTrial,
+    ErrorRateConstants,
+    PerturbationSpec,
+    sample_perturbation,
+)
 
 
 def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
@@ -71,6 +81,71 @@ def reference_build_gadgets(heads, tails, qs, r: int, start: int):
         edges.append((*ends, np.tile(weight, members.size)))
     gadgets = Gadgets(heads, tails, qs, firsts, firsts + sizes - 1)
     return gadgets, tuple(np.concatenate(x) for x in zip(*edges))
+
+
+def reference_sample_perturbation(sigma, spec: PerturbationSpec) -> np.ndarray:
+    """One draw of sample_perturbation computed on its own, every
+    intermediate a fresh array and the mirror average always taken: the
+    reference for the bits of the in-place draws."""
+    sig = as_matrix(sigma)
+    n = sig.shape[0]
+    spec.validate(n)
+    rng = np.random.default_rng(spec.seed)
+    bound = (spec.gamma / math.sqrt(spec.k)) * np.abs(sig)
+    eps = rng.uniform(-1.0, 1.0, size=sig.shape) * bound
+    eps = np.where(np.tri(n, k=-1, dtype=bool), eps.T, eps)  # the upper triangle, mirrored
+    eps += 0.0
+    if spec.enforce_tight:
+        i, j = np.unravel_index(np.argmax(np.abs(sig)), sig.shape)
+        eps[i, j] = (spec.gamma / math.sqrt(spec.k)) * sig[i, j]
+        eps[j, i] = eps[i, j]
+    return symmetrize(sig + eps)
+
+
+def reference_relative_distance(a, b) -> float:
+    """relative_distance of one pair, with no stack axis."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nonzero = a != 0
+    rel = np.abs(a - b)
+    np.divide(rel, np.abs(a), out=rel, where=nonzero)
+    return float(np.max(rel, where=nonzero, initial=0.0))
+
+
+def reference_condition_estimate(g, sigma, trials, gammas, seed, enforce_tight=False, strict=True):
+    """estimate_condition_number as a per-draw loop: each draw sampled alone,
+    the base and the draws recovered through recover_many, and each draw
+    measured alone. The in-place chunks must match it bit for bit."""
+    sig = as_matrix(sigma)
+    k = max(g.max_degree(), 1)
+    draws = [(gamma, gi, t) for gi, gamma in enumerate(gammas) for t in range(trials)]
+
+    def perturbed():
+        for gamma, gi, t in draws:
+            spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
+            yield reference_sample_perturbation(sig, spec)
+
+    recovered = recover_many(g, itertools.chain([sig], perturbed()))
+    try:
+        _, base, failed = next(recovered)
+    except ConfigError:
+        recover_all(g, sig)  # a singular base is reported before a bad gamma
+        raise
+    if failed >= 0:
+        base = recover_all(g, sig).weights
+    records = []
+    kappa_hat = 0.0
+    for (gamma, _, t), (draw, lam, failed) in zip(draws, recovered):
+        rel_sig = reference_relative_distance(sig, draw)
+        if failed >= 0:
+            records.append(ConditionTrial(gamma, t, None, rel_sig, None, True, int(failed)))
+        elif np.all(base == 0) or rel_sig == 0:
+            records.append(ConditionTrial(gamma, t, None, rel_sig, None, False))
+        else:
+            rel_lam = reference_relative_distance(base, lam)
+            kappa_hat = max(kappa_hat, rel_lam / rel_sig)
+            records.append(ConditionTrial(gamma, t, rel_lam / rel_sig, rel_sig, rel_lam, False))
+    failures = sum(rec.failed for rec in records)
+    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))
 
 
 @dataclass(frozen=True)

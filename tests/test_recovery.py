@@ -385,6 +385,25 @@ def test_recover_vertex_masks_singular_trials_of_a_stack():
     assert residual[0] == 0.0 and condition[0] == 1.0 and np.isinf(condition[1])
 
 
+@pytest.mark.parametrize(
+    "edges, variances",
+    [([(0, 2), (1, 2)], [0.0, 0.0, 1.0]),  # the closed form: vertex 3's parent block is zero
+     ([(0, 1), (1, 2)], [1.0, 0.0, 1.0])],  # the transformed system: vertex 3's row is zero
+    ids=["closed-form", "general"],
+)
+def test_an_all_zero_system_fails_only_its_trial_with_condition_inf(edges, variances):
+    g = MixedGraph(3, edges)
+    zero = np.diag(variances)
+    result = recover_all(g, np.stack([np.eye(3), zero]))
+    assert result.failed_vertex.tolist() == [-1, 2]
+    assert np.isnan(result.weights[1]).all() and not np.isnan(result.weights[0]).any()
+    condition = result.per_vertex[2].condition
+    assert condition[0] == 1.0 and condition[1] == np.inf  # 0/0 would be NaN
+    with pytest.raises(NearSingularError, match="^vertex 3: ") as err:
+        recover_all(g, zero)
+    assert err.value.vertex == 2
+
+
 def test_recover_many_splits_into_bounded_stacks(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph

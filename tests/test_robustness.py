@@ -21,7 +21,7 @@ from bowfree.generators import (
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import ParamSet, ReducedCovariance, forward_map
-from bowfree import recovery
+from bowfree import recovery, robustness
 from bowfree.recovery import recover_all
 from bowfree.reduction import reduce_instance, verify_reduction
 from bowfree.robustness import (
@@ -37,7 +37,12 @@ from bowfree.robustness import (
     stability_premise,
 )
 
-from helpers import per_vertex_error_check
+from helpers import (
+    per_vertex_error_check,
+    reference_condition_estimate,
+    reference_relative_distance,
+    reference_sample_perturbation,
+)
 
 
 def test_relative_distance_examples():
@@ -409,6 +414,98 @@ def test_singular_base_is_reported_before_a_strict_gamma_error():
     with pytest.raises(NearSingularError) as err:
         estimate_condition_number(g, np.ones((3, 3)), 2, [1e-3, 0.5], seed=0)
     assert err.value.vertex == 2
+
+
+def _padded(g, sigma, variance):
+    """g and sigma with one more vertex, isolated, of the given variance."""
+    sigma = np.pad(sigma, (0, 1))
+    sigma[-1, -1] = variance
+    return MixedGraph.from_arrays(g.n + 1, g.source, g.target, g.forced, g.pairs), sigma
+
+
+def _condition_outcome(estimate):
+    try:
+        est = estimate()
+    except (ConfigError, NearSingularError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    # repr() prints every float exactly and tells -0.0 from 0.0; it leaves base_lambda out.
+    return repr(est), est.base_lambda.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["plain", "signed-zeros", "asymmetric", "variance-1e307", "variance-6e307", "variance-1e308", "tight",
+     "failing", "three-chunks", "failing-three-chunks"],
+)
+def test_in_place_condition_estimate_has_the_bits_of_the_per_draw_loop(case, monkeypatch):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    g, sigma = inst.graph, inst.sigma.copy()
+    kwargs = dict(trials=4, gammas=[1e-3, 1e-4], seed=5, strict=False)
+    if case == "signed-zeros":
+        sigma[0, 5] = sigma[5, 0] = sigma[4, 9] = sigma[9, 4] = -0.0
+        sigma[2, 7], sigma[7, 2] = 0.0, -0.0
+    elif case == "asymmetric":  # within 1e-10, so the mirror average is not the identity
+        sigma[1, 3] *= 1 + 1e-11
+    elif case.startswith("variance-"):  # x + x overflows in the mirror average of 1e308 only
+        g, sigma = _padded(g, sigma, float(case.split("-")[1]))
+    elif case == "tight":
+        kwargs["enforce_tight"] = True
+    if "failing" in case:  # as in test_condition_estimate_records_the_vertex_of_failed_draws
+        base = recover_all(g, sigma)
+        worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
+        monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
+    if "three-chunks" in case:
+        monkeypatch.setattr(recovery, "STACK_BYTES", 3 * 8 * (g.n**2 + g.source.size))
+    stacks = []
+
+    def counting(g, sigma):
+        stacks.append(len(sigma))
+        return recover_all(g, sigma)
+
+    with np.errstate(over="ignore"):
+        want = _condition_outcome(lambda: reference_condition_estimate(g, sigma, **kwargs))
+        with monkeypatch.context() as m:
+            m.setattr(robustness, "recover_all", counting)
+            got = _condition_outcome(lambda: estimate_condition_number(g, sigma, **kwargs))
+    assert got == want
+    if case == "variance-1e308":
+        assert want == "ConfigError: covariance has non-finite entries"
+        return
+    assert stacks == ([3, 3, 3] if "three-chunks" in case else [9])
+    assert ("failed=True" in want[0]) == ("failing" in case)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("kind", ["plain", "signed-zeros", "asymmetric", "huge"])
+def test_stacked_draws_have_the_bits_of_single_draws(kind, tight):
+    sigma = gen_sdd_instance(n=9, k=2, p=0.6, weight_range=1.0, seed=4).sigma
+    if kind == "signed-zeros":
+        sigma[0, 5] = sigma[5, 0] = sigma[3, 3] = -0.0
+        sigma[2, 7], sigma[7, 2] = 0.0, -0.0
+    elif kind == "asymmetric":
+        sigma[1, 3] *= 1 + 1e-11
+    elif kind == "huge":  # entries on both sides of the mirror average's overflow guard, and past overflow
+        sigma = sigma / np.abs(sigma).max() * 6e307
+        sigma[8, 8] = 1.7e308
+    specs = [PerturbationSpec(gamma, 2, seed, tight, strict=False) for gamma in (1e-3, 0.5) for seed in range(3)]
+    with np.errstate(over="ignore"):
+        want = np.stack([reference_sample_perturbation(sigma, spec) for spec in specs])
+        out = np.empty_like(want)
+        assert sample_perturbation(sigma, specs, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert sample_perturbation(sigma, specs[1]).tobytes() == want[1].tobytes()
+
+
+def test_relative_distance_of_a_stack_is_the_per_member_value():
+    sigma = gen_sdd_instance(n=9, k=2, p=0.6, weight_range=1.0, seed=4).sigma
+    sigma[0, 5] = sigma[5, 0] = 0.0
+    draws = sample_perturbation(sigma, [PerturbationSpec(1e-3, 2, seed, strict=False) for seed in range(4)])
+    draws[2, 0, 5], draws[3, 5, 0] = 7.0, np.nan  # skipped: sigma is zero there
+    got = relative_distance(sigma, draws.reshape(2, 2, 9, 9))
+    assert got.shape == (2, 2)
+    assert got.ravel().tolist() == [reference_relative_distance(sigma, d) for d in draws]
+    with pytest.raises(ConfigError, match="shape mismatch"):
+        relative_distance(sigma, draws[0, :3])
 
 
 def test_condition_estimate_within_error_rate_bound():
