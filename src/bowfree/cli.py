@@ -180,7 +180,7 @@ def _cmd_condition(args) -> int:
     estimate = estimate_condition_number(
         g, sigma, args.trials, gammas, args.seed, enforce_tight=args.tight, strict=strict
     )
-    profile = check_assumptions(g, sigma, estimate.base_lambda)
+    profile = check_assumptions(g, sigma, estimate.base_weights)
     premise = stability_premise(profile)
     eta = bound = None
     if premise.holds:
@@ -204,14 +204,9 @@ def _cmd_condition(args) -> int:
     if args.trials_csv:
         lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed,vertex"]  # vertex: 1-based, of a failed draw
         for rec in estimate.records:
-            lines.append(
-                f"{rec.gamma},{rec.trial},"
-                f"{'' if rec.ratio is None else rec.ratio},"
-                f"{'' if rec.rel_sigma is None else rec.rel_sigma},"
-                f"{'' if rec.rel_lambda is None else rec.rel_lambda},"
-                f"{int(rec.failed)},"
-                f"{'' if rec.vertex is None else rec.vertex + 1}"
-            )
+            vertex = None if rec.vertex is None else rec.vertex + 1
+            cells = (rec.gamma, rec.trial, rec.ratio, rec.rel_sigma, rec.rel_lambda, int(rec.failed), vertex)
+            lines.append(",".join("" if c is None else str(c) for c in cells))
         Path(args.trials_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -222,10 +217,10 @@ def _cmd_check(args) -> int:
     if args.params:
         params = load_params(args.params)
         check_pattern(g, params)
-        lam = params.lam
+        weights = params.lam[g.source, g.target]
     else:
-        lam = recover_all(g, sigma).lambda_hat
-    profile = check_assumptions(g, sigma, lam)
+        weights = recover_all(g, sigma).weights
+    profile = check_assumptions(g, sigma, weights)
     payload = profile.to_dict()
     payload["premise"] = stability_premise(profile).to_dict()
     write_report(payload, args.out)

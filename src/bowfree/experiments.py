@@ -29,8 +29,8 @@ from .generators import (
     sample_observations,
 )
 from .lsem import ParamSet, _read_csv, forward_map, sample_covariance
-from .recovery import recover_all, recover_many
-from .robustness import check_assumptions, relative_distance
+from .recovery import recover_all
+from .robustness import check_assumptions, perturbation_ratios
 
 SCHEMA_VERSION = 1
 
@@ -127,28 +127,23 @@ def gene_standin_dataset(seed: int = 0) -> np.ndarray:
 # -- pipelines ----------------------------------------------------------------
 
 
-def _perturbation_ratios(graph, sigma: np.ndarray, perturbed, record: dict) -> dict:
-    """Recover ``sigma`` and each covariance of the iterable ``perturbed``
-    together and fill the record: a failed ``sigma`` marks
+def _ratio_record(g, sigma: np.ndarray, runs: int, fill, **cell) -> dict:
+    """The record of one graph: its ``cell`` keys, then the ratios
+    Rel(lam, lam~) / Rel(sigma, sigma~) of the ``runs`` covariances that
+    ``fill`` draws (see perturbation_ratios). A failed ``sigma`` marks
     ``recovery_failed``; otherwise, unless every recovered weight is zero,
-    failed perturbations count in ``run_failures`` and each other one adds
-    the ratio Rel(lam, lam~) / Rel(sigma, sigma~), skipped when
-    Rel(sigma, sigma~) = 0.
+    failed runs count in ``run_failures`` and the others add their ratio,
+    skipped when Rel(sigma, sigma~) = 0.
     """
-    recovered = recover_many(graph, itertools.chain([sigma], perturbed))
-    _, base, failed = next(recovered)
-    base = base.copy()  # a view would keep its whole stack alive
-    if failed >= 0:
-        record["recovery_failed"] = True
-    elif np.any(base != 0):
-        for draw, lam, failed in recovered:
-            if failed >= 0:
-                record["run_failures"] += 1
-                continue
-            rel_sig = relative_distance(sigma, draw)
-            if rel_sig != 0.0:
-                record["ratios"].append(relative_distance(base, lam) / rel_sig)
-    return record
+    base, base_failed, rel_sigma, rel_lambda, failed_vertex = perturbation_ratios(g, sigma, runs, fill)
+    counted = not base_failed and bool(np.any(base != 0))
+    ok = counted & (failed_vertex < 0) & (rel_sigma != 0)
+    return {
+        **cell,
+        "ratios": (rel_lambda[ok] / rel_sigma[ok]).tolist(),
+        "recovery_failed": base_failed,
+        "run_failures": int(np.count_nonzero(failed_vertex >= 0)) if counted else 0,
+    }
 
 
 def run_gene_style(cfg: ExperimentConfig) -> dict:
@@ -165,6 +160,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
     x = load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
     n = x.shape[1]
     degenerate = cfg.noise_eps == 0.0
+    runs = 0 if degenerate else cfg.runs_per_graph
     sigma = sample_covariance(x, normalize_rows=cfg.normalize)
 
     records = []
@@ -174,20 +170,13 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
                 RandomGraphConfig(n, p, seed=derived_seed(cfg.seed, 1, pi, gidx))
             )
 
-            def noisy():
-                for run in range(0 if degenerate else cfg.runs_per_graph):
+            def noisy(out, lo):
+                for run, slot in enumerate(out, lo):
                     rng = np.random.default_rng(derived_seed(cfg.seed, 2, pi, gidx, run))
-                    yield sample_covariance(x + rng.normal(0.0, cfg.noise_eps, size=x.shape),
-                                            normalize_rows=cfg.normalize)
+                    slot[...] = sample_covariance(x + rng.normal(0.0, cfg.noise_eps, size=x.shape),
+                                                  normalize_rows=cfg.normalize)
 
-            record = {
-                "p": p,
-                "graph": gidx,
-                "ratios": [],
-                "recovery_failed": False,
-                "run_failures": 0,
-            }
-            records.append(_perturbation_ratios(graph, sigma, noisy(), record))
+            records.append(_ratio_record(graph, sigma, runs, noisy, p=p, graph=gidx))
 
     return summarise({
         "schema": SCHEMA_VERSION,
@@ -217,20 +206,14 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                     lam = gen_lambda_range(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 1)))
                     omega = gen_omega_sdd(graph, SDDNoiseConfig(weight_range, derived_seed(*cell_seed, 2)))
                     sigma = forward_map(graph, ParamSet(lam, omega))
-                    sampled = (
-                        sample_covariance(sample_observations(sigma, cfg.samples, derived_seed(*cell_seed, 4, run)))
-                        for run in range(cfg.runs_per_graph)
-                    )
-                    record = {
-                        "n": n,
-                        "p": p,
-                        "range": weight_range,
-                        "graph": gidx,
-                        "ratios": [],
-                        "recovery_failed": False,
-                        "run_failures": 0,
-                    }
-                    records.append(_perturbation_ratios(graph, sigma, sampled, record))
+
+                    def sampled(out, lo):
+                        for run, slot in enumerate(out, lo):
+                            slot[...] = sample_covariance(
+                                sample_observations(sigma, cfg.samples, derived_seed(*cell_seed, 4, run)))
+
+                    records.append(_ratio_record(graph, sigma, cfg.runs_per_graph, sampled,
+                                                 n=n, p=p, range=weight_range, graph=gidx))
 
     return summarise({
         "schema": SCHEMA_VERSION,
@@ -263,7 +246,7 @@ def run_assumption_survey(cfg: ExperimentConfig) -> dict:
             record.update({"pass_a1": None, "pass_a2": None, "pass_a3": None, "all_pass": None})
             records.append(record)
             continue
-        profile = check_assumptions(graph, sigma, base.lambda_hat)
+        profile = check_assumptions(graph, sigma, base.weights)
         record["pass_a1"] = all(d.pass_a1 for d in profile.per_vertex.values())
         record["pass_a2"] = all(d.pass_a2 for d in profile.per_vertex.values())
         record["pass_a3"] = all(d.pass_a3 for d in profile.per_vertex.values())

@@ -90,17 +90,23 @@ def derived_seed(*parts) -> int:
 
 def _attach_bidirected(n, source, target, rng, extra_p) -> np.ndarray:
     """One mandatory bidirected partner per vertex plus extras; never on a
-    pair that already carries a directed edge. The extras draw once per
-    eligible pair u < v, in one bulk call in row-major order. Returns the
-    pairs as (u, v) rows with u < v."""
+    pair that already carries a directed edge. The partners of the vertices
+    with candidates draw in one bulk call in vertex order, and the extras
+    once per eligible pair u < v, in one bulk call in row-major order.
+    Returns the pairs as (u, v) rows with u < v."""
     adjacent = np.eye(n, dtype=bool)
     adjacent[source, target] = adjacent[target, source] = True
+    degree = np.count_nonzero(adjacent, axis=1)
+    js = np.flatnonzero(degree < n)
+    pick = np.zeros(n, dtype=np.int64)
+    pick[js] = rng.integers(n - degree[js])
+    # j's partner is its pick-th non-adjacent vertex: pick plus the vertices
+    # adjacent to j below it, those with at most pick non-adjacent ones below.
+    rows, cols = np.nonzero(adjacent)
+    below = cols - (np.arange(rows.size) - (np.cumsum(degree) - degree)[rows])
+    i = (pick + np.bincount(rows[below <= pick[rows]], minlength=n))[js]
     bidirected = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        candidates = np.flatnonzero(~adjacent[j])
-        if candidates.size:
-            i = candidates[rng.integers(candidates.size)]
-            bidirected[min(i, j), max(i, j)] = True
+    bidirected[np.minimum(i, js), np.maximum(i, js)] = True
     us, vs = np.nonzero(np.triu(~adjacent & ~bidirected))
     extra = rng.random(us.size) < extra_p
     bidirected[us[extra], vs[extra]] = True

@@ -179,13 +179,6 @@ class MixedGraph:
             out = self._parent_memo[v] = tuple(self.source[self.in_edges(v)].tolist())
             return out
 
-    def spa(self, v) -> tuple[int, ...]:
-        """Second parents: union of parents of parents of v."""
-        out = set()
-        for p in self.parents(v):
-            out.update(self.parents(p))
-        return tuple(sorted(out))
-
     def max_degree(self) -> int:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
         if self.source.size == 0:

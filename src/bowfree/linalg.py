@@ -1,4 +1,5 @@
-"""Small dense-matrix utilities: the spectral norm and symmetrization."""
+"""Small dense-matrix utilities: the spectral norm, symmetrization and
+exact power-of-two row scaling."""
 
 from __future__ import annotations
 
@@ -19,3 +20,12 @@ def snorm(a) -> float | np.ndarray:
     # bits with twice the overhead on the small blocks the checks pass in.
     top = np.linalg.svd(a, compute_uv=False)[..., 0] if a.shape[-1] * a.shape[-2] else np.zeros(a.shape[:-2])
     return float(top) if a.ndim == 2 else top
+
+
+def pow2_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with each row scaled exactly by 2**-e to a largest magnitude in
+    [0.5, 1), and e (0 for a zero, empty or non-finite row): a norm of the
+    scaled rows, times 2**e, has the bits of the unscaled norm wherever that
+    one neither overflows nor underflows."""
+    e = np.frexp(np.maximum.reduce(np.abs(x), axis=-1, initial=0.0))[1]
+    return np.ldexp(x, -e[..., None]), e

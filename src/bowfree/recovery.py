@@ -31,13 +31,13 @@ The systems of one vertex differ across trials only in their numbers, so a
 single layer-ordered pass assembles them with one gather and solves them
 with one batched call. A near-singular system raises NearSingularError for
 a single covariance; on a stack it fails only its own trial, whose weights
-become NaN, and the other trials go on. recover_many feeds any number of
-covariances through such passes in stacks of bounded size.
+become NaN, and the other trials go on. A stack of stack_trials(g)
+covariances stays within STACK_BYTES; robustness.perturbation_ratios feeds
+any number of Monte Carlo draws through one such stack, chunk by chunk.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,10 +46,10 @@ import numpy as np
 
 from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
 from .graphs import MixedGraph, _row_pointers
+from .linalg import pow2_rows
 from .lsem import (
     ParamSet,
     ReducedCovariance,
-    as_matrix,
     gatherable,
     project_omega_pattern,
     recover_omega,
@@ -58,10 +58,9 @@ from .lsem import (
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
 # A recovery stack (stack_trials) holds at most this many bytes of
-# covariances and edge weights, 8 * (n * n + |E|) per trial; recover_many's
-# list and stack take up to twice this. 8 MiB holds 46 covariances of
-# n = 150, enough to amortise the Python layer walk: larger stacks were
-# barely faster there.
+# covariances and edge weights, 8 * (n * n + |E|) per trial. 8 MiB holds 46
+# covariances of n = 150, enough to amortise the Python layer walk: larger
+# stacks were barely faster there.
 STACK_BYTES = 8 * 2**20
 
 
@@ -97,18 +96,21 @@ class RecoveryResult:
     @cached_property
     def lambda_hat(self) -> np.ndarray:
         """The (..., n, n) weight matrix, NaN throughout for a failed trial."""
-        lam = weight_matrix(self.graph, self.weights)
+        lam = np.zeros(self.weights.shape[:-1] + (self.graph.n, self.graph.n))
+        lam[..., self.graph.source, self.graph.target] = self.weights
         if self.failed_vertex is not None:
             lam[self.failed_vertex >= 0] = np.nan
         return lam
 
 
-def weight_matrix(g: MixedGraph, weights) -> np.ndarray:
-    """Scatter edge-order weights (..., |E|) into zeros of shape (..., n, n)."""
-    weights = np.asarray(weights, dtype=float)
-    lam = np.zeros(weights.shape[:-1] + (g.n, g.n))
-    lam[..., g.source, g.target] = weights
-    return lam
+def _edge_weights(g: MixedGraph, weights: np.ndarray, u, v) -> np.ndarray:
+    """The weights of the edges u -> v (broadcast), 0 where g has none, as
+    the n x n matrix would read them. Edges are sorted by (source, target),
+    so their keys source * n + target are sorted too."""
+    keys = g.source * g.n + g.target
+    want = u * g.n + v
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, weights[..., pos], 0.0)
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,9 @@ def _solve(a, b, vertex):
         weights = np.linalg.solve(a, b[..., None])[..., 0]
     r = (a @ weights[..., None])[..., 0] - b
     residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
+    if residual.ndim or not (2.0**-480 < residual < 2.0**500 or not r.any()):  # a stack, or squares out of range
+        r, e = pow2_rows(r)  # the bits above wherever the squares neither overflowed nor underflowed
+        residual = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=-1)), e)
     return weights, residual, s_max / s_min
 
 
@@ -329,23 +334,6 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
 def stack_trials(g: MixedGraph) -> int:
     """How many covariances of g one recovery stack of STACK_BYTES holds."""
     return max(1, STACK_BYTES // (8 * max(g.n**2 + g.source.size, 1)))
-
-
-def recover_many(g: MixedGraph, covariances):
-    """Recover each covariance of an iterable, several per recover_all call.
-
-    Yields ``(sigma, weights, failed_vertex)`` per covariance, in order,
-    with ``weights`` in the graph's edge order and ``failed_vertex`` -1 when
-    it recovered; see recover_all for the masking of near-singular ones.
-    Covariances are taken lazily and stacked up to STACK_BYTES at a time,
-    so memory stays bounded however many there are.
-    """
-    remaining = iter(covariances)
-    while chunk := list(itertools.islice(remaining, stack_trials(g))):
-        stack = np.stack([as_matrix(s) for s in chunk])
-        del chunk
-        result = recover_all(g, stack)
-        yield from zip(stack, result.weights, result.failed_vertex)
 
 
 def recover_full_params(g: MixedGraph, sigma) -> ParamSet:

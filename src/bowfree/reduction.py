@@ -34,7 +34,7 @@ from .errors import ConfigError, GraphStructureError, NearSingularError, Orderin
 from .experiments import write_report
 from .graphs import MixedGraph, graph_to_dict
 from .lsem import ReducedCovariance, as_matrix, save_matrix_csv
-from .recovery import build_system, recover_all
+from .recovery import _edge_weights, build_system, recover_all
 
 VERIFY_TOL = 1e-8  # absolute
 
@@ -178,16 +178,6 @@ class ReductionReport:
     @property
     def all_ok(self) -> bool:
         return self.bow_free and self.layered and self.collector_weights_ok and self.systems_match
-
-
-def _edge_weights(g: MixedGraph, weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The weights of the edges u[i] -> v[i], 0 where g has no such edge, as
-    the n x n matrix would read them. Edges are sorted by (source, target),
-    so their keys source * n + target are sorted too."""
-    keys = g.source * g.n + g.target
-    want = u * g.n + v
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return np.where(keys[pos] == want, weights[..., pos], 0.0)
 
 
 def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionReport:

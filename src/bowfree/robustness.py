@@ -19,9 +19,9 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, PremiseError
 from .generators import derived_seed
 from .graphs import MixedGraph, _row_pointers, _unique
-from .linalg import snorm, symmetrize
+from .linalg import pow2_rows, snorm, symmetrize
 from .lsem import ReducedCovariance, as_matrix, gatherable
-from .recovery import recover_all, stack_trials, weight_matrix
+from .recovery import _edge_weights, recover_all, stack_trials
 
 
 def relative_distance(a, b) -> float | np.ndarray:
@@ -164,18 +164,19 @@ class AssumptionProfile:
 def check_assumptions(
     g: MixedGraph,
     sigma,
-    lam: np.ndarray,
+    weights: np.ndarray,
     gamma: float | None = None,
 ) -> AssumptionProfile:
     """Measure the per-vertex structural constants of an instance.
 
-    Per vertex with parents: the condition number of the parent covariance
-    block; the three neighbouring-block norm ratios; the norm of the
-    grandparent-to-parent weight block. Aggregates are worst cases over
+    ``weights`` are g's edge weights in its edge order, as recover_all
+    gives them. Per vertex with parents: the condition number of the parent
+    covariance block; the three neighbouring-block norm ratios; the norm of
+    the grandparent-to-parent weight block. Aggregates are worst cases over
     vertices. A singular parent block marks that vertex failed instead of
-    aborting; a non-finite covariance raises ConfigError. When ``gamma``
-    is given, the condition-number cap 1/(2 gamma) is included in the first
-    check.
+    aborting; a non-finite covariance or weights of the wrong shape raise
+    ConfigError. When ``gamma`` is given, the condition-number cap
+    1/(2 gamma) is included in the first check.
 
     Vertices with equal (|pa|, |spa|) are measured together: one gather per
     block and one batched SVD or norm per quantity, with the bits the
@@ -184,15 +185,17 @@ def check_assumptions(
     sig = gatherable(sigma)  # a reduced one stays implicit: only blocks are read
     if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
         raise ConfigError("covariance has non-finite entries")
-    lam = np.asarray(lam, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != g.source.shape:
+        raise ConfigError(f"{g.source.size} edge weights expected, got shape {weights.shape}")
     kappa_cap = (0.5 / gamma) if gamma else float("inf")
     n2_floor = 1.0 / g.n**2 if g.n else 0.0
-    lambda_floor = float(np.fmin.reduce(np.abs(lam[g.source, g.target]), initial=np.inf))  # NaN-blind, as min()
+    lambda_floor = float(np.fmin.reduce(np.abs(weights), initial=np.inf))  # NaN-blind, as min()
 
     # v's parents are parents[ptr[v]:ptr[v + 1]], ascending; its second parents, each edge
     # p -> v joined to p's in-edges and sorted once, are second[spa_ptr[v]:spa_ptr[v + 1]].
-    ptr, span = _row_pointers(g.target, g.n), g.n + 1
-    parents, k = g.source[g._in[0]], np.diff(ptr)[g.source]
+    ptr, span, into = _row_pointers(g.target, g.n), g.n + 1, g._in[0]
+    parents, k = g.source[into], np.diff(ptr)[g.source]
     grand = parents[np.repeat(ptr[g.source] - np.cumsum(k) + k, k) + np.arange(k.sum())]
     keys = _unique(np.repeat(g.target, k) * span + grand)
     second, spa_ptr = keys % span, _row_pointers(keys // span, g.n)
@@ -200,7 +203,8 @@ def check_assumptions(
     per_vertex: dict[int, VertexAssumptions] = {}
     for size in _unique(sizes[ptr[1:] > ptr[:-1]]).tolist():
         vs = np.flatnonzero(sizes == size)
-        pa = parents[ptr[vs, None] + np.arange(size // span)]
+        pa_edges = into[ptr[vs, None] + np.arange(size // span)]
+        pa = g.source[pa_edges]
         spa = second[spa_ptr[vs, None] + np.arange(size % span)]
         svals = np.linalg.svd(sig[..., pa[:, :, None], pa[:, None, :]], compute_uv=False)
         denom, low = svals[:, 0], svals[:, -1]
@@ -208,8 +212,8 @@ def check_assumptions(
         norms = np.stack([_row_norms(sig[..., pa, vs[:, None]]), snorm(sig[..., spa[:, :, None], pa[:, None, :]]),
                           _row_norms(sig[..., spa, vs[:, None]])], axis=1)  # 0 where spa is empty
         ratios = np.divide(norms, denom[:, None], out=np.full_like(norms, np.inf), where=denom[:, None] > 0)
-        betas = snorm(lam[spa[:, :, None], pa[:, None, :]])
-        floors = np.abs(lam[pa, vs[:, None]]).tolist()
+        betas = snorm(_edge_weights(g, weights, spa[:, :, None], pa[:, None, :]))
+        floors = np.abs(weights[pa_edges]).tolist()
         for v, kappa, r, beta_v, floor in zip(vs.tolist(), kappas.tolist(), ratios.tolist(), betas.tolist(), floors):
             pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
             pass_a2 = max(r) < 1.0
@@ -224,9 +228,11 @@ def check_assumptions(
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """2-norm of each row of ``x``, bitwise np.linalg.norm's: matmul takes
-    BLAS's dot per row as norm does, where a sum over an axis would not."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    """2-norm of each row of ``x``, bitwise np.linalg.norm's where that one
+    neither overflows nor underflows: matmul takes BLAS's dot per row as
+    norm does, where a sum over an axis would not."""
+    x, e = pow2_rows(x)
+    return np.ldexp(np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), e)
 
 
 # -- premise and error-rate constants ---------------------------------------
@@ -332,6 +338,41 @@ def condition_bound(constants: ErrorRateConstants, profile: AssumptionProfile, n
 # -- Monte Carlo condition-number estimation --------------------------------
 
 
+def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
+    """Recover the covariance ``sigma`` and ``draws`` perturbations of it,
+    and measure each draw against sigma and the base weights.
+
+    Returns ``(base, base_failed, rel_sigma, rel_lambda, failed_vertex)``:
+    the weights recovered from sigma, in edge order, and whether that
+    recovery failed; then per draw Rel(sigma, sigma~), Rel(lam, lam~) (NaN
+    for a failed draw or an all-zero base) and the near-singular vertex of
+    a failed draw (-1 for the others). The draws go through one reused
+    stack of recovery.stack_trials(g) covariances, sigma in slot 0 of its
+    first chunk: ``fill(out, lo)`` writes draws lo, lo + 1, ... into the
+    slots ``out`` of a chunk, which one recover_all call then recovers.
+    Each member is measured with the bits it has alone. When the base fails
+    nothing more is drawn and the per-draw values stay NaN and -1.
+    """
+    stack = np.empty((min(stack_trials(g), draws + 1), *sigma.shape))
+    stack[0] = sigma
+    rel_sigma, rel_lambda, failed_vertex = np.full(draws, np.nan), np.full(draws, np.nan), np.full(draws, -1)
+    for lo in range(0, draws + 1, len(stack)):  # positions in (sigma, *draws)
+        first = int(lo == 0)
+        chunk = stack[: min(len(stack), draws + 1 - lo)]
+        at = slice(lo - 1 + first, lo - 1 + len(chunk))  # the chunk's draws
+        fill(chunk[first:], at.start)
+        result = recover_all(g, chunk)
+        if first:
+            base, base_failed = result.weights[0].copy(), bool(result.failed_vertex[0] >= 0)
+            if base_failed:
+                break
+        rel_sigma[at] = relative_distance(sigma, chunk[first:])
+        if np.any(base != 0):
+            rel_lambda[at] = relative_distance(base, result.weights[first:])
+        failed_vertex[at] = result.failed_vertex[first:]
+    return base, base_failed, rel_sigma, rel_lambda, failed_vertex
+
+
 @dataclass(frozen=True)
 class ConditionTrial:
     gamma: float
@@ -350,8 +391,8 @@ class ConditionEstimate:
     trials: int
     failures: int
     records: tuple[ConditionTrial, ...]
-    # Weights recovered from the unperturbed covariance; not part of the report.
-    base_lambda: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Edge-order weights recovered from the unperturbed covariance; not part of the report.
+    base_weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -379,41 +420,34 @@ def estimate_condition_number(
     Recovery failures on perturbed draws are counted, with the vertex that
     failed, and excluded from the max. Trial seeds are derived from
     (seed, gamma index, trial index) so a longer run extends a shorter one.
-    The unperturbed covariance and then the draws fill one reused stack of
-    recovery.stack_trials(g) slots, each chunk drawn in place, recovered and
-    measured in one pass. NearSingularError is raised when the unperturbed
-    one fails, before any invalid gamma is reported.
+    The draws are made in place by perturbation_ratios' chunks.
+    NearSingularError is raised when the unperturbed covariance fails,
+    before any invalid gamma is reported.
     """
     sig = as_matrix(sigma)
     k = max(g.max_degree(), 1)
     specs = [PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
              for gi, gamma in enumerate(gammas) for t in range(trials)]
-    stack = np.empty((min(stack_trials(g), len(specs) + 1), *sig.shape))
-    stack[0] = sig
+
+    def draw(out, lo):
+        sample_perturbation(sig, specs[lo : lo + len(out)], out=out)
+
+    try:
+        base, base_failed, rel_sigma, rel_lambda, failed_vertex = perturbation_ratios(g, sig, len(specs), draw)
+    except ConfigError:
+        recover_all(g, sig)  # a singular base is reported before a bad gamma
+        raise
+    if base_failed:
+        recover_all(g, sig)  # raises NearSingularError with the singular values
     records, kappa_hat = [], 0.0
-    for lo in range(0, len(specs) + 1, len(stack)):  # positions in (sigma, *draws)
-        first = lo == 0
-        chunk = specs[lo - 1 + first : lo - 1 + len(stack)]
-        try:
-            draws = sample_perturbation(sig, chunk, out=stack[first : first + len(chunk)])
-            result = recover_all(g, stack[: first + len(chunk)])
-        except ConfigError:
-            if first:
-                recover_all(g, sig)  # a singular base is reported before a bad gamma
-            raise
-        if first:  # alone, a failed base raises NearSingularError with its singular values
-            base = recover_all(g, sig).weights if result.failed_vertex[0] >= 0 else result.weights[0]
-            zero_base = bool(np.all(base == 0))
-        rel_sig = relative_distance(sig, draws).tolist()
-        rel_lam = [None] * len(chunk) if zero_base else relative_distance(base, result.weights[first:]).tolist()
-        failed_at = result.failed_vertex[first:].tolist()
-        for j, (spec, failed, rs, rl) in enumerate(zip(chunk, failed_at, rel_sig, rel_lam), lo - 1 + first):
-            if failed >= 0:
-                records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, True, failed))
-            elif zero_base or rs == 0:
-                records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, False))
-            else:
-                kappa_hat = max(kappa_hat, rl / rs)
-                records.append(ConditionTrial(spec.gamma, j % trials, rl / rs, rs, rl, False))
+    rows = zip(specs, rel_sigma.tolist(), rel_lambda.tolist(), failed_vertex.tolist())
+    for j, (spec, rs, rl, failed) in enumerate(rows):
+        if failed >= 0:
+            records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, True, failed))
+        elif math.isnan(rl) or rs == 0:  # an all-zero base leaves rel_lambda NaN
+            records.append(ConditionTrial(spec.gamma, j % trials, None, rs, None, False))
+        else:
+            kappa_hat = max(kappa_hat, rl / rs)
+            records.append(ConditionTrial(spec.gamma, j % trials, rl / rs, rs, rl, False))
     failures = sum(rec.failed for rec in records)
-    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))
+    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), base)

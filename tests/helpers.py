@@ -1,17 +1,16 @@
 """Test-side helpers that measure the library rather than extend it."""
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bowfree.errors import ConfigError
+from bowfree.errors import NearSingularError
 from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import symmetrize
 from bowfree.lsem import as_matrix
-from bowfree.recovery import RecoverySystem, recover_all, recover_many, weight_matrix
+from bowfree.recovery import RecoverySystem, recover_all
 from bowfree.reduction import Gadgets
 from bowfree.robustness import (
     ConditionEstimate,
@@ -20,6 +19,23 @@ from bowfree.robustness import (
     PerturbationSpec,
     sample_perturbation,
 )
+
+
+def spa(g: MixedGraph, v) -> tuple[int, ...]:
+    """Second parents: union of parents of parents of v."""
+    out = set()
+    for p in g.parents(v):
+        out.update(g.parents(p))
+    return tuple(sorted(out))
+
+
+def recover_alone(g: MixedGraph, sigma) -> tuple[np.ndarray, int]:
+    """recover_all of one covariance as ``(weights, failed_vertex)``: NaN
+    weights and the vertex it raises for when it is near-singular, else -1."""
+    try:
+        return recover_all(g, sigma).weights, -1
+    except NearSingularError as exc:
+        return np.full(g.source.shape, np.nan), exc.vertex
 
 
 def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
@@ -112,29 +128,19 @@ def reference_relative_distance(a, b) -> float:
 
 
 def reference_condition_estimate(g, sigma, trials, gammas, seed, enforce_tight=False, strict=True):
-    """estimate_condition_number as a per-draw loop: each draw sampled alone,
-    the base and the draws recovered through recover_many, and each draw
-    measured alone. The in-place chunks must match it bit for bit."""
+    """estimate_condition_number as a per-draw loop: the base and then each
+    draw sampled, recovered and measured alone. The in-place chunks must
+    match it bit for bit."""
     sig = as_matrix(sigma)
     k = max(g.max_degree(), 1)
     draws = [(gamma, gi, t) for gi, gamma in enumerate(gammas) for t in range(trials)]
-
-    def perturbed():
-        for gamma, gi, t in draws:
-            spec = PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
-            yield reference_sample_perturbation(sig, spec)
-
-    recovered = recover_many(g, itertools.chain([sig], perturbed()))
-    try:
-        _, base, failed = next(recovered)
-    except ConfigError:
-        recover_all(g, sig)  # a singular base is reported before a bad gamma
-        raise
-    if failed >= 0:
-        base = recover_all(g, sig).weights
+    base = recover_all(g, sig).weights  # a singular base is reported before a bad gamma
+    specs = [PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict) for gamma, gi, t in draws]
+    perturbed = [reference_sample_perturbation(sig, spec) for spec in specs]
     records = []
     kappa_hat = 0.0
-    for (gamma, _, t), (draw, lam, failed) in zip(draws, recovered):
+    for (gamma, _, t), draw in zip(draws, perturbed):
+        lam, failed = recover_alone(g, draw)
         rel_sig = reference_relative_distance(sig, draw)
         if failed >= 0:
             records.append(ConditionTrial(gamma, t, None, rel_sig, None, True, int(failed)))
@@ -145,7 +151,7 @@ def reference_condition_estimate(g, sigma, trials, gammas, seed, enforce_tight=F
             kappa_hat = max(kappa_hat, rel_lam / rel_sig)
             records.append(ConditionTrial(gamma, t, rel_lam / rel_sig, rel_sig, rel_lam, False))
     failures = sum(rec.failed for rec in records)
-    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), weight_matrix(g, base))
+    return ConditionEstimate(kappa_hat, tuple(gammas), trials, failures, tuple(records), base)
 
 
 @dataclass(frozen=True)
@@ -166,19 +172,15 @@ def per_vertex_error_check(
     trials: int = 1,
 ) -> list[VertexErrorCheck]:
     """Per-vertex check that recovered-weight perturbations stay within
-    eta * gamma in 2-norm, for every vertex with parents; trials are
-    recovered together through recover_many."""
+    eta * gamma in 2-norm, for every vertex with parents; each trial is
+    recovered alone."""
     sig = as_matrix(sigma)
     lam_true = np.asarray(lambda_true, dtype=float)
     bound = constants.eta * spec.gamma
 
-    def perturbed():
-        for t in range(trials):
-            trial_spec = replace(spec, seed=derived_seed(spec.seed, t))
-            yield sample_perturbation(sig, trial_spec)
-
     out = []
-    for t, (_, recovered, failed) in enumerate(recover_many(g, perturbed())):
+    for t in range(trials):
+        recovered, failed = recover_alone(g, sample_perturbation(sig, replace(spec, seed=derived_seed(spec.seed, t))))
         for v in range(g.n):
             pa = list(g.parents(v))
             if not pa:

@@ -67,7 +67,7 @@ def premise_instances():
     while len(instances) < 20:
         n = 12 + (seed % 9)
         inst = gen_generative_instance(n=n, k=2, p=0.7, seed=1000 + seed)
-        profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+        profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam[inst.graph.source, inst.graph.target])
         if stability_premise(profile).holds:
             constants = eta_bound(profile, n, 2, 1e-8)
             instances.append((n, inst, profile, constants))
@@ -146,7 +146,7 @@ def test_criterion_4_generative_assumption_prevalence():
     for i in range(40):
         n = 15 if i % 2 == 0 else 20
         inst = gen_generative_instance(n=n, k=k, p=0.7, seed=9000 + i, mu=mu, d=d_min(k, n))
-        profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+        profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam[inst.graph.source, inst.graph.target])
         if (
             profile.alpha <= alpha_cap
             and profile.beta <= beta_cap

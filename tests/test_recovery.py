@@ -17,24 +17,22 @@ from bowfree.generators import (
 )
 from bowfree.graphs import MixedGraph
 from bowfree.lsem import ParamSet, forward_map, project_omega_pattern
-from bowfree import recovery
+from bowfree import recovery, robustness
 from bowfree.recovery import (
     RecoverySystem,
     build_system,
     recover_all,
     recover_first_layers,
     recover_full_params,
-    recover_many,
     recover_vertex,
     recovery_plan,
     recovery_to_dict,
-    weight_matrix,
 )
 from bowfree.reduction import reduce_covariance, reduce_instance
-from bowfree.robustness import PerturbationSpec, sample_perturbation
+from bowfree.robustness import PerturbationSpec, perturbation_ratios, relative_distance, sample_perturbation
 
 from conftest import graph_from_lambda
-from helpers import reference_build_system
+from helpers import recover_alone, reference_build_system, spa
 
 
 def _chain3_sigma(w01=0.7, w12=-0.4):
@@ -152,7 +150,7 @@ def test_recover_all_generative_round_trip():
     for v, diag in result.per_vertex.items():
         assert diag.residual <= 1e-9
         assert diag.condition >= 1.0
-        assert diag.used_partial_form == (not inst.graph.spa(v))
+        assert diag.used_partial_form == (not spa(inst.graph, v))
 
 
 def test_recover_all_no_edges():
@@ -404,49 +402,79 @@ def test_an_all_zero_system_fails_only_its_trial_with_condition_inf(edges, varia
     assert err.value.vertex == 2
 
 
-def test_recover_many_splits_into_bounded_stacks(monkeypatch):
-    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
-    g = inst.graph
-    stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
-    stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
-    whole = list(recover_many(g, stack))
-    calls = []
+def _engine_run(g, stack, monkeypatch, per_stack=None):
+    """perturbation_ratios of stack[0] and the draws stack[1:], chunked into
+    ``per_stack`` slots; returns its result, the recover_all stack sizes and
+    the fill calls as (slots, first draw)."""
+    calls, fills = [], []
 
     def counting(g, sigma):
         calls.append(len(sigma))
         return recover_all(g, sigma)
 
-    monkeypatch.setattr(recovery, "recover_all", counting)
-    monkeypatch.setattr(recovery, "STACK_BYTES", 2 * 8 * (g.n**2 + g.source.size))
-    split = list(recover_many(g, iter(stack)))
-    assert calls == [2, 2, 1]
-    assert [int(f) for _, _, f in split] == [int(f) for _, _, f in whole]
-    assert split[3][2] >= 0
-    for (sig_a, lam_a, _), (sig_b, lam_b, _), sigma in zip(whole, split, stack):
-        np.testing.assert_array_equal(sig_a, sigma)
-        np.testing.assert_array_equal(sig_b, sigma)
-        np.testing.assert_allclose(lam_b, lam_a, rtol=1e-12, atol=1e-14)
+    def fill(out, lo):
+        fills.append((len(out), lo))
+        out[...] = stack[1 + lo : 1 + lo + len(out)]
+
+    with monkeypatch.context() as m:
+        m.setattr(robustness, "recover_all", counting)
+        if per_stack:
+            m.setattr(recovery, "STACK_BYTES", per_stack * 8 * (g.n**2 + g.source.size))
+        run = perturbation_ratios(g, stack[0], len(stack) - 1, fill)
+    return run, calls, fills
 
 
-@pytest.mark.parametrize("per_stack", [None, 2])
-def test_recover_many_weights_scatter_to_lambda_hat_bitwise(monkeypatch, per_stack):
+def _run_bytes(run):
+    return [np.asarray(a).tobytes() for a in run]
+
+
+def test_perturbation_ratios_split_into_bounded_stacks(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph
     stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
-    stack[3] = np.ones_like(stack[3])  # every system of trial 3 is singular
-    whole = recover_all(g, stack)
-    assert whole.failed_vertex[3] >= 0 and (np.delete(whole.failed_vertex, 3) < 0).all()
-    if per_stack:
-        monkeypatch.setattr(recovery, "STACK_BYTES", per_stack * 8 * (g.n**2 + g.source.size))
-    yielded = list(recover_many(g, stack))
-    assert [int(f) for _, _, f in yielded] == whole.failed_vertex.tolist()
-    for t, (_, weights, failed) in enumerate(yielded):
-        assert weights.shape == g.source.shape
-        lam = weight_matrix(g, weights)
+    stack[3] = np.ones_like(stack[3])  # every system of draw 2 is singular
+    whole, calls, fills = _engine_run(g, stack, monkeypatch)
+    assert calls == [5] and fills == [(4, 0)]
+    failed_vertex = whole[4]
+    assert failed_vertex[2] >= 0 and (np.delete(failed_vertex, 2) < 0).all()
+    chunks = {1: ([1, 1, 1, 1, 1], [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]),
+              2: ([2, 2, 1], [(1, 0), (2, 1), (1, 3)]),
+              3: ([3, 2], [(2, 0), (2, 2)])}
+    for per_stack, (want_calls, want_fills) in chunks.items():
+        split, calls, fills = _engine_run(g, stack, monkeypatch, per_stack)
+        assert (calls, fills) == (want_calls, want_fills)
+        assert _run_bytes(split) == _run_bytes(whole)
+
+
+@pytest.mark.parametrize("per_stack", [None, 1, 2, 3])
+def test_perturbation_ratios_have_the_bits_of_each_covariance_alone(monkeypatch, per_stack):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
+    stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
+    stack[3] = np.ones_like(stack[3])  # every system of draw 2 is singular
+    base, base_failed, rel_sigma, rel_lambda, failed_vertex = _engine_run(g, stack, monkeypatch, per_stack)[0]
+    want = recover_all(g, inst.sigma).weights
+    assert base.tobytes() == want.tobytes() and not base_failed
+    for t, draw in enumerate(stack[1:]):
+        weights, failed = recover_alone(g, draw)
+        assert failed_vertex[t] == failed
+        assert rel_sigma[t] == relative_distance(inst.sigma, draw)
         if failed >= 0:
-            assert np.isnan(weights).all()
-            lam[...] = np.nan
-        np.testing.assert_array_equal(lam, whole.lambda_hat[t])
+            assert np.isnan(rel_lambda[t])
+        else:
+            assert rel_lambda[t] == relative_distance(want, weights)
+
+
+def test_perturbation_ratios_stop_at_a_failed_base_and_skip_an_all_zero_one(monkeypatch):
+    g = MixedGraph(3, [(0, 2), (1, 2)])
+    stack = np.stack([np.ones((3, 3)), np.eye(3), 2.0 * np.eye(3)])
+    (_, base_failed, rel_sigma, _, failed_vertex), calls, fills = _engine_run(g, stack, monkeypatch, per_stack=1)
+    assert base_failed and calls == [1] and fills == [(0, 0)]
+    assert np.isnan(rel_sigma).all() and (failed_vertex == -1).all()
+    stack[0] = np.eye(3)  # the weights recovered from the identity are all zero
+    base, base_failed, rel_sigma, rel_lambda, _ = _engine_run(g, stack, monkeypatch, per_stack=1)[0]
+    assert not base_failed and not base.any()
+    assert rel_sigma.tolist() == [0.0, 1.0] and np.isnan(rel_lambda).all()
 
 
 def test_non_finite_solve_raises_on_one_covariance_and_masks_its_trial():
@@ -535,3 +563,28 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_recovery_keeps_its_bits(case):
     assert _golden_digest(GOLDEN_CASES[case]()) == GOLDEN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("e", [-900, -540, 520, 600, 900])
+@pytest.mark.parametrize("kind", ["generative", "sdd"])
+def test_recovery_and_profile_survive_a_covariance_scaled_by_a_power_of_two(kind, e):
+    # Before the residual and the row norms were scaled, 2**600 overflowed
+    # the residual (NearSingularError) and 2**520 the norms (alpha inf).
+    if kind == "generative":
+        inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    else:
+        inst = gen_sdd_instance(n=12, k=2, p=0.6, weight_range=1.0, seed=4)
+    g, sigma = inst.graph, inst.sigma
+    base, scaled = recover_all(g, sigma), recover_all(g, sigma * 2.0**e)
+    stacked = recover_all(g, np.stack([sigma, sigma * 2.0**e]))
+    assert scaled.weights.tobytes() == base.weights.tobytes()
+    assert stacked.weights.tobytes() == np.stack([base.weights] * 2).tobytes()
+    for v, diag in base.per_vertex.items():
+        assert scaled.per_vertex[v].residual == diag.residual * 2.0**e
+        assert stacked.per_vertex[v].residual.tolist() == [diag.residual, diag.residual * 2.0**e]
+        # LAPACK's SVD rescales a matrix outside its safe range by a factor
+        # that is not a power of two, which moves the last few bits.
+        assert scaled.per_vertex[v].condition == pytest.approx(diag.condition, rel=8 * np.finfo(float).eps)
+    want = robustness.check_assumptions(g, sigma, base.weights).alpha
+    got = robustness.check_assumptions(g, sigma * 2.0**e, base.weights).alpha
+    assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)

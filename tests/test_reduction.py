@@ -288,23 +288,23 @@ def test_dense_callers_accept_the_implicit_reduced_covariance():
     dense = recover_full_params(red.g_prime, red.sigma_prime.sigma)
     np.testing.assert_array_equal(implicit.lam, dense.lam)
     np.testing.assert_array_equal(implicit.omega, dense.omega)
-    lam = dense.lam
-    assert (check_assumptions(red.g_prime, red.sigma_prime, lam).to_dict()
-            == check_assumptions(red.g_prime, red.sigma_prime.sigma, lam).to_dict())
+    weights = dense.lam[red.g_prime.source, red.g_prime.target]
+    assert (check_assumptions(red.g_prime, red.sigma_prime, weights).to_dict()
+            == check_assumptions(red.g_prime, red.sigma_prime.sigma, weights).to_dict())
 
 
 def test_check_assumptions_reads_the_reduced_covariance_without_densifying(monkeypatch):
     g, sigma = _random_instance(3)
     red = reduce_instance(g, sigma)
     dense = red.sigma_prime.sigma
-    lam = recover_full_params(red.g_prime, dense).lam
-    want = check_assumptions(red.g_prime, dense, lam).to_dict()
+    weights = recover_all(red.g_prime, dense).weights
+    want = check_assumptions(red.g_prime, dense, weights).to_dict()
 
     def refuse(self):
         raise AssertionError("the dense reduced covariance was built")
 
     monkeypatch.setattr(ReducedCovariance, "sigma", property(refuse))
-    assert check_assumptions(red.g_prime, red.sigma_prime, lam).to_dict() == want
+    assert check_assumptions(red.g_prime, red.sigma_prime, weights).to_dict() == want
 
 
 def test_reduce_instance_does_not_build_the_dense_reduced_covariance():

@@ -42,6 +42,7 @@ from helpers import (
     reference_condition_estimate,
     reference_relative_distance,
     reference_sample_perturbation,
+    spa,
 )
 
 
@@ -108,7 +109,7 @@ def test_sample_perturbation_block_norm_bounds():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=21)
     g, sigma = inst.graph, inst.sigma
     gamma, k = 1e-6, 2
-    profile = check_assumptions(g, sigma, inst.params.lam)
+    profile = check_assumptions(g, sigma, inst.params.lam[g.source, g.target])
     alpha = profile.alpha
     for seed in range(50):
         eps = sample_perturbation(sigma, PerturbationSpec(gamma, k, seed)) - sigma
@@ -116,13 +117,13 @@ def test_sample_perturbation_block_norm_bounds():
             pa = list(g.parents(v))
             if not pa:
                 continue
-            spa = list(g.spa(v))
+            spa_v = list(spa(g, v))
             pp = snorm(sigma[np.ix_(pa, pa)])
             assert snorm(eps[np.ix_(pa, pa)]) <= gamma * pp + 1e-15
             assert np.linalg.norm(eps[pa, v]) <= gamma * alpha * pp + 1e-15
-            if spa:
-                assert snorm(eps[np.ix_(spa, pa)]) <= gamma * alpha * pp + 1e-15
-                assert np.linalg.norm(eps[spa, v]) <= gamma * alpha * pp + 1e-15
+            if spa_v:
+                assert snorm(eps[np.ix_(spa_v, pa)]) <= gamma * alpha * pp + 1e-15
+                assert np.linalg.norm(eps[spa_v, v]) <= gamma * alpha * pp + 1e-15
 
 
 def test_perturbation_preserves_definiteness_for_small_gamma():
@@ -162,18 +163,18 @@ def _per_vertex_profile(g, sig, lam, gamma=None):
         pa = list(g.parents(v))
         if not pa:
             continue
-        spa = list(g.spa(v))
+        spa_v = list(spa(g, v))
         svals = np.linalg.svd(sig[np.ix_(pa, pa)], compute_uv=False)
         denom = float(svals[0])
         singular = svals[-1] <= 1e-12 * svals[0]
         kappa = float("inf") if singular else float(svals[0] / svals[-1])
         if denom > 0:
             r1 = float(np.linalg.norm(sig[pa, v])) / denom
-            r2 = snorm(sig[np.ix_(spa, pa)]) / denom if spa else 0.0
-            r3 = float(np.linalg.norm(sig[spa, v])) / denom if spa else 0.0
+            r2 = snorm(sig[np.ix_(spa_v, pa)]) / denom if spa_v else 0.0
+            r3 = float(np.linalg.norm(sig[spa_v, v])) / denom if spa_v else 0.0
         else:
             r1 = r2 = r3 = float("inf")
-        beta_v = snorm(lam[np.ix_(spa, pa)]) if spa else 0.0
+        beta_v = snorm(lam[np.ix_(spa_v, pa)]) if spa_v else 0.0
         floor_v = min(float(abs(lam[p, v])) for p in pa)
         pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
         pass_a2 = max(r1, r2, r3) < 1.0
@@ -219,22 +220,29 @@ def test_grouped_profile_matches_the_per_vertex_loop(n, p, seed, sigma_kind, wei
         hit = rng.random(g.source.size) < 0.3
         lam[g.source[hit], g.target[hit]] = 0.0 if weights == "zeros" else np.nan
     want = _outcome(lambda: _per_vertex_profile(g, sigma, lam, gamma))
-    assert _outcome(lambda: check_assumptions(g, sigma, lam, gamma)) == want
+    assert _outcome(lambda: check_assumptions(g, sigma, lam[g.source, g.target], gamma)) == want
 
 
 def test_check_assumptions_trivial_instance():
     g = MixedGraph(3, [], [(0, 1)])
-    profile = check_assumptions(g, np.eye(3), np.zeros((3, 3)))
+    profile = check_assumptions(g, np.eye(3), np.zeros(0))
     assert profile.alpha == 0.0
     assert profile.kappa0 == 1.0
     assert profile.per_vertex == {}
     assert profile.lambda_floor == math.inf
 
 
+def test_check_assumptions_takes_edge_order_weights():
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=9)
+    with pytest.raises(ConfigError, match="edge weights expected, got shape \\(12, 12\\)"):
+        check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+
+
 def test_check_assumptions_scale_invariant():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=9)
-    base = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
-    scaled = check_assumptions(inst.graph, 7.3 * inst.sigma, inst.params.lam)
+    weights = inst.params.lam[inst.graph.source, inst.graph.target]
+    base = check_assumptions(inst.graph, inst.sigma, weights)
+    scaled = check_assumptions(inst.graph, 7.3 * inst.sigma, weights)
     assert base.alpha == pytest.approx(scaled.alpha, rel=1e-10)
     assert base.kappa0 == pytest.approx(scaled.kappa0, rel=1e-10)
 
@@ -242,7 +250,7 @@ def test_check_assumptions_scale_invariant():
 def test_check_assumptions_flags_singular_block():
     g = MixedGraph(3, [(0, 2), (1, 2)], [])
     sigma = np.ones((3, 3))  # parent block singular
-    profile = check_assumptions(g, sigma, np.zeros((3, 3)))
+    profile = check_assumptions(g, sigma, np.zeros(2))
     assert not profile.per_vertex[2].pass_a1
     assert not math.isfinite(profile.kappa0)
 
@@ -251,7 +259,7 @@ _NON_FINITE_ENTRY_POINTS = {
     "recover_all": lambda g, sigma: recover_all(g, sigma),
     "recover_all-stack": lambda g, sigma: recover_all(g, np.stack([2.0 * np.eye(3), sigma])),
     "recover_all-reduced": lambda g, sigma: recover_all(g, ReducedCovariance(sigma, np.arange(3), np.ones(3))),
-    "check_assumptions": lambda g, sigma: check_assumptions(g, sigma, np.zeros((3, 3))),
+    "check_assumptions": lambda g, sigma: check_assumptions(g, sigma, np.zeros(g.source.size)),
     "estimate_condition_number": lambda g, sigma: estimate_condition_number(g, sigma, 2, [1e-9], 0, strict=False),
     # the original covariance is finite; the NaN is in sigma' only
     "verify_reduction": lambda g, sigma: verify_reduction(g, 2.0 * np.eye(3), reduce_instance(g, sigma)),
@@ -383,8 +391,8 @@ def test_condition_estimate_records_the_vertex_of_failed_draws(monkeypatch):
     monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
     est = estimate_condition_number(g, sigma, 12, [1e-4], seed=3, strict=False)
     assert 0 < est.failures < 12
-    np.testing.assert_allclose(est.base_lambda, base.lambda_hat, rtol=0, atol=1e-12)
-    assert "base_lambda" not in est.to_dict()
+    np.testing.assert_allclose(est.base_weights, base.weights, rtol=0, atol=1e-12)
+    assert "base_weights" not in est.to_dict()
     k = max(g.max_degree(), 1)
     for rec in est.records:
         draw = sample_perturbation(sigma, PerturbationSpec(1e-4, k, record_seed(rec.trial, seed=3), strict=False))
@@ -428,8 +436,8 @@ def _condition_outcome(estimate):
         est = estimate()
     except (ConfigError, NearSingularError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    # repr() prints every float exactly and tells -0.0 from 0.0; it leaves base_lambda out.
-    return repr(est), est.base_lambda.tobytes()
+    # repr() prints every float exactly and tells -0.0 from 0.0; it leaves base_weights out.
+    return repr(est), est.base_weights.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -510,7 +518,7 @@ def test_relative_distance_of_a_stack_is_the_per_member_value():
 
 def test_condition_estimate_within_error_rate_bound():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
-    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam[inst.graph.source, inst.graph.target])
     assert stability_premise(profile).holds
     constants = eta_bound(profile, 12, 2, 1e-8)
     bound = condition_bound(constants, profile, 12, 2)
@@ -523,7 +531,7 @@ def test_condition_estimate_within_error_rate_bound():
 
 def test_per_vertex_error_check_small_gamma_passes():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=51)
-    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam)
+    profile = check_assumptions(inst.graph, inst.sigma, inst.params.lam[inst.graph.source, inst.graph.target])
     constants = eta_bound(profile, 12, 2, 1e-8)
     base = recover_all(inst.graph, inst.sigma).lambda_hat
     for tight in (False, True):
@@ -562,7 +570,7 @@ def test_per_vertex_error_check_matches_a_dense_reference(monkeypatch):
     # As in test_condition_estimate_records_the_vertex_of_failed_draws: some draws fail.
     monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
     spec = PerturbationSpec(1e-4, 2, 3, strict=False)
-    constants = eta_bound(check_assumptions(g, sigma, lam_true), 12, 2, 1e-8)
+    constants = eta_bound(check_assumptions(g, sigma, lam_true[g.source, g.target]), 12, 2, 1e-8)
     checks = per_vertex_error_check(g, sigma, lam_true, spec, constants, trials=12)
     draws = [sample_perturbation(sigma, replace(spec, seed=derived_seed(spec.seed, t))) for t in range(12)]
     dense = recover_all(g, np.stack(draws)).lambda_hat
