@@ -57,6 +57,8 @@ class ExperimentConfig:
         for p in self.p_grid:
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
+        if any(n < 1 for n in self.n_grid):  # a model without vertices has no relative distance
+            raise ConfigError(f"vertex count n={min(self.n_grid)} must be at least 1")
         if self.graphs < 1 or self.runs_per_graph < 0:
             raise ConfigError("graphs must be >= 1 and runs_per_graph >= 0")
         if self.samples < 2:  # a sample covariance needs two draws

@@ -6,11 +6,12 @@ reduction to mark edges whose value is an input to recovery rather than an
 unknown.
 
 A graph is stored as arrays: the directed edges as int64 ``source`` and
-``target`` sorted by (source, target), their forced weights as the float
-array ``forced`` (NaN for a free edge), and the bidirected pairs as the
-sorted, unique (m, 2) array ``pairs`` of (min, max). Array position is
-edge order everywhere. Messages name vertices 1-based, as the JSON files
-do; the vertices an exception carries stay 0-based.
+``target`` sorted by (source, target), that is by their ``edge_keys``
+source * n + target, their forced weights as the float array ``forced``
+(NaN for a free edge), and the bidirected pairs as the sorted, unique
+(m, 2) array ``pairs`` of (min, max). Array position is edge order
+everywhere. Messages name vertices 1-based, as the JSON files do; the
+vertices an exception carries stay 0-based.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class MixedGraph:
 
         # Stable, so a repeat sorts after its first occurrence. Only out-of-range keys collide,
         # and one sorted between a repeat and its first occurrence is an earlier offender.
-        order = np.argsort(source * max(n, 1) + target, kind="stable")
+        edge_keys = source * max(n, 1) + target
+        order = np.argsort(edge_keys, kind="stable")
+        edge_keys = edge_keys[order]
         s, t = source[order], target[order]
         repeat = np.zeros(source.size, dtype=bool)
         repeat[order[1:][(s[1:] == s[:-1]) & (t[1:] == t[:-1])]] = True
@@ -119,8 +122,9 @@ class MixedGraph:
         keys = _unique(pairs.min(axis=1) * span + pairs.max(axis=1))
         self.n = n
         self.source, self.target, self.forced = s, t, forced[order]
+        self.edge_keys = edge_keys  # source * n + target, ascending
         self.pairs = np.stack([keys // span, keys % span], axis=1)
-        for a in (self.source, self.target, self.forced, self.pairs):
+        for a in (self.source, self.target, self.forced, self.edge_keys, self.pairs):
             a.flags.writeable = False  # the cached views and layering depend on them
         self._parent_memo: dict[int, tuple[int, ...]] = {}
         self._in_edge_memo: dict[int, np.ndarray] = {}

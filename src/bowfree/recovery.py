@@ -19,6 +19,9 @@ which is what makes recovery on reduced graphs solve the same systems as on
 the original graph. The indices of every vertex's system, those sources
 included, are compiled once per graph into its RecoveryPlan.
 
+recover_all solves each system, assembled by build_system or (the closed
+form) recover_first_layers, with recover_vertex and keeps it on its result.
+
 Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
 ``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is
 ``weights[..., g.in_edges(y)]``. No n x n weight matrix is built, which a
@@ -92,6 +95,8 @@ class RecoveryResult:
     # Stacks only: per trial, the first vertex (in recovery order) whose
     # system was near-singular, or -1 when the trial recovered.
     failed_vertex: np.ndarray | None = None
+    # Each free vertex's system as it was solved.
+    systems: dict[int, RecoverySystem] = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def lambda_hat(self) -> np.ndarray:
@@ -105,9 +110,8 @@ class RecoveryResult:
 
 def _edge_weights(g: MixedGraph, weights: np.ndarray, u, v) -> np.ndarray:
     """The weights of the edges u -> v (broadcast), 0 where g has none, as
-    the n x n matrix would read them. Edges are sorted by (source, target),
-    so their keys source * n + target are sorted too."""
-    keys = g.source * g.n + g.target
+    the n x n matrix would read them, by a search of the sorted g.edge_keys."""
+    keys = g.edge_keys
     want = u * g.n + v
     pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     return np.where(keys[pos] == want, weights[..., pos], 0.0)
@@ -270,15 +274,16 @@ def recover_vertex(system: RecoverySystem):
     return _solve(system.a_matrix, system.b_vector, system.vertex)
 
 
-def recover_first_layers(g: MixedGraph, sigma, v: int):
-    """Closed form for vertices without grandparents or forced in-edges,
-    sigma[pa, pa]^{-1} @ sigma[pa, v]; returns as recover_vertex."""
+def recover_first_layers(g: MixedGraph, sigma, v: int) -> RecoverySystem:
+    """The closed-form system of a vertex without grandparents or forced
+    in-edges, sigma[pa, pa] @ x = sigma[pa, v], for recover_vertex to solve."""
     plan = recovery_plan(g)
     pa = plan.system(v)[0]  # v's parents, when the closed form applies
     if not plan.partial[v]:
         raise OrderingError(f"vertex {v + 1} has grandparents or forced in-edges; use the general system")
     sig = gatherable(sigma)
-    return _solve(sig[..., pa[:, None], pa], sig[..., pa, v], v)
+    parents = tuple(pa.tolist())
+    return RecoverySystem(v, parents, parents, sig[..., pa[:, None], pa], sig[..., pa, v])
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite solve fails below, warning or not
@@ -289,8 +294,9 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     recovered in the same single pass and gives (T, |E|) ``weights``.
     Forced edges are copied verbatim; per-vertex diagnostics carry the
     solve residual and the condition number of the system matrix, per
-    trial on a stack. A near-singular system or a non-finite solve raises
-    NearSingularError on a single covariance. On a stack it fails the trial:
+    trial on a stack, and ``systems`` each system as it was solved. A
+    near-singular system or a non-finite solve raises NearSingularError on
+    a single covariance. On a stack it fails the trial:
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
     would raise for, and ``weights[t]`` is NaN throughout. A covariance
     with a non-finite entry raises ConfigError before any solve.
@@ -308,11 +314,10 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     plan = recovery_plan(g)
     row_ptr, partial = plan.ptr[:, 0].tolist(), plan.partial.tolist()
     per_vertex: dict[int, VertexDiagnostics] = {}
+    systems: dict[int, RecoverySystem] = {}
     for v in g.free_vertices:
-        if partial[v]:
-            weights, residual, condition = recover_first_layers(g, sig, v)
-        else:
-            weights, residual, condition = recover_vertex(build_system(g, sig, recovered, v))
+        system = systems[v] = recover_first_layers(g, sig, v) if partial[v] else build_system(g, sig, recovered, v)
+        weights, residual, condition = recover_vertex(system)
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
         if sig.ndim == 2:
             residual, condition = float(residual), float(condition)
@@ -326,9 +331,9 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
         per_vertex[v] = VertexDiagnostics(residual, condition, partial[v])
 
     if sig.ndim == 2:
-        return RecoveryResult(g, recovered, per_vertex)
+        return RecoveryResult(g, recovered, per_vertex, systems=systems)
     recovered[failed >= 0] = np.nan
-    return RecoveryResult(g, recovered, per_vertex, failed)
+    return RecoveryResult(g, recovered, per_vertex, failed, systems)
 
 
 def stack_trials(g: MixedGraph) -> int:

@@ -34,7 +34,7 @@ from .errors import ConfigError, GraphStructureError, NearSingularError, Orderin
 from .experiments import write_report
 from .graphs import MixedGraph, graph_to_dict
 from .lsem import ReducedCovariance, as_matrix, save_matrix_csv
-from .recovery import _edge_weights, build_system, recover_all
+from .recovery import _edge_weights, recover_all
 
 VERIFY_TOL = 1e-8  # absolute
 
@@ -138,17 +138,13 @@ def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: Gadgets, r: int) -> R
     and 1 on collectors, so sigma'[a, b] =
     factor(a) * factor(b) * sigma[head(a), head(b)], kept in that form.
     """
-    head = _gadget_heads(g_prime.n, gadgets)
+    # A new vertex's head is its gadget's, and the gadgets' id blocks fill
+    # the ids after the original vertices, which are their own heads.
+    sizes = gadgets.collector + 1 - gadgets.first
+    head = np.concatenate([np.arange(g_prime.n - sizes.sum()), np.repeat(gadgets.head, sizes)])
     factor = np.where(head == np.arange(g_prime.n), 1.0, 1.0 / r)
     factor[gadgets.collector] = 1.0
     return ReducedCovariance(as_matrix(sigma), head, factor)
-
-
-def _gadget_heads(n_prime: int, gadgets: Gadgets) -> np.ndarray:
-    """Each vertex's head: its gadget's head for a new vertex, else itself.
-    The gadgets' id blocks fill the ids after the original vertices."""
-    sizes = gadgets.collector + 1 - gadgets.first
-    return np.concatenate([np.arange(n_prime - sizes.sum()), np.repeat(gadgets.head, sizes)])
 
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
@@ -187,19 +183,13 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
     bow_free = not red.g_prime.bow_violations()
     layered = red.g_prime.is_k_layered()
 
-    sig = as_matrix(sigma)
-    base = recover_all(g, sig)
+    base = recover_all(g, as_matrix(sigma))
     try:
         reduced = recover_all(red.g_prime, red.sigma_prime)
     except NearSingularError as exc:
-        return ReductionReport(
-            bow_free,
-            layered,
-            collector_weights_ok=False,
-            systems_match=False,
-            max_weight_error=float("inf"),
-            notes=(f"recovery failed on the reduced instance: {exc}",),
-        )
+        return ReductionReport(bow_free, layered, collector_weights_ok=False, systems_match=False,
+                               max_weight_error=float("inf"),
+                               notes=(f"recovery failed on the reduced instance: {exc}",))
 
     heads, tails, _, _, collectors = red.gadgets
     got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
@@ -211,14 +201,13 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
     for h, t, a, b in zip(heads[bad], tails[bad], got[bad], want[bad]):
         notes.append(f"gadget {h + 1}->{t + 1}: recovered {a:.12g}, expected {b:.12g}")
 
+    # Recovery kept the systems it solved. v's equation rows on g' are the
+    # heads of its parents there (a collector copies its gadget's head), so
+    # sorting them puts its unknowns in the order of v's parents on g.
     mismatched = []
-    head = _gadget_heads(red.g_prime.n, red.gadgets)
-    for v in range(g.n):
-        if not g.parents(v):
-            continue
-        orig = build_system(g, sig, base.weights, v)
-        new = build_system(red.g_prime, red.sigma_prime, reduced.weights, v)
-        order = np.argsort(head[list(new.parents)])
+    for v in sorted(base.systems):
+        orig, new = base.systems[v], reduced.systems[v]
+        order = np.argsort(new.y_set)
         a_err = np.abs(orig.a_matrix - new.a_matrix[order[:, None], order]).max()
         if not (a_err <= VERIFY_TOL and np.abs(orig.b_vector - new.b_vector[order]).max() <= VERIFY_TOL):  # NaN fails
             mismatched.append(v)

@@ -10,8 +10,8 @@ from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import symmetrize
 from bowfree.lsem import as_matrix
-from bowfree.recovery import RecoverySystem, recover_all
-from bowfree.reduction import Gadgets
+from bowfree.recovery import RecoverySystem, _edge_weights, build_system, recover_all
+from bowfree.reduction import VERIFY_TOL, Gadgets, ReductionOutput, ReductionReport
 from bowfree.robustness import (
     ConditionEstimate,
     ConditionTrial,
@@ -97,6 +97,43 @@ def reference_build_gadgets(heads, tails, qs, r: int, start: int):
         edges.append((*ends, np.tile(weight, members.size)))
     gadgets = Gadgets(heads, tails, qs, firsts, firsts + sizes - 1)
     return gadgets, tuple(np.concatenate(x) for x in zip(*edges))
+
+
+def reference_verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionReport:
+    """verify_reduction with both systems of every original vertex rebuilt
+    by build_system after the two recoveries: the reference that comparing
+    the systems recovery kept must match report for report."""
+    notes = []
+    bow_free = not red.g_prime.bow_violations()
+    layered = red.g_prime.is_k_layered()
+    sig = as_matrix(sigma)
+    base = recover_all(g, sig)
+    try:
+        reduced = recover_all(red.g_prime, red.sigma_prime)
+    except NearSingularError as exc:
+        return ReductionReport(bow_free, layered, False, False, float("inf"),
+                               notes=(f"recovery failed on the reduced instance: {exc}",))
+    heads, tails, _, _, collectors = red.gadgets
+    got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
+    want = _edge_weights(g, base.weights, heads, tails)
+    err = np.abs(got - want)
+    bad = err > VERIFY_TOL
+    for h, t, a, b in zip(heads[bad], tails[bad], got[bad], want[bad]):
+        notes.append(f"gadget {h + 1}->{t + 1}: recovered {a:.12g}, expected {b:.12g}")
+    mismatched = []
+    sizes = red.gadgets.collector + 1 - red.gadgets.first  # each vertex's gadget head, from the gadget table
+    head = np.concatenate([np.arange(red.g_prime.n - sizes.sum()), np.repeat(red.gadgets.head, sizes)])
+    for v in range(g.n):
+        if not g.parents(v):
+            continue
+        orig = build_system(g, sig, base.weights, v)
+        new = build_system(red.g_prime, red.sigma_prime, reduced.weights, v)
+        order = np.argsort(head[list(new.parents)])
+        a_err = np.abs(orig.a_matrix - new.a_matrix[order[:, None], order]).max()
+        if not (a_err <= VERIFY_TOL and np.abs(orig.b_vector - new.b_vector[order]).max() <= VERIFY_TOL):
+            mismatched.append(v)
+    max_err = float(np.fmax.reduce(err, initial=0.0))
+    return ReductionReport(bow_free, layered, not bad.any(), not mismatched, max_err, tuple(mismatched), tuple(notes))
 
 
 def reference_sample_perturbation(sigma, spec: PerturbationSpec) -> np.ndarray:

@@ -420,6 +420,16 @@ def test_cli_experiment_rejects_grid_values_that_print_alike(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["simulated", "survey"])
+def test_cli_experiment_rejects_a_model_without_vertices(tmp_path, capsys, mode):
+    out = tmp_path / "r.json"
+    code = main(["experiment", "--mode", mode, "--n", "12", "0", "--graphs", "2", "--runs-per-graph", "2",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["bowfree: vertex count n=0 must be at least 1"]
+    assert not out.exists()
+
+
 def test_cli_survey_rejects_more_than_one_p(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["experiment", "--mode", "survey", "--p", "0.2", "0.7", "--graphs", "2",

@@ -164,6 +164,14 @@ def test_layering_and_bow_check_are_computed_once():
     assert bow.bow_violations() is not bow.bow_violations()
 
 
+def test_edge_keys_are_kept_sorted_and_read_only():
+    graphs = [gen_random_bowfree_graph(RandomGraphConfig(9, 0.5, seed=s)) for s in range(4)]
+    graphs += [MixedGraph(0), MixedGraph(3, [(2, 0), (0, 1), (1, 2)])]
+    for g in graphs:
+        np.testing.assert_array_equal(g.edge_keys, g.source * g.n + g.target)
+        assert (np.diff(g.edge_keys) > 0).all() and not g.edge_keys.flags.writeable
+
+
 def _bow_outcome(graph):
     try:
         graph.require_bow_free()

@@ -112,12 +112,12 @@ def test_recover_first_layers_two_node_closed_form():
     w = 0.37
     g = MixedGraph(2, [(0, 1)])
     sigma = np.array([[1.0, w], [w, 1.0 + w**2]])
-    np.testing.assert_allclose(recover_first_layers(g, sigma, 1)[0], [w], atol=1e-12)
+    np.testing.assert_allclose(recover_vertex(recover_first_layers(g, sigma, 1))[0], [w], atol=1e-12)
 
 
 def test_recover_first_layers_no_parents():
     g = MixedGraph(2, [(0, 1)])
-    assert recover_first_layers(g, np.eye(2), 0)[0].size == 0
+    assert recover_vertex(recover_first_layers(g, np.eye(2), 0))[0].size == 0
 
 
 def test_recover_first_layers_identity_block():
@@ -125,7 +125,7 @@ def test_recover_first_layers_identity_block():
     sigma = np.eye(3)
     sigma[0, 2] = sigma[2, 0] = 0.4
     sigma[1, 2] = sigma[2, 1] = -0.2
-    np.testing.assert_allclose(recover_first_layers(g, sigma, 2)[0], [0.4, -0.2])
+    np.testing.assert_allclose(recover_vertex(recover_first_layers(g, sigma, 2))[0], [0.4, -0.2])
 
 
 def test_recover_first_layers_requires_no_grandparents(chain3):
@@ -138,7 +138,7 @@ def test_both_forms_agree_when_no_grandparents():
     lam = np.zeros((3, 3))
     lam[0, 2], lam[1, 2] = 0.5, -0.7
     sigma = forward_map(g, ParamSet(lam, np.eye(3)))
-    direct = recover_first_layers(g, sigma, 2)[0]
+    direct = recover_vertex(recover_first_layers(g, sigma, 2))[0]
     system = build_system(g, sigma, np.zeros(2), 2)
     np.testing.assert_allclose(recover_vertex(system)[0], direct, atol=1e-12)
 
@@ -239,6 +239,44 @@ def test_plan_systems_equal_the_per_vertex_assembly_bitwise(n, p, seed, trials, 
         assert got.y_set == want.y_set and got.parents == want.parents
         np.testing.assert_array_equal(got.a_matrix, want.a_matrix)
         np.testing.assert_array_equal(got.b_vector, want.b_vector)
+
+
+def _kept_systems_case(kind):
+    if kind == "reduced":
+        red = reduce_instance(*_golden_reduced_instance())
+        return red.g_prime, red.sigma_prime
+    inst = _golden_sdd()
+    return inst.graph, inst.sigma if kind == "one" else _perturbed_stack(inst.sigma, 3, 7)
+
+
+@pytest.mark.parametrize("kind", ["one", "stack", "reduced"])
+def test_recover_all_keeps_each_system_as_build_system_assembles_it(kind):
+    g, sigma = _kept_systems_case(kind)
+    result = recover_all(g, sigma)
+    assert result.failed_vertex is None or (result.failed_vertex < 0).all()
+    assert list(result.systems) == list(g.free_vertices)
+    closed = recovery_plan(g).partial[list(g.free_vertices)]
+    assert closed.any() and not closed.all()  # both forms are kept
+    for v, kept in result.systems.items():
+        fresh = build_system(g, sigma, result.weights, v)
+        assert (kept.vertex, kept.y_set, kept.parents) == (v, fresh.y_set, fresh.parents)
+        for got, want in ((kept.a_matrix, fresh.a_matrix), (kept.b_vector, fresh.b_vector)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert "systems" not in repr(result)
+
+
+def test_recover_all_solves_every_vertex_through_recover_vertex(monkeypatch):
+    g, sigma = _kept_systems_case("one")
+    solved = []
+
+    def counted(system):
+        solved.append(system)
+        return recover_vertex(system)
+
+    monkeypatch.setattr(recovery, "recover_vertex", counted)
+    result = recover_all(g, sigma)
+    assert [s.vertex for s in solved] == list(g.free_vertices)
+    assert all(s is result.systems[s.vertex] for s in solved)
 
 
 def test_recover_full_params_round_trip():

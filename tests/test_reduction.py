@@ -19,7 +19,8 @@ from bowfree.generators import (
 )
 from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.lsem import ParamSet, ReducedCovariance, dag_inverse, forward_map
-from bowfree.recovery import build_system, recover_all, recover_full_params
+from bowfree import recovery, reduction
+from bowfree.recovery import build_system, recover_all, recover_full_params, recovery_plan
 from bowfree.reduction import (
     build_gadgets,
     reduce_covariance,
@@ -29,7 +30,7 @@ from bowfree.reduction import (
     verify_reduction,
 )
 from bowfree.robustness import check_assumptions
-from helpers import reference_build_gadgets
+from helpers import reference_build_gadgets, reference_verify_reduction
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
@@ -215,6 +216,63 @@ def test_mismatched_systems_names_the_tail_of_a_corrupted_gadget(entry):
     assert report.mismatched_systems == (3,)
     assert not report.systems_match and not report.collector_weights_ok
     assert len(report.notes) == 1 and report.notes[0].startswith("gadget 1->4: ")
+
+
+def _with_dense(red, dense):
+    """red with sigma' replaced by a dense matrix under identity heads."""
+    n = red.g_prime.n
+    return dataclasses.replace(red, sigma_prime=ReducedCovariance(dense, np.arange(n), np.ones(n)))
+
+
+def _verify_cases():
+    """(g, sigma, red) triples: clean random reductions, random ones with one
+    entry of sigma' moved, and the corrupted-gadget cases above."""
+    rng = np.random.default_rng(0)
+    for seed in range(8):
+        g, sigma = _random_instance(seed)
+        red = reduce_instance(g, sigma)
+        yield g, sigma, red
+        dense = red.sigma_prime.sigma.copy()
+        i, j = rng.integers(0, g.n, size=2)  # original vertices
+        dense[i, j] += 1e-3
+        dense[j, i] = dense[i, j]
+        yield g, sigma, _with_dense(red, dense)
+    g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
+    lam = np.zeros((4, 4))
+    lam[0, 1], lam[1, 2], lam[2, 3], lam[0, 3] = 0.5, 0.4, -0.3, 0.25
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
+    red = reduce_instance(g, sigma)
+    for entry, delta in ((None, 0.0), ((0, 8), 0.01), ((0, 3), 0.01), ((0, 8), -red.sigma_prime.sigma[0, 8])):
+        dense = red.sigma_prime.sigma.copy()
+        if entry:
+            dense[entry] += delta
+            dense[entry[::-1]] = dense[entry]
+        yield g, sigma, _with_dense(red, dense)
+
+
+def test_verify_reduction_compares_the_kept_systems_and_builds_none(monkeypatch):
+    cases = list(_verify_cases())
+    want = [reference_verify_reduction(*case) for case in cases]
+    assert any(r.all_ok for r in want) and any(r.mismatched_systems for r in want)
+    assert any(len(r.mismatched_systems) > 1 for r in want)
+    built = []
+
+    def counted(g, *args):
+        built.append(g)
+        return build_system(g, *args)
+
+    def fail(*args):
+        raise AssertionError("verify_reduction assembled a system")
+
+    monkeypatch.setattr(recovery, "build_system", counted)
+    monkeypatch.setattr(reduction, "build_system", fail, raising=False)
+    for (g, sigma, red), ref in zip(cases, want):
+        built.clear()
+        report = verify_reduction(g, sigma, red)
+        assert report == ref and repr(report) == repr(ref)
+        # Only the two recoveries assemble, once per vertex outside the closed form.
+        assemblies = [h for h in (g, red.g_prime) for v in h.free_vertices if not recovery_plan(h).partial[v]]
+        assert list(map(id, built)) == list(map(id, assemblies))
 
 
 def test_reduce_rejects_forced_input():
