@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DefinitenessError
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _runs
 from .lsem import ParamSet, as_matrix, forward_map
 
 _RETRY_CAP = 1_000_000
@@ -103,7 +103,7 @@ def _attach_bidirected(n, source, target, rng, extra_p) -> np.ndarray:
     # j's partner is its pick-th non-adjacent vertex: pick plus the vertices
     # adjacent to j below it, those with at most pick non-adjacent ones below.
     rows, cols = np.nonzero(adjacent)
-    below = cols - (np.arange(rows.size) - (np.cumsum(degree) - degree)[rows])
+    below = cols - _runs(0, degree)  # rows holds degree[j] entries of each row j, in order
     i = (pick + np.bincount(rows[below <= pick[rows]], minlength=n))[js]
     bidirected = np.zeros((n, n), dtype=bool)
     bidirected[np.minimum(i, js), np.maximum(i, js)] = True
@@ -167,19 +167,17 @@ def gen_lambda_uniform(g: MixedGraph, cfg: GenerativeConfig) -> np.ndarray:
     return lam
 
 
-def gen_omega_spherical(g: MixedGraph, cfg: GenerativeConfig):
+def gen_omega_spherical(g: MixedGraph, cfg: GenerativeConfig) -> np.ndarray:
     """Noise Gram matrix from unit vectors orthogonal to their parents' span.
 
     Vectors are processed in topological order; each raw draw loses its
     component in the span of the (final) parent vectors, so noise
-    correlations vanish exactly on every directed edge. Returns
-    (omega, vectors, retries).
+    correlations vanish exactly on every directed edge.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     order = g.topological_order()
     vectors = np.zeros((g.n, cfg.d))
-    retries = 0
     for v in order:
         pa = list(g.parents(v))
         basis = None
@@ -194,12 +192,11 @@ def gen_omega_spherical(g: MixedGraph, cfg: GenerativeConfig):
             if norm >= 1e-12:
                 vectors[v] = raw / norm
                 break
-            retries += 1
         else:
             raise ConfigError("sphere sampling kept collapsing onto the parent span")
     omega = vectors @ vectors.T
     np.fill_diagonal(omega, 1.0)
-    return omega, vectors, retries
+    return omega
 
 
 def gen_omega_sdd(g: MixedGraph, cfg: SDDNoiseConfig) -> np.ndarray:
@@ -272,7 +269,7 @@ def gen_generative_instance(
     adjacent[skeleton.source, skeleton.target] = adjacent[skeleton.target, skeleton.source] = True
     g = MixedGraph.from_arrays(n, skeleton.source, skeleton.target, bidirected=np.argwhere(np.triu(~adjacent)))
     lam = gen_lambda_uniform(g, GenerativeConfig(n, k, mu, d, seed=lam_seed))
-    omega, _, _ = gen_omega_spherical(g, GenerativeConfig(n, k, mu, d, seed=omega_seed))
+    omega = gen_omega_spherical(g, GenerativeConfig(n, k, mu, d, seed=omega_seed))
     params = ParamSet(lam, omega)
     return Instance(g, params, forward_map(g, params))
 

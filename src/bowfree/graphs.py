@@ -53,6 +53,17 @@ def _row_pointers(ids: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
+def _runs(start, count) -> np.ndarray:
+    """The index runs start[i]:start[i] + count[i], concatenated; ``start``
+    may be a scalar shared by every run."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values. One sort: np.unique hashes integers on
     numpy 2.x, which took 10x longer on a 5,000-element array."""
@@ -125,9 +136,7 @@ class MixedGraph:
         self.edge_keys = edge_keys  # source * n + target, ascending
         self.pairs = np.stack([keys // span, keys % span], axis=1)
         for a in (self.source, self.target, self.forced, self.edge_keys, self.pairs):
-            a.flags.writeable = False  # the cached views and layering depend on them
-        self._parent_memo: dict[int, tuple[int, ...]] = {}
-        self._in_edge_memo: dict[int, np.ndarray] = {}
+            a.flags.writeable = False  # the cached adjacency and layering depend on them
 
     def __eq__(self, other):
         if not isinstance(other, MixedGraph):
@@ -151,43 +160,38 @@ class MixedGraph:
         return tuple(map(DirectedEdge, self.source.tolist(), self.target.tolist(), weights))
 
     # -- adjacency ----------------------------------------------------------
+    # One CSR index, built on first use and read-only: v's in-edges are
+    # _in_order[_in_ptr[v]:_in_ptr[v + 1]], by ascending parent, _in_degree[v]
+    # of them, and its out-edges _out_ptr[v]:_out_ptr[v + 1], as the edges are
+    # sorted by source.
 
     @cached_property
-    def _in(self) -> tuple[np.ndarray, list[int]]:
-        """In-edges as CSR: edge indices sorted by (target, source), row pointers."""
-        order = np.argsort(self.target, kind="stable")
-        order.flags.writeable = False  # in_edges hands out views of it
-        return order, _row_pointers(self.target, self.n).tolist()
+    def _in_order(self) -> np.ndarray:
+        """Edge indices sorted by (target, source)."""
+        return _read_only(np.argsort(self.target, kind="stable"))
 
     @cached_property
-    def _out_ptr(self) -> list[int]:
-        """Row pointers of the out-edges, which are already sorted by source."""
-        return _row_pointers(self.source, self.n).tolist()
+    def _in_ptr(self) -> np.ndarray:
+        return _read_only(_row_pointers(self.target, self.n))
 
-    def in_edges(self, v) -> np.ndarray:
-        """Indices of v's in-edges into ``source``, ``target`` and ``forced``,
-        by ascending parent; memoised per vertex, as ``parents`` is."""
-        try:
-            return self._in_edge_memo[v]
-        except KeyError:
-            if not (0 <= v < self.n):
-                raise GraphStructureError(f"vertex {v + 1} out of range for n={self.n}") from None
-            order, ptr = self._in
-            out = self._in_edge_memo[v] = order[ptr[v] : ptr[v + 1]]
-            return out
+    @cached_property
+    def _out_ptr(self) -> np.ndarray:
+        return _read_only(_row_pointers(self.source, self.n))
+
+    @cached_property
+    def _in_degree(self) -> np.ndarray:
+        return _read_only(np.diff(self._in_ptr))
 
     def parents(self, v) -> tuple[int, ...]:
-        try:
-            return self._parent_memo[v]
-        except KeyError:
-            out = self._parent_memo[v] = tuple(self.source[self.in_edges(v)].tolist())
-            return out
+        """v's parents, ascending."""
+        if not 0 <= v < self.n:
+            raise GraphStructureError(f"vertex {v + 1} out of range for n={self.n}")
+        lo, hi = self._in_ptr[v : v + 2].tolist()
+        return tuple(self.source[self._in_order[lo:hi]].tolist())
 
     def max_degree(self) -> int:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
-        if self.source.size == 0:
-            return 0
-        return int(max(np.bincount(self.source).max(), np.bincount(self.target).max()))
+        return int(max(self._in_degree.max(initial=0), np.diff(self._out_ptr).max(initial=0)))
 
     @cached_property
     def free_in_degree(self) -> np.ndarray:
@@ -227,8 +231,8 @@ class MixedGraph:
 
         Raises CycleError naming one directed cycle when none exists.
         """
-        children, ptr = self.target.tolist(), self._out_ptr
-        indeg = np.bincount(self.target, minlength=self.n).tolist()
+        children, ptr = self.target.tolist(), self._out_ptr.tolist()
+        indeg = self._in_degree.tolist()
         heap = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(heap)
         order = []
@@ -260,8 +264,7 @@ class MixedGraph:
     def _layering(self) -> np.ndarray:
         # Kahn frontier rounds: the vertices freed by round d are exactly
         # longest-path layer d, so each layer costs one numpy step.
-        indeg = np.bincount(self.target, minlength=self.n)
-        out_ptr = _row_pointers(self.source, self.n)
+        indeg, out_ptr = self._in_degree.copy(), self._out_ptr
         out_degree = np.diff(out_ptr)
         layer = np.zeros(self.n, dtype=np.int64)
         slot = np.empty(self.n, dtype=np.int64)  # scratch: one position in kids per child
@@ -270,11 +273,8 @@ class MixedGraph:
         while frontier.size:  # each round costs the frontier's out-edges, not n
             depth += 1
             layer[frontier] = depth
-            # the out-edges of the frontier: one run of edge indices per vertex
-            counts = out_degree[frontier]
-            at = np.arange(counts.sum())
-            kids = self.target[np.repeat(out_ptr[frontier] - np.cumsum(counts) + counts, counts) + at]
-            slot[kids] = at  # one writer wins per distinct child
+            kids = self.target[_runs(out_ptr[frontier], out_degree[frontier])]  # the frontier's out-edges
+            slot[kids] = np.arange(kids.size)  # one writer wins per distinct child
             hits = np.bincount(slot[kids])  # nonzero at the winners only: each child's in-edges from the frontier
             first = np.flatnonzero(hits)
             child = kids[first]
@@ -282,8 +282,7 @@ class MixedGraph:
             frontier = child[indeg[child] == 0]
         if (layer == 0).any():
             self.topological_order()  # raises CycleError
-        layer.flags.writeable = False
-        return layer
+        return _read_only(layer)
 
     def is_k_layered(self) -> bool:
         """True iff every directed edge goes from layer i to layer i + 1."""

@@ -18,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, IngestionError, PatternError, SampleSizeError
+from .errors import (ConfigError, ConvergenceError, DefinitenessError, IngestionError, OrderingError, PatternError,
+                     SampleSizeError)
 from .graphs import MixedGraph
 from .linalg import symmetrize
 
 PATTERN_ATOL = 1e-9
+# project_omega_pattern stops once successive iterates differ by less than
+# PROJECT_TOL in Frobenius norm, and fails after PROJECT_MAX_ITERS iterations.
+PROJECT_TOL, PROJECT_MAX_ITERS = 1e-10, 10_000
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,19 @@ def as_matrix(sigma) -> np.ndarray:
 def gatherable(sigma):
     """``sigma`` indexable as ``sig[..., rows, cols]``, a reduced one kept implicit."""
     return sigma if isinstance(sigma, ReducedCovariance) else as_matrix(sigma)
+
+
+def _checked_covariance(sigma, n: int, stack: bool = False):
+    """gatherable(sigma) once it is one n x n covariance, or with ``stack`` a
+    (T, n, n) stack, of finite entries: OrderingError for another shape,
+    ConfigError for a non-finite entry. Every entry point taking a
+    covariance checks it here."""
+    sig = gatherable(sigma)
+    if sig.ndim not in ((2, 3) if stack else (2,)) or sig.shape[-2:] != (n, n):
+        raise OrderingError(f"covariance shape {sig.shape} does not match n={n}")
+    if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
+        raise ConfigError("covariance has non-finite entries")
+    return sig
 
 
 def dag_inverse(g: MixedGraph, lam: np.ndarray) -> np.ndarray:
@@ -150,18 +167,14 @@ def recover_omega(g: MixedGraph, lam: np.ndarray, sigma) -> np.ndarray:
     return symmetrize(factor.T @ sig @ factor)
 
 
-def project_omega_pattern(
-    omega_hat: np.ndarray,
-    pairs: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-) -> np.ndarray:
+def project_omega_pattern(omega_hat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Alternating projections onto the zero-pattern subspace, the diagonal
     plus the (m, 2) integer array ``pairs`` of bidirected edges, and the
     PSD cone.
 
-    Stops when successive iterates differ by less than ``tol`` in Frobenius
-    norm; raises ConvergenceError (carrying the last iterate) otherwise.
+    Stops when successive iterates differ by less than PROJECT_TOL in
+    Frobenius norm; raises ConvergenceError (carrying the last iterate)
+    after PROJECT_MAX_ITERS iterations.
     """
     x = symmetrize(np.asarray(omega_hat, dtype=float))
     n = x.shape[0]
@@ -169,16 +182,16 @@ def project_omega_pattern(
     us, vs = np.asarray(pairs).T
     mask[us, vs] = mask[vs, us] = True
 
-    for _ in range(max_iters):
+    for _ in range(PROJECT_MAX_ITERS):
         masked = np.where(mask, x, 0.0)
         vals, vecs = np.linalg.eigh(symmetrize(masked))
         clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         clipped = symmetrize(clipped)
-        if np.linalg.norm(clipped - x, ord="fro") < tol:
+        if np.linalg.norm(clipped - x, ord="fro") < PROJECT_TOL:
             return np.where(mask, clipped, 0.0)
         x = clipped
     raise ConvergenceError(
-        f"pattern projection did not converge in {max_iters} iterations", last_iterate=x
+        f"pattern projection did not converge in {PROJECT_MAX_ITERS} iterations", last_iterate=x
     )
 
 

@@ -23,10 +23,11 @@ recover_all solves each system, assembled by build_system or (the closed
 form) recover_first_layers, with recover_vertex and keeps it on its result.
 
 Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
-``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is
-``weights[..., g.in_edges(y)]``. No n x n weight matrix is built, which a
-reduced graph with tens of thousands of vertices could not afford;
-``RecoveryResult.lambda_hat`` scatters the weights into one on first read.
+``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is ``weights[..., e]``
+over y's in-edges e, one run of the graph's in-edge index. No n x n weight
+matrix is built, which a reduced graph with tens of thousands of vertices
+could not afford; ``RecoveryResult.lambda_hat`` scatters the weights into
+one on first read.
 
 Every function here also accepts a stack of covariances of shape (T, n, n),
 a leading trial axis such as the Monte Carlo draws of one graph produce.
@@ -47,16 +48,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
-from .graphs import MixedGraph, _row_pointers
+from .errors import GraphStructureError, NearSingularError, OrderingError
+from .graphs import MixedGraph, _runs
 from .linalg import pow2_rows
-from .lsem import (
-    ParamSet,
-    ReducedCovariance,
-    gatherable,
-    project_omega_pattern,
-    recover_omega,
-)
+from .lsem import ParamSet, _checked_covariance, gatherable, project_omega_pattern, recover_omega
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
@@ -155,9 +150,7 @@ def recovery_plan(g: MixedGraph) -> RecoveryPlan:
 def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     """Index every free vertex's system with numpy over edges, no vertex loop."""
     n, src, tgt, m = g.n, g.source, g.target, g.free_in_degree
-    order = g._in[0]  # edge ids by (target, source)
-    in_ptr = _row_pointers(tgt, n)
-    indeg = np.diff(in_ptr)
+    order, in_ptr, indeg = g._in_order, g._in_ptr, g._in_degree  # v's in-edges are order[in_ptr[v]:in_ptr[v + 1]]
     # A vertex whose in-edges are all forced copies its first parent, and an
     # equation row is taken at the end of such a chain, found by pointer jumping.
     copies = (indeg > 0) & (m == 0)
@@ -172,7 +165,7 @@ def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     # unknown parents first. Vertex t's columns are its k[t] parents and then
     # t, so they start after t own columns of lower vertices.
     k = np.where(m > 0, indeg, 0)
-    into = order[np.repeat(in_ptr[:-1] - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    into = order[_runs(in_ptr[:-1], k)]
     into = into[np.argsort(2 * tgt[into] + ~np.isnan(g.forced[into]), kind="stable")]
     at = np.arange(into.size) + tgt[into]
     cols, col_forced = np.repeat(np.arange(n), k + 1), np.full(into.size + n, np.nan)
@@ -186,7 +179,7 @@ def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     np.maximum.at(width, tgt[unknown], degree)
     row_width = width[tgt[unknown]]
     row = np.repeat(np.arange(rows.size), row_width)
-    slot = np.arange(row.size) - np.repeat(np.cumsum(row_width) - row_width, row_width)
+    slot = _runs(0, row_width)
     live = slot < degree[row]
     edge_idx = np.where(live, order[np.where(live, in_ptr[rows[row]] + slot, 0)], 0)
 
@@ -299,14 +292,11 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     a single covariance. On a stack it fails the trial:
     ``failed_vertex[t]`` names the vertex a single recovery of trial t
     would raise for, and ``weights[t]`` is NaN throughout. A covariance
-    with a non-finite entry raises ConfigError before any solve.
+    of another shape raises OrderingError, and one with a non-finite entry
+    ConfigError, before any solve.
     """
     g.require_bow_free()
-    sig = gatherable(sigma)
-    if sig.ndim not in (2, 3) or sig.shape[-2:] != (g.n, g.n):
-        raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
-    if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
-        raise ConfigError("covariance has non-finite entries")
+    sig = _checked_covariance(sigma, g.n, stack=True)
 
     recovered = np.broadcast_to(np.where(np.isnan(g.forced), 0.0, g.forced), sig.shape[:-2] + g.forced.shape).copy()
     failed = np.full(sig.shape[:-2], -1)

@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
+from .errors import ConfigError, GraphStructureError, NearSingularError
 from .experiments import write_report
-from .graphs import MixedGraph, graph_to_dict
-from .lsem import ReducedCovariance, as_matrix, save_matrix_csv
+from .graphs import MixedGraph, _runs, graph_to_dict
+from .lsem import ReducedCovariance, _checked_covariance, as_matrix, save_matrix_csv
 from .recovery import _edge_weights, recover_all
 
 VERIFY_TOL = 1e-8  # absolute
@@ -81,7 +81,7 @@ def build_gadgets(heads, tails, qs, r: int, start: int):
     # widths r, ..., r, r^2, collector, tail. Each range feeds the next
     # through one complete bipartite block; all blocks expand in one pass.
     gid = np.repeat(np.arange(qs.size), qs + 3)
-    j = np.arange(gid.size) - np.repeat(np.cumsum(qs + 3) - qs - 3, qs + 3)
+    j = _runs(0, qs + 3)
     q = qs[gid]
     lo = np.select([j == 0, j <= q, j == q + 1],  # each range's first id
                    [heads[gid], firsts[gid] + (j - 1) * r, gadgets.collector[gid]], tails[gid])
@@ -91,10 +91,9 @@ def build_gadgets(heads, tails, qs, r: int, start: int):
     s, t = j < q + 2, j > 0  # block b joins the b-th range that is no tail to the b-th that is no head
     # Row i of block b joins vertex lo[s][b] + i to the width[t][b] vertices from lo[t][b] on.
     block = np.repeat(np.arange(np.count_nonzero(s)), width[s])
-    row = np.arange(block.size) - np.repeat(np.cumsum(width[s]) - width[s], width[s])
+    row = _runs(0, width[s])
     cols = width[t][block]
-    target = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols - lo[t][block], cols)
-    return gadgets, (np.repeat(lo[s][block] + row, cols), target, np.repeat(into[t][block], cols))
+    return gadgets, (np.repeat(lo[s][block] + row, cols), _runs(lo[t][block], cols), np.repeat(into[t][block], cols))
 
 
 def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
@@ -149,9 +148,7 @@ def reduce_covariance(sigma, g_prime: MixedGraph, gadgets: Gadgets, r: int) -> R
 
 def reduce_instance(g: MixedGraph, sigma) -> ReductionOutput:
     """Full reduction: layered graph, matching covariance, gadget manifest."""
-    sig = as_matrix(sigma)
-    if sig.shape[-2:] != (g.n, g.n):
-        raise OrderingError(f"covariance shape {sig.shape} does not match n={g.n}")
+    sig = as_matrix(_checked_covariance(sigma, g.n, stack=True))
     g_prime, gadgets, r = reduce_graph(g)
     cov = reduce_covariance(sig, g_prime, gadgets, r)
     k_layers = int(g_prime.layer_decomposition().max(initial=0))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PremiseError
 from .generators import derived_seed
-from .graphs import MixedGraph, _row_pointers, _unique
+from .graphs import MixedGraph, _row_pointers, _runs, _unique
 from .linalg import pow2_rows, snorm, symmetrize
-from .lsem import ReducedCovariance, as_matrix, gatherable
+from .lsem import _checked_covariance, as_matrix
 from .recovery import _edge_weights, recover_all, stack_trials
 
 
@@ -174,17 +174,16 @@ def check_assumptions(
     covariance block; the three neighbouring-block norm ratios; the norm of
     the grandparent-to-parent weight block. Aggregates are worst cases over
     vertices. A singular parent block marks that vertex failed instead of
-    aborting; a non-finite covariance or weights of the wrong shape raise
-    ConfigError. When ``gamma`` is given, the condition-number cap
-    1/(2 gamma) is included in the first check.
+    aborting; a covariance of another shape raises OrderingError, a
+    non-finite one or weights of the wrong shape ConfigError. When
+    ``gamma`` is given, the condition-number cap 1/(2 gamma) is included
+    in the first check.
 
     Vertices with equal (|pa|, |spa|) are measured together: one gather per
     block and one batched SVD or norm per quantity, with the bits the
     per-vertex computation gives.
     """
-    sig = gatherable(sigma)  # a reduced one stays implicit: only blocks are read
-    if not np.isfinite(sig.base if isinstance(sig, ReducedCovariance) else sig).all():
-        raise ConfigError("covariance has non-finite entries")
+    sig = _checked_covariance(sigma, g.n)  # a reduced one stays implicit: only blocks are read
     weights = np.asarray(weights, dtype=float)
     if weights.shape != g.source.shape:
         raise ConfigError(f"{g.source.size} edge weights expected, got shape {weights.shape}")
@@ -194,12 +193,12 @@ def check_assumptions(
 
     # v's parents are parents[ptr[v]:ptr[v + 1]], ascending; its second parents, each edge
     # p -> v joined to p's in-edges and sorted once, are second[spa_ptr[v]:spa_ptr[v + 1]].
-    ptr, span, into = _row_pointers(g.target, g.n), g.n + 1, g._in[0]
-    parents, k = g.source[into], np.diff(ptr)[g.source]
-    grand = parents[np.repeat(ptr[g.source] - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    ptr, span, into, indeg = g._in_ptr, g.n + 1, g._in_order, g._in_degree
+    parents, k = g.source[into], indeg[g.source]
+    grand = parents[_runs(ptr[g.source], k)]
     keys = _unique(np.repeat(g.target, k) * span + grand)
     second, spa_ptr = keys % span, _row_pointers(keys // span, g.n)
-    sizes = np.diff(ptr) * span + np.diff(spa_ptr)  # (|pa|, |spa|) as one number
+    sizes = indeg * span + np.diff(spa_ptr)  # (|pa|, |spa|) as one number
     per_vertex: dict[int, VertexAssumptions] = {}
     for size in _unique(sizes[ptr[1:] > ptr[:-1]]).tolist():
         vs = np.flatnonzero(sizes == size)
@@ -421,10 +420,11 @@ def estimate_condition_number(
     failed, and excluded from the max. Trial seeds are derived from
     (seed, gamma index, trial index) so a longer run extends a shorter one.
     The draws are made in place by perturbation_ratios' chunks.
-    NearSingularError is raised when the unperturbed covariance fails,
-    before any invalid gamma is reported.
+    A covariance of another shape or with a non-finite entry is rejected
+    first; NearSingularError is raised when the unperturbed covariance
+    fails, before any invalid gamma is reported.
     """
-    sig = as_matrix(sigma)
+    sig = as_matrix(_checked_covariance(sigma, g.n))
     k = max(g.max_degree(), 1)
     specs = [PerturbationSpec(gamma, k, derived_seed(seed, gi, t), enforce_tight, strict)
              for gi, gamma in enumerate(gammas) for t in range(trials)]

@@ -21,6 +21,12 @@ from bowfree.robustness import (
 )
 
 
+def in_edges(g: MixedGraph, v) -> np.ndarray:
+    """Indices of v's in-edges into g's edge arrays, by ascending parent:
+    found by a scan of the targets, apart from the graph's own index."""
+    return np.flatnonzero(g.target == v)
+
+
 def spa(g: MixedGraph, v) -> tuple[int, ...]:
     """Second parents: union of parents of parents of v."""
     out = set()
@@ -48,13 +54,13 @@ def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) ->
             y = g.parents(y)[0]
         return y
 
-    edges = g.in_edges(v)
+    edges = in_edges(g, v)
     free = np.isnan(g.forced[edges])
     unknown, known = g.source[edges[free]].tolist(), g.source[edges[~free]].tolist()
     rows = [source(p) for p in unknown]
     cols = np.array([*unknown, *known, v], dtype=int)
     full = sigma[..., np.array(rows, dtype=int)[:, None], cols]
-    upstream = [g.in_edges(y) for y in rows]
+    upstream = [in_edges(g, y) for y in rows]
     width = max(map(len, upstream), default=0)
     if width:
         edge_idx = np.zeros((len(rows), width), dtype=int)
@@ -225,6 +231,6 @@ def per_vertex_error_check(
             if failed >= 0:
                 out.append(VertexErrorCheck(v, t, None, bound, None))
                 continue
-            err = float(np.linalg.norm(lam_true[pa, v] - recovered[g.in_edges(v)]))
+            err = float(np.linalg.norm(lam_true[pa, v] - recovered[in_edges(g, v)]))
             out.append(VertexErrorCheck(v, t, err, bound, err <= bound))
     return out

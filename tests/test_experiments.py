@@ -656,18 +656,24 @@ def test_cli_rejects_negative_seeds_offsets_and_noise(tmp_path, capsys, argv, co
 
 @pytest.mark.parametrize("size", [2, 4])
 def test_cli_reduce_rejects_a_covariance_of_another_size(tmp_path, capsys, size):
-    # A smaller covariance ended in an IndexError traceback, a larger one was
-    # silently cut to its leading block.
+    # reduce: a smaller covariance ended in an IndexError traceback, a larger one was
+    # silently cut to its leading block. check --params did the same; condition named
+    # its internal trial stack's shape.
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "directed": [[1, 2], [2, 3], [1, 3]], "bidirected": []}))
     sigma = tmp_path / "s.csv"
     np.savetxt(sigma, 2.0 * np.eye(size), delimiter=",")
-    out = tmp_path / "red"
-    assert main(["reduce", "--graph", str(graph), "--sigma", str(sigma), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"bowfree: covariance shape ({size}, {size}) does not match n=3"
-    ]
-    assert not out.exists()
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": [[0, 0.5, 0.2], [0, 0, 0.3], [0, 0, 0]], "omega": np.eye(3).tolist()}))
+    out = tmp_path / "out"
+    for command in (["reduce", "--out-dir", str(out)], ["recover", "--out", str(out)],
+                    ["condition", "--seed", "1", "--out", str(out)], ["check", "--out", str(out)],
+                    ["check", "--params", str(params), "--out", str(out)]):
+        assert main(command[:1] + ["--graph", str(graph), "--sigma", str(sigma)] + command[1:]) == 1, command
+        assert capsys.readouterr().err.splitlines() == [
+            f"bowfree: covariance shape ({size}, {size}) does not match n=3"
+        ], command
+        assert not out.exists(), command
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf"])

@@ -102,13 +102,33 @@ def test_lambda_uniform_norm_bound():
         assert snorm(lam[np.ix_(rows, cols)]) <= 1.0 / 30.0 + 1e-12
 
 
-def test_omega_spherical_gram_structure():
+def test_omega_spherical_gram_structure(monkeypatch):
     g = gen_layered_bowfree_graph(12, 2, 0.8, 7)
-    omega, vectors, retries = gen_omega_spherical(g, GenerativeConfig(12, 2, 30.0, d=64, seed=1))
+    draws = []  # one standard-normal draw per vertex, and one more per retry
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    gram_diagonals = []  # the Gram matrix's diagonal, the squared vector norms, before it is set to 1
+
+    def checked_fill_diagonal(a, val, wrap=False):
+        gram_diagonals.append(np.diag(a).copy())
+        fill_diagonal(a, val, wrap)
+
+    default_rng, fill_diagonal = np.random.default_rng, np.fill_diagonal
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(np, "fill_diagonal", checked_fill_diagonal)
+    omega = gen_omega_spherical(g, GenerativeConfig(12, 2, 30.0, d=64, seed=1))
     np.testing.assert_allclose(np.diag(omega), np.ones(12))
     assert np.linalg.eigvalsh(omega)[0] >= -1e-10
-    assert retries == 0
-    np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), np.ones(12), atol=1e-12)
+    assert len(draws) == 12  # no retries
+    (norms2,) = gram_diagonals
+    np.testing.assert_allclose(norms2, np.ones(12), rtol=0, atol=2e-12)  # unit vectors
     # noise correlations vanish exactly on directed edges
     for e in g.directed:
         assert abs(omega[e.source, e.target]) <= 1e-12
@@ -122,7 +142,7 @@ def test_omega_spherical_concentration_at_dmin():
     total = 0
     for seed in range(5):
         g = gen_layered_bowfree_graph(n, k, 0.7, seed)
-        omega, _, _ = gen_omega_spherical(g, GenerativeConfig(n, k, 30.0, d=d, seed=seed))
+        omega = gen_omega_spherical(g, GenerativeConfig(n, k, 30.0, d=d, seed=seed))
         adjacent = {(min(e.source, e.target), max(e.source, e.target)) for e in g.directed}
         for u in range(n):
             for v in range(u + 1, n):
@@ -142,7 +162,7 @@ def test_omega_spherical_block_norm_bounds():
     rng = np.random.default_rng(0)
     for seed in range(10):
         g = gen_layered_bowfree_graph(n, k, 0.7, 100 + seed)
-        omega, _, _ = gen_omega_spherical(g, GenerativeConfig(n, k, 30.0, d=d, seed=seed))
+        omega = gen_omega_spherical(g, GenerativeConfig(n, k, 30.0, d=d, seed=seed))
         for _ in range(20):
             size = int(rng.integers(1, k**2 + 1))
             block = sorted(rng.choice(n, size=size, replace=False))

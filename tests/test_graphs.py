@@ -11,7 +11,7 @@ from bowfree.generators import RandomGraphConfig, gen_random_bowfree_graph
 from bowfree.experiments import write_report
 from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph
 
-from helpers import spa
+from helpers import in_edges, spa
 
 
 def test_bow_violation_detected():
@@ -172,6 +172,21 @@ def test_edge_keys_are_kept_sorted_and_read_only():
         assert (np.diff(g.edge_keys) > 0).all() and not g.edge_keys.flags.writeable
 
 
+def test_adjacency_index_is_read_only_and_matches_the_edges():
+    graphs = [gen_random_bowfree_graph(RandomGraphConfig(9, 0.5, seed=s)) for s in range(4)]
+    graphs += [MixedGraph(0), MixedGraph(3), MixedGraph(3, [(2, 0), (0, 1), (1, 2)])]
+    for g in graphs:
+        for v in range(g.n):
+            np.testing.assert_array_equal(g._in_order[g._in_ptr[v] : g._in_ptr[v + 1]], in_edges(g, v))
+            assert g._in_degree[v] == len(in_edges(g, v))
+            np.testing.assert_array_equal(np.arange(g._out_ptr[v], g._out_ptr[v + 1]), np.flatnonzero(g.source == v))
+        assert g._in_ptr[-1] == g._out_ptr[-1] == g.source.size
+        for a in (g._in_order, g._in_ptr, g._in_degree, g._out_ptr):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
 def _bow_outcome(graph):
     try:
         graph.require_bow_free()
@@ -247,6 +262,7 @@ def _reference(n, directed, bidirected):
         "layer_of": tuple(layer) if acyclic else None,
         "k_layered": all(layer[v] == layer[u] + 1 for u, v in edges) if acyclic else None,
         "free_vertices": sorted(free, key=lambda v: (layer[v], v)) if acyclic else None,
+        "max_degree": max(map(len, parents + children), default=0),
         "bows": sorted(p for p in pairs if p in weights or p[::-1] in weights),
         "forced": {e: w for e, w in weights.items() if w is not None},
         "doc": {
@@ -276,6 +292,7 @@ def _observed(g):
         "layer_of": tuple(g.layer_decomposition().tolist()) if acyclic else None,
         "k_layered": g.is_k_layered() if acyclic else None,
         "free_vertices": list(g.free_vertices) if acyclic else None,
+        "max_degree": g.max_degree(),
         "bows": g.bow_violations(),
         "forced": {
             (u, v): w for u, v, w in zip(g.source.tolist(), g.target.tolist(), g.forced.tolist()) if not np.isnan(w)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bowfree import lsem
 from bowfree.errors import ConvergenceError, DefinitenessError, PatternError, SampleSizeError
 from bowfree.generators import (
     RandomGraphConfig,
@@ -207,7 +208,7 @@ def test_project_omega_clips_rank_deficient(rng):
     a = rng.standard_normal((4, 2))
     low_rank = a @ a.T - 0.5 * np.eye(4)  # indefinite
     full = np.argwhere(np.triu(np.ones((4, 4), dtype=bool), k=1))
-    out = project_omega_pattern(low_rank, full, tol=1e-10)
+    out = project_omega_pattern(low_rank, full)
     assert np.linalg.eigvalsh(out)[0] >= -1e-10
     # eigenvalue-clip oracle: with the full pattern one clip step suffices
     vals, vecs = np.linalg.eigh((low_rank + low_rank.T) / 2)
@@ -215,10 +216,12 @@ def test_project_omega_clips_rank_deficient(rng):
     np.testing.assert_allclose(out, oracle, atol=1e-8)
 
 
-def test_project_omega_convergence_error():
+def test_project_omega_convergence_error(monkeypatch):
+    monkeypatch.setattr(lsem, "PROJECT_TOL", 1e-14)
+    monkeypatch.setattr(lsem, "PROJECT_MAX_ITERS", 1)
     omega = np.array([[1.0, 0.9], [0.9, 1.0]])
     with pytest.raises(ConvergenceError) as err:
-        project_omega_pattern(omega, np.zeros((0, 2), dtype=int), tol=1e-14, max_iters=1)
+        project_omega_pattern(omega, np.zeros((0, 2), dtype=int))
     assert err.value.last_iterate is not None
 
 

@@ -28,8 +28,14 @@ from bowfree.recovery import (
     recovery_plan,
     recovery_to_dict,
 )
-from bowfree.reduction import reduce_covariance, reduce_instance
-from bowfree.robustness import PerturbationSpec, perturbation_ratios, relative_distance, sample_perturbation
+from bowfree.reduction import reduce_covariance, reduce_instance, verify_reduction
+from bowfree.robustness import (
+    PerturbationSpec,
+    check_assumptions,
+    perturbation_ratios,
+    relative_distance,
+    sample_perturbation,
+)
 
 from conftest import graph_from_lambda
 from helpers import recover_alone, reference_build_system, spa
@@ -206,13 +212,20 @@ def test_recovery_plan_is_compiled_once_and_read_only():
             a[...] = 0
 
 
-def test_recover_all_walks_no_per_vertex_adjacency():
+def test_recover_all_walks_no_per_vertex_adjacency(monkeypatch):
+    # Whole-graph passes read the graph's CSR index; none asks a vertex for its parents.
+    def fail(self, v):
+        raise AssertionError(f"parents({v}) asked for")
+
+    monkeypatch.setattr(MixedGraph, "parents", fail)
     inst = _golden_sdd()
     fresh = MixedGraph.from_arrays(inst.graph.n, inst.graph.source, inst.graph.target, bidirected=inst.graph.pairs)
-    red = reduce_instance(*_golden_reduced_instance())
+    g0, sigma0 = _golden_reduced_instance()
+    red = reduce_instance(g0, sigma0)
     for g, sigma in ((fresh, inst.sigma), (red.g_prime, red.sigma_prime)):
-        recover_all(g, sigma)
-        assert g._parent_memo == {} and g._in_edge_memo == {}
+        check_assumptions(g, sigma, recover_all(g, sigma).weights)
+    for g, sigma in ((fresh, inst.sigma), (g0, sigma0)):
+        assert verify_reduction(g, sigma, reduce_instance(g, sigma)).all_ok
 
 
 @settings(max_examples=30, deadline=None)

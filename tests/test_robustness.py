@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowfree.errors import ConfigError, NearSingularError, PremiseError
+from bowfree.errors import ConfigError, NearSingularError, OrderingError, PremiseError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -261,8 +262,10 @@ _NON_FINITE_ENTRY_POINTS = {
     "recover_all-reduced": lambda g, sigma: recover_all(g, ReducedCovariance(sigma, np.arange(3), np.ones(3))),
     "check_assumptions": lambda g, sigma: check_assumptions(g, sigma, np.zeros(g.source.size)),
     "estimate_condition_number": lambda g, sigma: estimate_condition_number(g, sigma, 2, [1e-9], 0, strict=False),
+    "reduce_instance": lambda g, sigma: reduce_instance(g, sigma),
     # the original covariance is finite; the NaN is in sigma' only
-    "verify_reduction": lambda g, sigma: verify_reduction(g, 2.0 * np.eye(3), reduce_instance(g, sigma)),
+    "verify_reduction": lambda g, sigma: verify_reduction(g, 2.0 * np.eye(3), replace(
+        reduce_instance(g, 2.0 * np.eye(3)), sigma_prime=ReducedCovariance(sigma, np.arange(3), np.ones(3)))),
 }
 
 
@@ -275,6 +278,19 @@ def test_non_finite_covariance_is_rejected_in_one_line(entry, entry_ij):
     sigma = 2.0 * np.eye(3)
     sigma[entry_ij] = sigma[entry_ij[::-1]] = np.nan
     with pytest.raises(ConfigError, match=r"^covariance has non-finite entries$"):
+        _NON_FINITE_ENTRY_POINTS[entry](g, sigma)
+
+
+@pytest.mark.parametrize("entry", ["recover_all", "check_assumptions", "estimate_condition_number", "reduce_instance"])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), "stack"], ids=["smaller", "larger", "stack"])
+def test_covariance_of_another_shape_is_rejected_in_one_line(entry, shape):
+    # check_assumptions ended in an IndexError or a ValueError, or read a larger
+    # covariance's leading block; estimate_condition_number named its trial stack.
+    g = MixedGraph(3, [(0, 1), (1, 2)])
+    if shape == "stack":  # one too many axes: recover_all and reduce_instance take a (T, n, n) stack
+        shape = (2, 2, 3, 3) if entry in ("recover_all", "reduce_instance") else (2, 3, 3)
+    sigma = np.broadcast_to(2.0 * np.eye(shape[-1]), shape)
+    with pytest.raises(OrderingError, match="^" + re.escape(f"covariance shape {shape} does not match n=3") + "$"):
         _NON_FINITE_ENTRY_POINTS[entry](g, sigma)
 
 
