@@ -167,8 +167,8 @@ class MixedGraph:
 
     @cached_property
     def _in_order(self) -> np.ndarray:
-        """Edge indices sorted by (target, source)."""
-        return _read_only(np.argsort(self.target, kind="stable"))
+        """Edge indices sorted by (target, source); narrow keys make the stable sort numpy's radix sort."""
+        return _read_only(np.argsort(self.target.astype(np.min_scalar_type(self.n)), kind="stable"))
 
     @cached_property
     def _in_ptr(self) -> np.ndarray:

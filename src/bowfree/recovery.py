@@ -17,10 +17,12 @@ A parent whose incoming edges are all forced is a deterministic copy of a
 unique upstream "source" vertex; its equation row is taken at that source,
 which is what makes recovery on reduced graphs solve the same systems as on
 the original graph. The indices of every vertex's system, those sources
-included, are compiled once per graph into its RecoveryPlan.
+included, are compiled once per graph into its RecoveryPlan, which lays out
+each free vertex's K reads of sigma as one contiguous run.
 
-recover_all solves each system, assembled by build_system or (the closed
-form) recover_first_layers, with recover_vertex and keeps it on its result.
+recover_all gathers those reads once (RecoveryPlan.gather, PlanReads) and
+solves each system, assembled as views of them by build_system or (the
+closed form) recover_first_layers, with recover_vertex; it keeps them all.
 
 Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
 ``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is ``weights[..., e]``
@@ -29,15 +31,13 @@ matrix is built, which a reduced graph with tens of thousands of vertices
 could not afford; ``RecoveryResult.lambda_hat`` scatters the weights into
 one on first read.
 
-Every function here also accepts a stack of covariances of shape (T, n, n),
-a leading trial axis such as the Monte Carlo draws of one graph produce.
-The systems of one vertex differ across trials only in their numbers, so a
-single layer-ordered pass assembles them with one gather and solves them
-with one batched call. A near-singular system raises NearSingularError for
-a single covariance; on a stack it fails only its own trial, whose weights
-become NaN, and the other trials go on. A stack of stack_trials(g)
-covariances stays within STACK_BYTES; robustness.perturbation_ratios feeds
-any number of Monte Carlo draws through one such stack, chunk by chunk.
+Every function here also accepts a stack of covariances (T, n, n), or of
+their reads (T, K), such as the Monte Carlo draws of one graph give: one
+layer-ordered pass solves each vertex's T systems in one batched call. A
+near-singular system raises NearSingularError for a single covariance; on
+a stack it fails only its own trial, whose weights become NaN. A stack of
+stack_trials(g) reads stays within STACK_BYTES, and
+robustness.perturbation_ratios feeds Monte Carlo draws through one.
 """
 
 from __future__ import annotations
@@ -45,20 +45,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import GraphStructureError, NearSingularError, OrderingError
-from .graphs import MixedGraph, _runs
+from .graphs import MixedGraph, _read_only, _runs
 from .linalg import pow2_rows
 from .lsem import ParamSet, _checked_covariance, gatherable, project_omega_pattern, recover_omega
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
-# A recovery stack (stack_trials) holds at most this many bytes of
-# covariances and edge weights, 8 * (n * n + |E|) per trial. 8 MiB holds 46
-# covariances of n = 150, enough to amortise the Python layer walk: larger
-# stacks were barely faster there.
+# A recovery stack (stack_trials) holds at most this many bytes of reads and
+# edge weights, 8 * (K + |E|) per trial, K the plan's reads, and the dense
+# draw scratch of robustness.perturbation_ratios at most this many of n x n
+# draws. 8 MiB holds 49 trials' reads at n = 1000 (K = 19,380).
 STACK_BYTES = 8 * 2**20
 
 
@@ -113,31 +114,31 @@ def _edge_weights(g: MixedGraph, weights: np.ndarray, u, v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PlanReads:
+    """The (..., K) entries of a covariance or a stack that RecoveryPlan.gather reads."""
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class RecoveryPlan:
     """Every free vertex's system as index arrays, compiled once per graph by
-    recovery_plan. The columns of ``ptr[v]:ptr[v + 1]`` delimit vertex v's rows,
-    its columns and its flattened upstream blocks; a vertex without free
-    in-edges has no rows and the one column v."""
+    recovery_plan. ``spans[v]`` is free vertex v's (r0, k0, b0, q0, r1, k1,
+    b1, q1, closed form): its runs r0:r1 of free_edges, k0:k1 of known,
+    b0:b1 of its (rows, width) upstream blocks and q0:q1 of its reads."""
 
-    ptr: np.ndarray  # (n + 1, 3)
-    rows: np.ndarray  # equation rows: the sources of the unknown parents
+    spans: MappingProxyType
     free_edges: np.ndarray  # the unknown parents' edges, row by row
-    cols: np.ndarray  # unknown parents, then forced parents, then v
-    col_forced: np.ndarray  # each column's forced weight, NaN unless a forced parent
-    edge_idx: np.ndarray  # a (rows, width) block: each row's in-edges, padded with edge 0
+    known: np.ndarray  # the forced parents' weights
+    edge_idx: np.ndarray  # each row's in-edges, padded with edge 0
     live: np.ndarray  # 1.0 on an in-edge, 0.0 on padding
-    pa_idx: np.ndarray  # the in-edges' sources, 0 on padding
-    partial: np.ndarray  # (n,) the closed form applies: no grandparents and no forced in-edge, or nothing to solve
+    # v's reads, duplicates kept: its columns (unknown parents, forced parents, v) in each equation row
+    # (the unknown parents' sources), then in each row of its (rows, width) block of the rows' parents
+    read_rows: np.ndarray
+    read_cols: np.ndarray
 
-    def system(self, v: int):
-        """v's rows, columns, forced weights of its known columns and its
-        (edge_idx, live, pa_idx) blocks."""
-        if not 0 <= v < self.partial.size:
-            raise GraphStructureError(f"vertex {v + 1} out of range for n={self.partial.size}")
-        (r0, c0, b0), (r1, c1, b1) = self.ptr[v : v + 2].tolist()
-        m = r1 - r0
-        blocks = (a[b0:b1].reshape(m, (b1 - b0) // max(m, 1)) for a in (self.edge_idx, self.live, self.pa_idx))
-        return self.rows[r0:r1], self.cols[c0:c1], self.col_forced[c0 + m : c1 - 1], *blocks
+    def gather(self, sigma) -> PlanReads:
+        """The plan's K reads of sigma, one covariance, a stack or a ReducedCovariance."""
+        return PlanReads(gatherable(sigma)[..., self.read_rows, self.read_cols])
 
 
 def recovery_plan(g: MixedGraph) -> RecoveryPlan:
@@ -156,41 +157,57 @@ def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     copies = (indeg > 0) & (m == 0)
     copy_of = np.arange(n)
     copy_of[copies] = src[order[in_ptr[:-1][copies]]]
-    for _ in range(n.bit_length()):  # 2^k steps after k rounds, and a chain has fewer than n
+    for _ in range(n.bit_length() + 1):  # 2^k steps after k rounds, and a chain has fewer than n
+        if not copies[copy_of].any():
+            break
         copy_of = copy_of[copy_of]
-    if copies[copy_of].any():
+    else:
         raise OrderingError(f"forced-edge chain through vertex {np.argmax(copies[copy_of]) + 1} is cyclic")
 
     # The free vertices' in-edges, one run of ``order`` per vertex, with the
-    # unknown parents first. Vertex t's columns are its k[t] parents and then
-    # t, so they start after t own columns of lower vertices.
-    k = np.where(m > 0, indeg, 0)
-    into = order[_runs(in_ptr[:-1], k)]
+    # unknown parents first. Free vertex i's columns are its k[i] parents and
+    # then itself, so they start after i own columns of lower free vertices.
+    vs = np.flatnonzero(m)
+    k, m = indeg[vs], m[vs]
+    into = order[_runs(in_ptr[vs], k)]
     into = into[np.argsort(2 * tgt[into] + ~np.isnan(g.forced[into]), kind="stable")]
-    at = np.arange(into.size) + tgt[into]
-    cols, col_forced = np.repeat(np.arange(n), k + 1), np.full(into.size + n, np.nan)
-    cols[at], col_forced[at] = src[into], g.forced[into]
+    cols = np.repeat(vs, k + 1)
+    cols[np.arange(into.size) + np.repeat(np.arange(vs.size), k)] = src[into]
     free = np.isnan(g.forced[into])
     unknown = into[free]
     rows = copy_of[src[unknown]]
     # Row i lists the in-edges of rows[i], padded to its vertex's widest row.
-    degree = indeg[rows]
-    width = np.zeros(n, dtype=np.int64)
-    np.maximum.at(width, tgt[unknown], degree)
-    row_width = width[tgt[unknown]]
-    row = np.repeat(np.arange(rows.size), row_width)
-    slot = _runs(0, row_width)
+    degree, row_of = indeg[rows], np.repeat(np.arange(vs.size), m)
+    width = np.zeros(vs.size, dtype=np.int64)
+    np.maximum.at(width, row_of, degree)
+    row = np.repeat(np.arange(rows.size), width[row_of])
+    slot = _runs(0, width[row_of])
     live = slot < degree[row]
     edge_idx = np.where(live, order[np.where(live, in_ptr[rows[row]] + slot, 0)], 0)
+    # Each vertex reads its columns in its rows, then in its upstream rows.
+    line_of = np.concatenate([row_of, row_of[row]])
+    by_vertex = np.argsort(line_of, kind="stable")
+    line, line_of = np.concatenate([rows, np.where(live, src[edge_idx], 0)])[by_vertex], line_of[by_vertex]
+    c = (k + 1)[line_of]
 
-    ptr = np.zeros((n + 1, 3), dtype=np.int64)
-    np.cumsum(np.stack([m, k + 1, m * width], axis=1), axis=0, out=ptr[1:])
-    partial = np.bincount(tgt[into[~free | (indeg[src[into]] > 0)]], minlength=n) == 0
-    plan = RecoveryPlan(ptr, rows, unknown, cols, col_forced, edge_idx, live.astype(float),
-                        np.where(live, src[edge_idx], 0), partial)
-    for a in vars(plan).values():
-        a.flags.writeable = False
-    return plan
+    ptr = np.zeros((vs.size + 1, 4), dtype=np.int64)
+    np.cumsum(np.stack([m, k - m, m * width, m * (k + 1) * (1 + width)], axis=1), axis=0, out=ptr[1:])
+    closed = np.bincount(tgt[into[~free | (indeg[src[into]] > 0)]], minlength=n)[vs] == 0
+    spans = dict(zip(vs.tolist(), zip(*np.hstack([ptr[:-1], ptr[1:]]).T.tolist(), closed.tolist())))
+    arrays = (unknown, g.forced[into[~free]], edge_idx, live.astype(float), np.repeat(line, c),
+              cols[_runs(np.cumsum(k + 1)[line_of] - c, c)])
+    return RecoveryPlan(MappingProxyType(spans), *map(_read_only, arrays))
+
+
+def _vertex_reads(g: MixedGraph, sigma, v: int):
+    """g's plan, v's span in it and v's reads, a view of recover_all's PlanReads
+    or gathered from sigma; a vertex without free in-edges has an empty span."""
+    plan = recovery_plan(g)
+    reads = (sigma if isinstance(sigma, PlanReads) else plan.gather(sigma)).values
+    if not 0 <= v < g.n:
+        raise GraphStructureError(f"vertex {v + 1} out of range for n={g.n}")
+    span = plan.spans.get(v, (0,) * 8 + (True,))
+    return plan, span, reads[..., span[3] : span[7]]
 
 
 def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoverySystem:
@@ -200,28 +217,27 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
     the recovered weights of every vertex in strictly lower layers (and all
     forced weights), with the same trial axis as ``sigma`` if it has one.
     The equation rows are the sources of v's unforced parents, each
-    transformed; their indices come from the graph's recovery plan.
+    transformed; their indices come from the graph's recovery plan, and
+    their blocks are views of v's reads.
     """
-    sig = gatherable(sigma)
+    plan, (r0, k0, b0, q0, r1, k1, b1, _, _), reads = _vertex_reads(g, sigma, v)
+    m, trials = r1 - r0, reads.shape[:-1]
+    c = m + k1 - k0 + 1  # columns: unknown parents, forced parents, v
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != sig.shape[:-2] + g.source.shape:
-        raise OrderingError(
-            f"edge weights of shape {weights.shape} do not match {g.source.size} edges "
-            f"and a covariance of shape {sig.shape}"
-        )
-    rows, cols, known_weights, edge_idx, live, pa_idx = recovery_plan(g).system(v)
-    full = sig[..., rows[:, None], cols]
-    if edge_idx.size:
+    if weights.shape != trials + g.source.shape:
+        raise OrderingError(f"edge weights of shape {weights.shape} do not match {g.source.size} edges and trials {trials}")
+    full = reads[..., : m * c].reshape(*trials, m, c)
+    if b1 > b0:
         # Transformed rows subtract lam[pa(y), y] . sigma[pa(y), cols].
-        full = full - np.einsum(
-            "...rp,...rpc->...rc", weights[..., edge_idx] * live, sig[..., pa_idx[:, :, None], cols]
-        )
+        block = (m, (b1 - b0) // m)
+        lam = (weights[..., plan.edge_idx[b0:b1]] * plan.live[b0:b1]).reshape(*trials, *block)
+        full = full - np.einsum("...rp,...rpc->...rc", lam, reads[..., m * c :].reshape(*trials, *block, c))
 
-    m = rows.size
     b = full[..., -1]
-    if known_weights.size:
-        b = b - full[..., m:-1] @ known_weights
-    return RecoverySystem(v, tuple(rows.tolist()), tuple(cols[:m].tolist()), full[..., :m], b)
+    if k1 > k0:
+        b = b - full[..., m:-1] @ plan.known[k0:k1]
+    rows, parents = plan.read_rows[q0 : q0 + m * c : c], plan.read_cols[q0 : q0 + m]
+    return RecoverySystem(v, tuple(rows.tolist()), tuple(parents.tolist()), full[..., :m], b)
 
 
 def _solve(a, b, vertex):
@@ -236,7 +252,7 @@ def _solve(a, b, vertex):
     if m == 0:
         return np.zeros(a.shape[:-1]), np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])
     svals = np.linalg.svd(a, compute_uv=False)
-    s_max, s_min = svals[..., 0], svals[..., -1]
+    s_max, s_min = svals[..., 0][()], svals[..., -1][()]  # numpy scalars for one system
     singular = s_min <= SING_TOL * s_max
     if singular.ndim == 0 and singular:
         raise NearSingularError(
@@ -244,15 +260,16 @@ def _solve(a, b, vertex):
             f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})",
             vertex=vertex,
         )
-    if singular.any():  # only on a stack: its singular trials solve the identity and report NaN
+    if singular.ndim and singular.any():  # a stack's singular trials solve the identity and report NaN
         weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
         weights[singular] = np.nan
         s_max, s_min = np.where(s_min == 0, [[np.inf], [1.0]], [s_max, s_min])  # condition inf, even for 0/0
     else:
-        weights = np.linalg.solve(a, b[..., None])[..., 0]
+        weights = np.linalg.solve(a, b[..., None])[..., 0] if b.ndim > 1 else np.linalg.solve(a, b)
     r = (a @ weights[..., None])[..., 0] - b
     residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
-    if residual.ndim or not (2.0**-480 < residual < 2.0**500 or not r.any()):  # a stack, or squares out of range
+    inside = (2.0**-480 < residual) & (residual < 2.0**500)
+    if not (inside.all() or (inside | ~r.any(axis=-1)).all()):  # squares out of range, or NaN
         r, e = pow2_rows(r)  # the bits above wherever the squares neither overflowed nor underflowed
         residual = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=-1)), e)
     return weights, residual, s_max / s_min
@@ -270,21 +287,21 @@ def recover_vertex(system: RecoverySystem):
 def recover_first_layers(g: MixedGraph, sigma, v: int) -> RecoverySystem:
     """The closed-form system of a vertex without grandparents or forced
     in-edges, sigma[pa, pa] @ x = sigma[pa, v], for recover_vertex to solve."""
-    plan = recovery_plan(g)
-    pa = plan.system(v)[0]  # v's parents, when the closed form applies
-    if not plan.partial[v]:
+    plan, (r0, _, _, q0, r1, _, _, _, closed), reads = _vertex_reads(g, sigma, v)
+    if not closed:
         raise OrderingError(f"vertex {v + 1} has grandparents or forced in-edges; use the general system")
-    sig = gatherable(sigma)
-    parents = tuple(pa.tolist())
-    return RecoverySystem(v, parents, parents, sig[..., pa[:, None], pa], sig[..., pa, v])
+    full = reads.reshape(*reads.shape[:-1], r1 - r0, r1 - r0 + 1)  # v's parents, then v
+    parents = tuple(plan.read_cols[q0 : q0 + r1 - r0].tolist())
+    return RecoverySystem(v, parents, parents, full[..., :-1], full[..., -1])
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite solve fails below, warning or not
 def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     """Recover every edge weight, processing layers in increasing order.
 
-    ``sigma`` is one covariance (n, n) or a stack (T, n, n); a stack is
-    recovered in the same single pass and gives (T, |E|) ``weights``.
+    ``sigma`` is one covariance (n, n), a stack (T, n, n) or the PlanReads
+    gathered from a checked one; a stack is recovered in the same single
+    pass and gives (T, |E|) ``weights``.
     Forced edges are copied verbatim; per-vertex diagnostics carry the
     solve residual and the condition number of the system matrix, per
     trial on a stack, and ``systems`` each system as it was solved. A
@@ -296,20 +313,20 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     ConfigError, before any solve.
     """
     g.require_bow_free()
-    sig = _checked_covariance(sigma, g.n, stack=True)
-
-    recovered = np.broadcast_to(np.where(np.isnan(g.forced), 0.0, g.forced), sig.shape[:-2] + g.forced.shape).copy()
-    failed = np.full(sig.shape[:-2], -1)
-
     plan = recovery_plan(g)
-    row_ptr, partial = plan.ptr[:, 0].tolist(), plan.partial.tolist()
+    reads = sigma if isinstance(sigma, PlanReads) else plan.gather(_checked_covariance(sigma, g.n, stack=True))
+    trials = reads.values.shape[:-1]
+
+    recovered = np.where(np.isnan(g.forced), 0.0, np.broadcast_to(g.forced, trials + g.forced.shape))
+    failed = np.full(trials, -1)
     per_vertex: dict[int, VertexDiagnostics] = {}
     systems: dict[int, RecoverySystem] = {}
     for v in g.free_vertices:
-        system = systems[v] = recover_first_layers(g, sig, v) if partial[v] else build_system(g, sig, recovered, v)
+        r0, *_, r1, _, _, _, closed = plan.spans[v]
+        system = systems[v] = recover_first_layers(g, reads, v) if closed else build_system(g, reads, recovered, v)
         weights, residual, condition = recover_vertex(system)
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
-        if sig.ndim == 2:
+        if not trials:
             residual, condition = float(residual), float(condition)
             if not math.isfinite(residual):
                 raise NearSingularError(f"vertex {v + 1}: solve gave non-finite values", vertex=v)
@@ -317,18 +334,18 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
             failed[singular & (failed < 0)] = v
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
-        recovered[..., plan.free_edges[row_ptr[v] : row_ptr[v + 1]]] = weights
-        per_vertex[v] = VertexDiagnostics(residual, condition, partial[v])
+        recovered[..., plan.free_edges[r0:r1]] = weights
+        per_vertex[v] = VertexDiagnostics(residual, condition, closed)
 
-    if sig.ndim == 2:
+    if not trials:
         return RecoveryResult(g, recovered, per_vertex, systems=systems)
     recovered[failed >= 0] = np.nan
     return RecoveryResult(g, recovered, per_vertex, failed, systems)
 
 
 def stack_trials(g: MixedGraph) -> int:
-    """How many covariances of g one recovery stack of STACK_BYTES holds."""
-    return max(1, STACK_BYTES // (8 * max(g.n**2 + g.source.size, 1)))
+    """How many covariances' reads one recovery stack of STACK_BYTES holds."""
+    return max(1, STACK_BYTES // (8 * max(recovery_plan(g).read_rows.size + g.source.size, 1)))
 
 
 def recover_full_params(g: MixedGraph, sigma) -> ParamSet:

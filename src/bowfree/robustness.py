@@ -21,7 +21,8 @@ from .generators import derived_seed
 from .graphs import MixedGraph, _row_pointers, _runs, _unique
 from .linalg import pow2_rows, snorm, symmetrize
 from .lsem import _checked_covariance, as_matrix
-from .recovery import _edge_weights, recover_all, stack_trials
+from . import recovery
+from .recovery import PlanReads, _edge_weights, recover_all, recovery_plan, stack_trials
 
 
 def relative_distance(a, b) -> float | np.ndarray:
@@ -345,27 +346,34 @@ def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
     the weights recovered from sigma, in edge order, and whether that
     recovery failed; then per draw Rel(sigma, sigma~), Rel(lam, lam~) (NaN
     for a failed draw or an all-zero base) and the near-singular vertex of
-    a failed draw (-1 for the others). The draws go through one reused
-    stack of recovery.stack_trials(g) covariances, sigma in slot 0 of its
-    first chunk: ``fill(out, lo)`` writes draws lo, lo + 1, ... into the
-    slots ``out`` of a chunk, which one recover_all call then recovers.
-    Each member is measured with the bits it has alone. When the base fails
-    nothing more is drawn and the per-draw values stay NaN and -1.
+    a failed draw (-1 for the others). ``fill(out, lo)`` writes draws lo,
+    lo + 1, ... into the slots ``out`` of a reused n x n scratch of at most
+    STACK_BYTES, where Rel(sigma, sigma~) is measured; their reads go to a
+    reused stack of recovery.stack_trials(g) slots, sigma's first, which one
+    recover_all call recovers per chunk. Each member is measured with the
+    bits it has alone. When the base fails nothing more is recovered and
+    the per-draw values stay NaN and -1.
     """
-    stack = np.empty((min(stack_trials(g), draws + 1), *sigma.shape))
-    stack[0] = sigma
+    plan = recovery_plan(g)
+    stack = np.empty((min(stack_trials(g), draws + 1), plan.read_rows.size))
+    scratch = np.empty((max(1, min(recovery.STACK_BYTES // (8 * sigma.size), draws, len(stack))), *sigma.shape))
+    stack[0] = plan.gather(_checked_covariance(sigma, g.n)).values
     rel_sigma, rel_lambda, failed_vertex = np.full(draws, np.nan), np.full(draws, np.nan), np.full(draws, -1)
     for lo in range(0, draws + 1, len(stack)):  # positions in (sigma, *draws)
         first = int(lo == 0)
         chunk = stack[: min(len(stack), draws + 1 - lo)]
         at = slice(lo - 1 + first, lo - 1 + len(chunk))  # the chunk's draws
-        fill(chunk[first:], at.start)
-        result = recover_all(g, chunk)
+        rel = np.empty(len(chunk) - first)
+        for d in range(0, len(rel), len(scratch)):  # draws at.start + d, ... into the scratch
+            fill(out := scratch[: min(len(scratch), len(rel) - d)], at.start + d)
+            rel[d : d + len(out)] = relative_distance(sigma, _checked_covariance(out, g.n, stack=True))
+            chunk[first + d : first + d + len(out)] = plan.gather(out).values
+        result = recover_all(g, PlanReads(chunk))
         if first:
             base, base_failed = result.weights[0].copy(), bool(result.failed_vertex[0] >= 0)
             if base_failed:
                 break
-        rel_sigma[at] = relative_distance(sigma, chunk[first:])
+        rel_sigma[at] = rel
         if np.any(base != 0):
             rel_lambda[at] = relative_distance(base, result.weights[first:])
         failed_vertex[at] = result.failed_vertex[first:]

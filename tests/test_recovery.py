@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowfree.errors import NearSingularError, OrderingError
+from bowfree.errors import GraphStructureError, NearSingularError, OrderingError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -16,7 +16,7 @@ from bowfree.generators import (
     gen_sdd_instance,
 )
 from bowfree.graphs import MixedGraph
-from bowfree.lsem import ParamSet, forward_map, project_omega_pattern
+from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, project_omega_pattern
 from bowfree import recovery, robustness
 from bowfree.recovery import (
     RecoverySystem,
@@ -27,6 +27,7 @@ from bowfree.recovery import (
     recover_vertex,
     recovery_plan,
     recovery_to_dict,
+    stack_trials,
 )
 from bowfree.reduction import reduce_covariance, reduce_instance, verify_reduction
 from bowfree.robustness import (
@@ -206,7 +207,11 @@ def test_recovery_plan_is_compiled_once_and_read_only():
     recover_all(g, inst.sigma)
     build_system(g, inst.sigma, np.zeros(g.source.size), g.free_vertices[-1])
     assert recovery_plan(g) is plan
+    with pytest.raises(TypeError):
+        plan.spans[g.free_vertices[0]] = None
     for name, a in vars(plan).items():
+        if name == "spans":
+            continue
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
             a[...] = 0
@@ -268,7 +273,7 @@ def test_recover_all_keeps_each_system_as_build_system_assembles_it(kind):
     result = recover_all(g, sigma)
     assert result.failed_vertex is None or (result.failed_vertex < 0).all()
     assert list(result.systems) == list(g.free_vertices)
-    closed = recovery_plan(g).partial[list(g.free_vertices)]
+    closed = np.array([d.used_partial_form for d in result.per_vertex.values()])
     assert closed.any() and not closed.all()  # both forms are kept
     for v, kept in result.systems.items():
         fresh = build_system(g, sigma, result.weights, v)
@@ -453,14 +458,19 @@ def test_an_all_zero_system_fails_only_its_trial_with_condition_inf(edges, varia
     assert err.value.vertex == 2
 
 
-def _engine_run(g, stack, monkeypatch, per_stack=None):
-    """perturbation_ratios of stack[0] and the draws stack[1:], chunked into
-    ``per_stack`` slots; returns its result, the recover_all stack sizes and
-    the fill calls as (slots, first draw)."""
+def _read_slot_bytes(g):
+    """The bytes of one slot of g's read stack: 8 (K + |E|), K the plan's reads."""
+    return 8 * (recovery_plan(g).read_rows.size + g.source.size)
+
+
+def _engine_run(g, stack, monkeypatch, stack_bytes=None):
+    """perturbation_ratios of stack[0] and the draws stack[1:] with a
+    STACK_BYTES of ``stack_bytes``; returns its result, the recover_all read
+    stack sizes and the fill calls as (slots, first draw)."""
     calls, fills = [], []
 
     def counting(g, sigma):
-        calls.append(len(sigma))
+        calls.append(len(sigma.values))
         return recover_all(g, sigma)
 
     def fill(out, lo):
@@ -469,8 +479,8 @@ def _engine_run(g, stack, monkeypatch, per_stack=None):
 
     with monkeypatch.context() as m:
         m.setattr(robustness, "recover_all", counting)
-        if per_stack:
-            m.setattr(recovery, "STACK_BYTES", per_stack * 8 * (g.n**2 + g.source.size))
+        if stack_bytes:
+            m.setattr(recovery, "STACK_BYTES", stack_bytes)
         run = perturbation_ratios(g, stack[0], len(stack) - 1, fill)
     return run, calls, fills
 
@@ -479,20 +489,52 @@ def _run_bytes(run):
     return [np.asarray(a).tobytes() for a in run]
 
 
+def test_a_read_stack_slot_costs_its_reads_and_weights(monkeypatch):
+    g = gen_generative_instance(n=12, k=2, p=0.7, seed=11).graph
+    plan, slot = recovery_plan(g), _read_slot_bytes(g)
+    assert slot == 8 * (plan.read_rows.size + g.source.size) and plan.read_rows.size == plan.read_cols.size
+    for slots in (1, 2, 7):
+        monkeypatch.setattr(recovery, "STACK_BYTES", slots * slot)
+        assert stack_trials(g) == slots
+        monkeypatch.setattr(recovery, "STACK_BYTES", slots * slot - 1)
+        assert stack_trials(g) == max(1, slots - 1)
+
+
+def test_one_read_stack_holds_every_draw_at_n_1000(monkeypatch):
+    inst = gen_sdd_instance(1000, 3, 0.6, 1.0, seed=11)
+    assert stack_trials(inst.graph) >= 21  # the base and condition's 20 default draws
+    stacks = []
+
+    def counting(g, sigma):
+        stacks.append(getattr(sigma, "values", sigma).shape)
+        return recover_all(g, sigma)
+
+    monkeypatch.setattr(robustness, "recover_all", counting)
+    gammas = [0.5 * 1000**-4, 0.1 * 1000**-4]  # bowfree condition's defaults
+    est = robustness.estimate_condition_number(inst.graph, inst.sigma, trials=10, gammas=gammas, seed=3)
+    assert stacks == [(21, recovery_plan(inst.graph).read_rows.size)] and est.failures == 0
+
+
 def test_perturbation_ratios_split_into_bounded_stacks(monkeypatch):
-    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    inst = gen_generative_instance(n=12, k=2, p=0.3, seed=1)
     g = inst.graph
+    read_slot, dense_slot = _read_slot_bytes(g), 8 * g.n**2
+    assert 5 * read_slot <= dense_slot  # one dense slot's budget holds the reads of all 5
     stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
-    stack[3] = np.ones_like(stack[3])  # every system of draw 2 is singular
+    stack[3] = np.ones_like(stack[3])  # draw 2 has a singular system
     whole, calls, fills = _engine_run(g, stack, monkeypatch)
     assert calls == [5] and fills == [(4, 0)]
     failed_vertex = whole[4]
     assert failed_vertex[2] >= 0 and (np.delete(failed_vertex, 2) < 0).all()
-    chunks = {1: ([1, 1, 1, 1, 1], [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]),
-              2: ([2, 2, 1], [(1, 0), (2, 1), (1, 3)]),
-              3: ([3, 2], [(2, 0), (2, 2)])}
-    for per_stack, (want_calls, want_fills) in chunks.items():
-        split, calls, fills = _engine_run(g, stack, monkeypatch, per_stack)
+    # STACK_BYTES as so many read slots or dense draw slots -> recover_all stack sizes, fill calls
+    chunks = {(1, 0): ([1, 1, 1, 1, 1], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+              (2, 0): ([2, 2, 1], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+              (3, 0): ([3, 2], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+              (0, 1): ([5], [(1, 0), (1, 1), (1, 2), (1, 3)]),
+              (0, 2): ([5], [(2, 0), (2, 2)]),
+              (0, 3): ([5], [(3, 0), (1, 3)])}
+    for (reads, dense), (want_calls, want_fills) in chunks.items():
+        split, calls, fills = _engine_run(g, stack, monkeypatch, max(reads * read_slot, dense * dense_slot))
         assert (calls, fills) == (want_calls, want_fills)
         assert _run_bytes(split) == _run_bytes(whole)
 
@@ -503,7 +545,8 @@ def test_perturbation_ratios_have_the_bits_of_each_covariance_alone(monkeypatch,
     g = inst.graph
     stack = _perturbed_stack(inst.sigma, 4, seed=5, gamma=1e-6)
     stack[3] = np.ones_like(stack[3])  # every system of draw 2 is singular
-    base, base_failed, rel_sigma, rel_lambda, failed_vertex = _engine_run(g, stack, monkeypatch, per_stack)[0]
+    stack_bytes = per_stack and per_stack * _read_slot_bytes(g)
+    base, base_failed, rel_sigma, rel_lambda, failed_vertex = _engine_run(g, stack, monkeypatch, stack_bytes)[0]
     want = recover_all(g, inst.sigma).weights
     assert base.tobytes() == want.tobytes() and not base_failed
     for t, draw in enumerate(stack[1:]):
@@ -519,11 +562,12 @@ def test_perturbation_ratios_have_the_bits_of_each_covariance_alone(monkeypatch,
 def test_perturbation_ratios_stop_at_a_failed_base_and_skip_an_all_zero_one(monkeypatch):
     g = MixedGraph(3, [(0, 2), (1, 2)])
     stack = np.stack([np.ones((3, 3)), np.eye(3), 2.0 * np.eye(3)])
-    (_, base_failed, rel_sigma, _, failed_vertex), calls, fills = _engine_run(g, stack, monkeypatch, per_stack=1)
-    assert base_failed and calls == [1] and fills == [(0, 0)]
+    one_slot = _read_slot_bytes(g)
+    (_, base_failed, rel_sigma, _, failed_vertex), calls, fills = _engine_run(g, stack, monkeypatch, one_slot)
+    assert base_failed and calls == [1] and fills == []
     assert np.isnan(rel_sigma).all() and (failed_vertex == -1).all()
     stack[0] = np.eye(3)  # the weights recovered from the identity are all zero
-    base, base_failed, rel_sigma, rel_lambda, _ = _engine_run(g, stack, monkeypatch, per_stack=1)[0]
+    base, base_failed, rel_sigma, rel_lambda, _ = _engine_run(g, stack, monkeypatch, one_slot)[0]
     assert not base_failed and not base.any()
     assert rel_sigma.tolist() == [0.0, 1.0] and np.isnan(rel_lambda).all()
 
@@ -639,3 +683,83 @@ def test_recovery_and_profile_survive_a_covariance_scaled_by_a_power_of_two(kind
     want = robustness.check_assumptions(g, sigma, base.weights).alpha
     got = robustness.check_assumptions(g, sigma * 2.0**e, base.weights).alpha
     assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
+
+
+def test_a_stack_rescales_its_residuals_only_when_one_is_out_of_range(monkeypatch):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    g, sigma = inst.graph, inst.sigma
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return recovery_pow2_rows(x)
+
+    recovery_pow2_rows = recovery.pow2_rows
+    monkeypatch.setattr(recovery, "pow2_rows", counting)
+    alone = [recover_all(g, s) for s in (sigma, sigma * 2.0**600)]
+    calls.clear()
+    plain = recover_all(g, np.stack([sigma, sigma * 0.5]))
+    assert calls == []  # every residual in range: none rescaled
+    mixed = recover_all(g, np.stack([sigma, sigma * 2.0**600]))
+    assert calls and len(calls) <= len(g.free_vertices)
+    for v in g.free_vertices:
+        assert mixed.per_vertex[v].residual.tolist() == [a.per_vertex[v].residual for a in alone]
+        assert plain.per_vertex[v].residual[0] == alone[0].per_vertex[v].residual
+
+
+def test_the_plan_indexes_free_vertices_only():
+    red = reduce_instance(gen_random_bowfree_graph(RandomGraphConfig(26, 0.4, seed=1)), np.eye(26))
+    g, plan = red.g_prime, recovery_plan(red.g_prime)
+    assert g.n == 5635 and list(plan.spans) == sorted(g.free_vertices)
+    arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6 and all(len(a) not in (g.n, g.n + 1) for a in arrays)
+    # A vertex without free in-edges still gets the empty system, with the covariance's trial axes.
+    small = MixedGraph(3, [(0, 1, 0.5), (1, 2)])
+    idle = [v for v in range(g.n) if v not in plan.spans][:3]
+    for h, sigma, weights, vs, trials in ((g, red.sigma_prime, np.zeros(g.source.size), idle, ()),
+                                          (small, np.stack([np.eye(3)] * 2), np.zeros((2, 2)), [0, 1], (2,))):
+        for v in vs:
+            for got in (build_system(h, sigma, weights, v), recover_first_layers(h, sigma, v)):
+                assert (got.vertex, got.y_set, got.parents) == (v, (), ())
+                assert got.a_matrix.shape == trials + (0, 0) and got.b_vector.shape == trials + (0,)
+    for v in (-1, g.n):
+        with pytest.raises(GraphStructureError, match=f"^vertex {v + 1} out of range for n={g.n}$"):
+            build_system(g, red.sigma_prime, np.zeros(g.source.size), v)
+        with pytest.raises(GraphStructureError, match=f"^vertex {v + 1} out of range for n={g.n}$"):
+            recover_first_layers(g, red.sigma_prime, v)
+
+
+def test_recover_all_gathers_a_reduced_covariance_once(monkeypatch):
+    red = reduce_instance(*_golden_reduced_instance())
+    calls = []
+    getitem = ReducedCovariance.__getitem__
+
+    def counting(self, key):
+        calls.append(key)
+        return getitem(self, key)
+
+    want = recover_all(red.g_prime, red.sigma_prime)
+    monkeypatch.setattr(ReducedCovariance, "__getitem__", counting)
+    got = recover_all(red.g_prime, red.sigma_prime)
+    assert len(calls) == 1 and calls[0][1].size == recovery_plan(red.g_prime).read_rows.size
+    assert got.weights.tobytes() == want.weights.tobytes() and len(got.systems) > 1
+
+
+@pytest.mark.parametrize("kind", ["one", "stack", "reduced"])
+def test_recover_all_assembles_each_free_vertex_once_through_the_module(monkeypatch, kind):
+    g, sigma = _kept_systems_case(kind)
+    assembled = []
+
+    def counted(name, assemble):
+        def wrapper(*args):
+            assembled.append((name, args[-1]))
+            assert isinstance(args[1], recovery.PlanReads)  # the reads recover_all gathered, not sigma
+            return assemble(*args)
+        return wrapper
+
+    monkeypatch.setattr(recovery, "build_system", counted("general", build_system))
+    monkeypatch.setattr(recovery, "recover_first_layers", counted("closed", recover_first_layers))
+    result = recover_all(g, sigma)
+    closed = {v: d.used_partial_form for v, d in result.per_vertex.items()}
+    assert assembled == [("closed" if closed[v] else "general", v) for v in g.free_vertices]
+    assert any(closed.values()) and not all(closed.values())

@@ -271,7 +271,7 @@ def test_verify_reduction_compares_the_kept_systems_and_builds_none(monkeypatch)
         report = verify_reduction(g, sigma, red)
         assert report == ref and repr(report) == repr(ref)
         # Only the two recoveries assemble, once per vertex outside the closed form.
-        assemblies = [h for h in (g, red.g_prime) for v in h.free_vertices if not recovery_plan(h).partial[v]]
+        assemblies = [h for h in (g, red.g_prime) for v in h.free_vertices if not recovery_plan(h).spans[v][-1]]
         assert list(map(id, built)) == list(map(id, assemblies))
 
 

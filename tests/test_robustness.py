@@ -23,7 +23,7 @@ from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import ParamSet, ReducedCovariance, forward_map
 from bowfree import recovery, robustness
-from bowfree.recovery import recover_all
+from bowfree.recovery import recover_all, recovery_plan
 from bowfree.reduction import reduce_instance, verify_reduction
 from bowfree.robustness import (
     AssumptionProfile,
@@ -33,6 +33,7 @@ from bowfree.robustness import (
     condition_bound,
     estimate_condition_number,
     eta_bound,
+    perturbation_ratios,
     relative_distance,
     sample_perturbation,
     stability_premise,
@@ -263,6 +264,10 @@ _NON_FINITE_ENTRY_POINTS = {
     "check_assumptions": lambda g, sigma: check_assumptions(g, sigma, np.zeros(g.source.size)),
     "estimate_condition_number": lambda g, sigma: estimate_condition_number(g, sigma, 2, [1e-9], 0, strict=False),
     "reduce_instance": lambda g, sigma: reduce_instance(g, sigma),
+    # the engine gathers the base and each draw into its read stack itself
+    "perturbation_ratios": lambda g, sigma: perturbation_ratios(g, sigma, 1, lambda out, lo: np.copyto(out, 2.0)),
+    "perturbation_ratios-draw": lambda g, sigma: perturbation_ratios(g, 2.0 * np.eye(3), 1,
+                                                                     lambda out, lo: np.copyto(out, sigma)),
     # the original covariance is finite; the NaN is in sigma' only
     "verify_reduction": lambda g, sigma: verify_reduction(g, 2.0 * np.eye(3), replace(
         reduce_instance(g, 2.0 * np.eye(3)), sigma_prime=ReducedCovariance(sigma, np.arange(3), np.ones(3)))),
@@ -478,24 +483,32 @@ def test_in_place_condition_estimate_has_the_bits_of_the_per_draw_loop(case, mon
         base = recover_all(g, sigma)
         worst = max(base.per_vertex, key=lambda v: base.per_vertex[v].condition)
         monkeypatch.setattr(recovery, "SING_TOL", (1 - 1e-9) / base.per_vertex[worst].condition)
-    if "three-chunks" in case:
-        monkeypatch.setattr(recovery, "STACK_BYTES", 3 * 8 * (g.n**2 + g.source.size))
-    stacks = []
+    if "three-chunks" in case:  # 3 read-stack slots of 8 (K + |E|) bytes, 2 dense draw slots of 8 n^2
+        read_slot = 8 * (recovery_plan(g).read_rows.size + g.source.size)
+        assert 2 * 8 * g.n**2 < 4 * read_slot
+        monkeypatch.setattr(recovery, "STACK_BYTES", max(3 * read_slot, 2 * 8 * g.n**2))
+    stacks, fills = [], []
 
     def counting(g, sigma):
-        stacks.append(len(sigma))
+        stacks.append(len(getattr(sigma, "values", sigma)))
         return recover_all(g, sigma)
+
+    def counting_draws(sigma, specs, out):
+        fills.append(len(out))
+        return sample_perturbation(sigma, specs, out=out)
 
     with np.errstate(over="ignore"):
         want = _condition_outcome(lambda: reference_condition_estimate(g, sigma, **kwargs))
         with monkeypatch.context() as m:
             m.setattr(robustness, "recover_all", counting)
+            m.setattr(robustness, "sample_perturbation", counting_draws)
             got = _condition_outcome(lambda: estimate_condition_number(g, sigma, **kwargs))
     assert got == want
     if case == "variance-1e308":
         assert want == "ConfigError: covariance has non-finite entries"
         return
     assert stacks == ([3, 3, 3] if "three-chunks" in case else [9])
+    assert fills == ([2, 2, 1, 2, 1] if "three-chunks" in case else [8])
     assert ("failed=True" in want[0]) == ("failing" in case)
 
 
