@@ -193,17 +193,13 @@ class MixedGraph:
         """Largest directed in- or out-degree over all vertices (0 for empty graphs)."""
         return int(max(self._in_degree.max(initial=0), np.diff(self._out_ptr).max(initial=0)))
 
-    @cached_property
-    def free_in_degree(self) -> np.ndarray:
-        """Per vertex, the number of in-edges without a forced weight."""
-        return np.bincount(self.target[np.isnan(self.forced)], minlength=self.n)
-
-    @cached_property
-    def free_vertices(self) -> tuple[int, ...]:
-        """Vertices with at least one free in-edge, by layer, then index:
-        the vertices whose weights recovery solves for."""
-        by_layer = np.argsort(self.layer_decomposition(), kind="stable")
-        return tuple(by_layer[self.free_in_degree[by_layer] > 0].tolist())
+    def edge_weights(self, weights: np.ndarray, u, v) -> np.ndarray:
+        """The weights of the edges u -> v (broadcast), 0 where the graph has
+        none, as the n x n matrix would read them: ``weights[..., e]`` is edge
+        e's, found by a search of the sorted edge_keys."""
+        want = u * max(self.n, 1) + v
+        pos = np.minimum(np.searchsorted(self.edge_keys, want), self.edge_keys.size - 1)
+        return np.where(self.edge_keys[pos] == want, weights[..., pos], 0.0)
 
     # -- structural algorithms ----------------------------------------------
 

@@ -32,12 +32,10 @@ could not afford; ``RecoveryResult.lambda_hat`` scatters the weights into
 one on first read.
 
 Every function here also accepts a stack of covariances (T, n, n), or of
-their reads (T, K), such as the Monte Carlo draws of one graph give: one
-layer-ordered pass solves each vertex's T systems in one batched call. A
-near-singular system raises NearSingularError for a single covariance; on
-a stack it fails only its own trial, whose weights become NaN. A stack of
-stack_trials(g) reads stays within STACK_BYTES, and
-robustness.perturbation_ratios feeds Monte Carlo draws through one.
+their reads (T, K): one layer-ordered pass solves each vertex's T systems in
+one batched call. A near-singular system raises NearSingularError for a
+single covariance; on a stack it fails only its own trial, whose weights
+become NaN.
 """
 
 from __future__ import annotations
@@ -56,11 +54,6 @@ from .lsem import ParamSet, _checked_covariance, gatherable, project_omega_patte
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
-# A recovery stack (stack_trials) holds at most this many bytes of reads and
-# edge weights, 8 * (K + |E|) per trial, K the plan's reads, and the dense
-# draw scratch of robustness.perturbation_ratios at most this many of n x n
-# draws. 8 MiB holds 49 trials' reads at n = 1000 (K = 19,380).
-STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -104,15 +97,6 @@ class RecoveryResult:
         return lam
 
 
-def _edge_weights(g: MixedGraph, weights: np.ndarray, u, v) -> np.ndarray:
-    """The weights of the edges u -> v (broadcast), 0 where g has none, as
-    the n x n matrix would read them, by a search of the sorted g.edge_keys."""
-    keys = g.edge_keys
-    want = u * g.n + v
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return np.where(keys[pos] == want, weights[..., pos], 0.0)
-
-
 @dataclass(frozen=True)
 class PlanReads:
     """The (..., K) entries of a covariance or a stack that RecoveryPlan.gather reads."""
@@ -122,9 +106,11 @@ class PlanReads:
 @dataclass(frozen=True)
 class RecoveryPlan:
     """Every free vertex's system as index arrays, compiled once per graph by
-    recovery_plan. ``spans[v]`` is free vertex v's (r0, k0, b0, q0, r1, k1,
-    b1, q1, closed form): its runs r0:r1 of free_edges, k0:k1 of known,
-    b0:b1 of its (rows, width) upstream blocks and q0:q1 of its reads."""
+    recovery_plan. ``spans`` holds the free vertices (those with a free
+    in-edge) in recovery order, by layer, then vertex; ``spans[v]`` is v's
+    (r0, k0, b0, q0, r1, k1, b1, q1, closed form): its runs r0:r1 of
+    free_edges, k0:k1 of known, b0:b1 of its (rows, width) upstream blocks
+    and q0:q1 of its reads."""
 
     spans: MappingProxyType
     free_edges: np.ndarray  # the unknown parents' edges, row by row
@@ -150,7 +136,8 @@ def recovery_plan(g: MixedGraph) -> RecoveryPlan:
 
 def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     """Index every free vertex's system with numpy over edges, no vertex loop."""
-    n, src, tgt, m = g.n, g.source, g.target, g.free_in_degree
+    n, src, tgt = g.n, g.source, g.target
+    m = np.bincount(tgt[np.isnan(g.forced)], minlength=n)  # free in-edges per vertex
     order, in_ptr, indeg = g._in_order, g._in_ptr, g._in_degree  # v's in-edges are order[in_ptr[v]:in_ptr[v + 1]]
     # A vertex whose in-edges are all forced copies its first parent, and an
     # equation row is taken at the end of such a chain, found by pointer jumping.
@@ -193,7 +180,9 @@ def _compile_plan(g: MixedGraph) -> RecoveryPlan:
     ptr = np.zeros((vs.size + 1, 4), dtype=np.int64)
     np.cumsum(np.stack([m, k - m, m * width, m * (k + 1) * (1 + width)], axis=1), axis=0, out=ptr[1:])
     closed = np.bincount(tgt[into[~free | (indeg[src[into]] > 0)]], minlength=n)[vs] == 0
-    spans = dict(zip(vs.tolist(), zip(*np.hstack([ptr[:-1], ptr[1:]]).T.tolist(), closed.tolist())))
+    walk = np.argsort(g.layer_decomposition()[vs], kind="stable")  # recovery order: a cyclic chain raised above
+    bounds = np.hstack([ptr[:-1], ptr[1:]])[walk].T.tolist()
+    spans = dict(zip(vs[walk].tolist(), zip(*bounds, closed[walk].tolist())))
     arrays = (unknown, g.forced[into[~free]], edge_idx, live.astype(float), np.repeat(line, c),
               cols[_runs(np.cumsum(k + 1)[line_of] - c, c)])
     return RecoveryPlan(MappingProxyType(spans), *map(_read_only, arrays))
@@ -321,8 +310,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     failed = np.full(trials, -1)
     per_vertex: dict[int, VertexDiagnostics] = {}
     systems: dict[int, RecoverySystem] = {}
-    for v in g.free_vertices:
-        r0, *_, r1, _, _, _, closed = plan.spans[v]
+    for v, (r0, *_, r1, _, _, _, closed) in plan.spans.items():
         system = systems[v] = recover_first_layers(g, reads, v) if closed else build_system(g, reads, recovered, v)
         weights, residual, condition = recover_vertex(system)
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
@@ -337,15 +325,8 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
         recovered[..., plan.free_edges[r0:r1]] = weights
         per_vertex[v] = VertexDiagnostics(residual, condition, closed)
 
-    if not trials:
-        return RecoveryResult(g, recovered, per_vertex, systems=systems)
-    recovered[failed >= 0] = np.nan
-    return RecoveryResult(g, recovered, per_vertex, failed, systems)
-
-
-def stack_trials(g: MixedGraph) -> int:
-    """How many covariances' reads one recovery stack of STACK_BYTES holds."""
-    return max(1, STACK_BYTES // (8 * max(recovery_plan(g).read_rows.size + g.source.size, 1)))
+    recovered[failed >= 0] = np.nan  # no-op on a single covariance, which raises instead
+    return RecoveryResult(g, recovered, per_vertex, failed if trials else None, systems)
 
 
 def recover_full_params(g: MixedGraph, sigma) -> ParamSet:

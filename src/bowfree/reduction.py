@@ -34,7 +34,7 @@ from .errors import ConfigError, GraphStructureError, NearSingularError
 from .experiments import write_report
 from .graphs import MixedGraph, _runs, graph_to_dict
 from .lsem import ReducedCovariance, _checked_covariance, as_matrix, save_matrix_csv
-from .recovery import _edge_weights, recover_all
+from .recovery import recover_all
 
 VERIFY_TOL = 1e-8  # absolute
 
@@ -189,8 +189,8 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
                                notes=(f"recovery failed on the reduced instance: {exc}",))
 
     heads, tails, _, _, collectors = red.gadgets
-    got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
-    want = _edge_weights(g, base.weights, heads, tails)
+    got = red.g_prime.edge_weights(reduced.weights, collectors, tails)
+    want = g.edge_weights(base.weights, heads, tails)
     err = np.abs(got - want)
     max_err = float(np.fmax.reduce(err, initial=0.0))  # NaN-blind, as max()
     bad = err > VERIFY_TOL

@@ -21,8 +21,7 @@ from .generators import derived_seed
 from .graphs import MixedGraph, _row_pointers, _runs, _unique
 from .linalg import pow2_rows, snorm, symmetrize
 from .lsem import _checked_covariance, as_matrix
-from . import recovery
-from .recovery import PlanReads, _edge_weights, recover_all, recovery_plan, stack_trials
+from .recovery import PlanReads, recover_all, recovery_plan
 
 
 def relative_distance(a, b) -> float | np.ndarray:
@@ -212,7 +211,7 @@ def check_assumptions(
         norms = np.stack([_row_norms(sig[..., pa, vs[:, None]]), snorm(sig[..., spa[:, :, None], pa[:, None, :]]),
                           _row_norms(sig[..., spa, vs[:, None]])], axis=1)  # 0 where spa is empty
         ratios = np.divide(norms, denom[:, None], out=np.full_like(norms, np.inf), where=denom[:, None] > 0)
-        betas = snorm(_edge_weights(g, weights, spa[:, :, None], pa[:, None, :]))
+        betas = snorm(g.edge_weights(weights, spa[:, :, None], pa[:, None, :]))
         floors = np.abs(weights[pa_edges]).tolist()
         for v, kappa, r, beta_v, floor in zip(vs.tolist(), kappas.tolist(), ratios.tolist(), betas.tolist(), floors):
             pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
@@ -337,6 +336,11 @@ def condition_bound(constants: ErrorRateConstants, profile: AssumptionProfile, n
 
 # -- Monte Carlo condition-number estimation --------------------------------
 
+# perturbation_ratios' read stack, 8 (K + |E|) bytes per slot for K plan reads
+# and the recovered weights, and its dense scratch of n x n draws each hold at
+# most this many bytes. 8 MiB holds 49 slots of reads at n = 1000 (K = 19,380).
+STACK_BYTES = 8 * 2**20
+
 
 def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
     """Recover the covariance ``sigma`` and ``draws`` perturbations of it,
@@ -349,14 +353,16 @@ def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
     a failed draw (-1 for the others). ``fill(out, lo)`` writes draws lo,
     lo + 1, ... into the slots ``out`` of a reused n x n scratch of at most
     STACK_BYTES, where Rel(sigma, sigma~) is measured; their reads go to a
-    reused stack of recovery.stack_trials(g) slots, sigma's first, which one
-    recover_all call recovers per chunk. Each member is measured with the
+    reused stack of as many slots as STACK_BYTES holds, sigma's first, which
+    one recover_all call recovers per chunk. Each member is measured with the
     bits it has alone. When the base fails nothing more is recovered and
     the per-draw values stay NaN and -1.
     """
+    g.require_bow_free()  # before the plan's layering raises for a cycle, as in recover_all
     plan = recovery_plan(g)
-    stack = np.empty((min(stack_trials(g), draws + 1), plan.read_rows.size))
-    scratch = np.empty((max(1, min(recovery.STACK_BYTES // (8 * sigma.size), draws, len(stack))), *sigma.shape))
+    slot = 8 * max(plan.read_rows.size + g.source.size, 1)
+    stack = np.empty((max(1, min(STACK_BYTES // slot, draws + 1)), plan.read_rows.size))
+    scratch = np.empty((max(1, min(STACK_BYTES // (8 * sigma.size), draws, len(stack))), *sigma.shape))
     stack[0] = plan.gather(_checked_covariance(sigma, g.n)).values
     rel_sigma, rel_lambda, failed_vertex = np.full(draws, np.nan), np.full(draws, np.nan), np.full(draws, -1)
     for lo in range(0, draws + 1, len(stack)):  # positions in (sigma, *draws)

@@ -10,7 +10,7 @@ from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import symmetrize
 from bowfree.lsem import as_matrix
-from bowfree.recovery import RecoverySystem, _edge_weights, build_system, recover_all
+from bowfree.recovery import RecoverySystem, build_system, recover_all
 from bowfree.reduction import VERIFY_TOL, Gadgets, ReductionOutput, ReductionReport
 from bowfree.robustness import (
     ConditionEstimate,
@@ -50,7 +50,7 @@ def reference_build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) ->
     ``sigma`` is an array or a ReducedCovariance."""
 
     def source(y):  # follow forced in-edges upstream to the vertex y copies
-        while g.parents(y) and not g.free_in_degree[y]:
+        while g.parents(y) and not np.isnan(g.forced[in_edges(g, y)]).any():
             y = g.parents(y)[0]
         return y
 
@@ -120,8 +120,8 @@ def reference_verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> Re
         return ReductionReport(bow_free, layered, False, False, float("inf"),
                                notes=(f"recovery failed on the reduced instance: {exc}",))
     heads, tails, _, _, collectors = red.gadgets
-    got = _edge_weights(red.g_prime, reduced.weights, collectors, tails)
-    want = _edge_weights(g, base.weights, heads, tails)
+    got = red.g_prime.edge_weights(reduced.weights, collectors, tails)
+    want = g.edge_weights(base.weights, heads, tails)
     err = np.abs(got - want)
     bad = err > VERIFY_TOL
     for h, t, a, b in zip(heads[bad], tails[bad], got[bad], want[bad]):

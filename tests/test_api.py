@@ -1,6 +1,8 @@
 """Every public module-level function and class of the package, and every
 public method and property of its classes, is used by the package itself
-or by the benchmark harness; helpers only tests need live in tests/."""
+or by the benchmark harness; helpers only tests need live in tests/. A
+module's private names are its own, apart from the shared helpers of the
+base modules graphs and lsem."""
 
 import ast
 from pathlib import Path
@@ -54,3 +56,17 @@ def _unused_public_definitions() -> list[str]:
 
 def test_every_public_definition_is_used_outside_tests():
     assert _unused_public_definitions() == []
+
+
+def test_package_modules_import_private_names_only_from_graphs_and_lsem():
+    shared = {"graphs", "lsem"}
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module not in shared:
+                found += [f"{path.stem}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr.startswith("_"):
+                if node.value.id in modules - shared:  # a module imported whole, as in ``from . import recovery``
+                    found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert found == []

@@ -10,6 +10,7 @@ from bowfree.errors import BowViolationError, CycleError, GraphStructureError
 from bowfree.generators import RandomGraphConfig, gen_random_bowfree_graph
 from bowfree.experiments import write_report
 from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph
+from bowfree.recovery import recovery_plan
 
 from helpers import in_edges, spa
 
@@ -291,7 +292,7 @@ def _observed(g):
         "order": order,
         "layer_of": tuple(g.layer_decomposition().tolist()) if acyclic else None,
         "k_layered": g.is_k_layered() if acyclic else None,
-        "free_vertices": list(g.free_vertices) if acyclic else None,
+        "free_vertices": list(recovery_plan(g).spans) if acyclic else None,
         "max_degree": g.max_degree(),
         "bows": g.bow_violations(),
         "forced": {

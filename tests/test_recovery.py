@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
     gen_sdd_instance,
 )
-from bowfree.graphs import MixedGraph
-from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, project_omega_pattern
+from bowfree.cli import main
+from bowfree.experiments import write_report
+from bowfree.graphs import MixedGraph, graph_to_dict
+from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, project_omega_pattern, save_matrix_csv
 from bowfree import recovery, robustness
 from bowfree.recovery import (
     RecoverySystem,
@@ -27,7 +30,6 @@ from bowfree.recovery import (
     recover_vertex,
     recovery_plan,
     recovery_to_dict,
-    stack_trials,
 )
 from bowfree.reduction import reduce_covariance, reduce_instance, verify_reduction
 from bowfree.robustness import (
@@ -200,15 +202,40 @@ def test_recover_first_layers_rejects_forced_in_edges():
         recover_first_layers(g, np.eye(3), 2)
 
 
+def test_a_forced_parent_is_folded_into_the_right_hand_side(tmp_path):
+    # Vertex 4 has a forced in-edge besides free ones, and a parent with a
+    # parent: its general system moves the forced column into b.
+    g = MixedGraph(4, [(0, 3, 0.5), (1, 3), (2, 3), (1, 2)], [(0, 1)])
+    lam, omega = np.zeros((4, 4)), np.eye(4)
+    lam[0, 3], lam[1, 3], lam[2, 3], lam[1, 2] = 0.5, 0.7, -0.4, 0.6
+    omega[0, 1] = omega[1, 0] = 0.3
+    sigma = forward_map(g, ParamSet(lam, omega))
+    _, k0, b0, _, _, k1, b1, _, closed = recovery_plan(g).spans[3]
+    assert (k1 - k0, b1 > b0, closed) == (1, True, False)
+    result = recover_all(g, sigma)
+    np.testing.assert_allclose(result.lambda_hat, lam, rtol=0, atol=1e-12)
+    for cov in (sigma, _perturbed_stack(sigma, 1, seed=3)):
+        weights = recover_all(g, cov).weights
+        got, want = build_system(g, cov, weights, 3), reference_build_system(g, cov, weights, 3)
+        assert (got.y_set, got.parents) == (want.y_set, want.parents) == ((1, 2), (1, 2))
+        assert got.a_matrix.tobytes() == want.a_matrix.tobytes() and got.b_vector.tobytes() == want.b_vector.tobytes()
+    graph, sig, out = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "o.json"
+    write_report(graph_to_dict(g), graph)
+    save_matrix_csv(sigma, sig)
+    assert main(["recover", "--graph", str(graph), "--sigma", str(sig), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] == result.lambda_hat.tolist()
+
+
 def test_recovery_plan_is_compiled_once_and_read_only():
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
     g = inst.graph
     plan = recovery_plan(g)
     recover_all(g, inst.sigma)
-    build_system(g, inst.sigma, np.zeros(g.source.size), g.free_vertices[-1])
+    free = list(plan.spans)
+    build_system(g, inst.sigma, np.zeros(g.source.size), free[-1])
     assert recovery_plan(g) is plan
     with pytest.raises(TypeError):
-        plan.spans[g.free_vertices[0]] = None
+        plan.spans[free[0]] = None
     for name, a in vars(plan).items():
         if name == "spans":
             continue
@@ -252,7 +279,7 @@ def test_plan_systems_equal_the_per_vertex_assembly_bitwise(n, p, seed, trials, 
         g, sigma = red.g_prime, red.sigma_prime if mode == "reduced-implicit" else red.sigma_prime.sigma
     rng = np.random.default_rng(seed)
     weights = np.where(np.isnan(g.forced), rng.uniform(-1, 1, sigma.shape[:-2] + g.forced.shape), g.forced)
-    for v in g.free_vertices:
+    for v in recovery_plan(g).spans:
         got, want = build_system(g, sigma, weights, v), reference_build_system(g, sigma, weights, v)
         assert got.y_set == want.y_set and got.parents == want.parents
         np.testing.assert_array_equal(got.a_matrix, want.a_matrix)
@@ -272,7 +299,7 @@ def test_recover_all_keeps_each_system_as_build_system_assembles_it(kind):
     g, sigma = _kept_systems_case(kind)
     result = recover_all(g, sigma)
     assert result.failed_vertex is None or (result.failed_vertex < 0).all()
-    assert list(result.systems) == list(g.free_vertices)
+    assert list(result.systems) == list(recovery_plan(g).spans)
     closed = np.array([d.used_partial_form for d in result.per_vertex.values()])
     assert closed.any() and not closed.all()  # both forms are kept
     for v, kept in result.systems.items():
@@ -293,7 +320,7 @@ def test_recover_all_solves_every_vertex_through_recover_vertex(monkeypatch):
 
     monkeypatch.setattr(recovery, "recover_vertex", counted)
     result = recover_all(g, sigma)
-    assert [s.vertex for s in solved] == list(g.free_vertices)
+    assert [s.vertex for s in solved] == list(recovery_plan(g).spans)
     assert all(s is result.systems[s.vertex] for s in solved)
 
 
@@ -480,7 +507,7 @@ def _engine_run(g, stack, monkeypatch, stack_bytes=None):
     with monkeypatch.context() as m:
         m.setattr(robustness, "recover_all", counting)
         if stack_bytes:
-            m.setattr(recovery, "STACK_BYTES", stack_bytes)
+            m.setattr(robustness, "STACK_BYTES", stack_bytes)
         run = perturbation_ratios(g, stack[0], len(stack) - 1, fill)
     return run, calls, fills
 
@@ -490,19 +517,19 @@ def _run_bytes(run):
 
 
 def test_a_read_stack_slot_costs_its_reads_and_weights(monkeypatch):
-    g = gen_generative_instance(n=12, k=2, p=0.7, seed=11).graph
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=11)
+    g = inst.graph
     plan, slot = recovery_plan(g), _read_slot_bytes(g)
     assert slot == 8 * (plan.read_rows.size + g.source.size) and plan.read_rows.size == plan.read_cols.size
-    for slots in (1, 2, 7):
-        monkeypatch.setattr(recovery, "STACK_BYTES", slots * slot)
-        assert stack_trials(g) == slots
-        monkeypatch.setattr(recovery, "STACK_BYTES", slots * slot - 1)
-        assert stack_trials(g) == max(1, slots - 1)
+    stack = _perturbed_stack(inst.sigma, 7, seed=5, gamma=1e-6)
+    for slots in (1, 2, 7):  # the first recover_all stack is as large as STACK_BYTES holds
+        assert _engine_run(g, stack, monkeypatch, slots * slot)[1][0] == slots
+        assert _engine_run(g, stack, monkeypatch, slots * slot - 1)[1][0] == max(1, slots - 1)
 
 
 def test_one_read_stack_holds_every_draw_at_n_1000(monkeypatch):
     inst = gen_sdd_instance(1000, 3, 0.6, 1.0, seed=11)
-    assert stack_trials(inst.graph) >= 21  # the base and condition's 20 default draws
+    assert robustness.STACK_BYTES // _read_slot_bytes(inst.graph) >= 21  # the base and condition's 20 default draws
     stacks = []
 
     def counting(g, sigma):
@@ -701,8 +728,8 @@ def test_a_stack_rescales_its_residuals_only_when_one_is_out_of_range(monkeypatc
     plain = recover_all(g, np.stack([sigma, sigma * 0.5]))
     assert calls == []  # every residual in range: none rescaled
     mixed = recover_all(g, np.stack([sigma, sigma * 2.0**600]))
-    assert calls and len(calls) <= len(g.free_vertices)
-    for v in g.free_vertices:
+    assert calls and len(calls) <= len(recovery_plan(g).spans)
+    for v in recovery_plan(g).spans:
         assert mixed.per_vertex[v].residual.tolist() == [a.per_vertex[v].residual for a in alone]
         assert plain.per_vertex[v].residual[0] == alone[0].per_vertex[v].residual
 
@@ -710,7 +737,8 @@ def test_a_stack_rescales_its_residuals_only_when_one_is_out_of_range(monkeypatc
 def test_the_plan_indexes_free_vertices_only():
     red = reduce_instance(gen_random_bowfree_graph(RandomGraphConfig(26, 0.4, seed=1)), np.eye(26))
     g, plan = red.g_prime, recovery_plan(red.g_prime)
-    assert g.n == 5635 and list(plan.spans) == sorted(g.free_vertices)
+    free, layer = np.flatnonzero(np.bincount(g.target[np.isnan(g.forced)], minlength=g.n)), g.layer_decomposition()
+    assert g.n == 5635 and list(plan.spans) == sorted(free.tolist(), key=lambda v: (layer[v], v))  # recovery order
     arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
     assert len(arrays) == 6 and all(len(a) not in (g.n, g.n + 1) for a in arrays)
     # A vertex without free in-edges still gets the empty system, with the covariance's trial axes.
@@ -761,5 +789,5 @@ def test_recover_all_assembles_each_free_vertex_once_through_the_module(monkeypa
     monkeypatch.setattr(recovery, "recover_first_layers", counted("closed", recover_first_layers))
     result = recover_all(g, sigma)
     closed = {v: d.used_partial_form for v, d in result.per_vertex.items()}
-    assert assembled == [("closed" if closed[v] else "general", v) for v in g.free_vertices]
+    assert assembled == [("closed" if closed[v] else "general", v) for v in recovery_plan(g).spans]
     assert any(closed.values()) and not all(closed.values())

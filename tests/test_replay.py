@@ -7,7 +7,7 @@ import hashlib
 
 import pytest
 
-from bowfree import recovery
+from bowfree import recovery, robustness
 from bowfree.cli import main
 
 DIGESTS = {
@@ -64,7 +64,7 @@ def _replay(tmp_path, seed: int) -> dict:
 def test_seeded_condition_and_experiment_reports_replay_their_pinned_bytes(tmp_path, monkeypatch, seed,
                                                                             stack_bytes):
     if stack_bytes:  # chunks of one or a few covariances give the same bytes
-        monkeypatch.setattr(recovery, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(robustness, "STACK_BYTES", stack_bytes)
     assert _replay(tmp_path, seed) == DIGESTS[seed]
 
 
@@ -84,5 +84,5 @@ def test_experiment_records_of_failed_recoveries_replay_their_pinned_bytes(tmp_p
     # draws (run_failures) at both seeds.
     monkeypatch.setattr(recovery, "SING_TOL", 0.1)
     if stack_bytes:
-        monkeypatch.setattr(recovery, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(robustness, "STACK_BYTES", stack_bytes)
     assert _experiments(tmp_path, seed, 3) == FAILURE_DIGESTS[seed]

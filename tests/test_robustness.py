@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowfree.errors import ConfigError, NearSingularError, OrderingError, PremiseError
+from bowfree.errors import BowViolationError, ConfigError, NearSingularError, OrderingError, PremiseError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -19,6 +19,7 @@ from bowfree.generators import (
     gen_random_bowfree_graph,
     gen_sdd_instance,
 )
+from bowfree.experiments import _ratio_record
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import snorm
 from bowfree.lsem import ParamSet, ReducedCovariance, forward_map
@@ -435,6 +436,25 @@ def test_condition_estimate_raises_when_the_base_is_singular():
     assert "sigma_min=" in str(err.value) and "sigma_max=" in str(err.value)
 
 
+def test_a_bow_is_reported_before_a_cycle_as_recover_all_does():
+    g = MixedGraph(3, [(0, 1), (1, 0), (1, 2)], [(0, 1)])
+    for run in (recover_all, lambda g, sigma: estimate_condition_number(g, sigma, 2, [1e-3], seed=0, strict=False)):
+        with pytest.raises(BowViolationError):
+            run(g, np.eye(3))
+
+
+def test_an_all_zero_base_gives_no_ratio():
+    # sigma = I recovers every weight as 0, so no draw has a Rel(lam, lam~).
+    g, sigma = MixedGraph(3, [(0, 2), (1, 2)]), np.eye(3)
+    est = estimate_condition_number(g, sigma, 2, [1e-3], seed=0, strict=False)
+    assert (est.kappa_hat, est.failures, len(est.records)) == (0.0, 0, 2) and not est.base_weights.any()
+    for rec in est.records:
+        assert rec.ratio is None and rec.rel_lambda is None and rec.rel_sigma > 0 and not rec.failed
+    specs = [PerturbationSpec(1e-3, 2, derived_seed(0, 0, t), strict=False) for t in range(2)]
+    record = _ratio_record(g, sigma, 2, lambda out, lo: sample_perturbation(sigma, specs[lo : lo + len(out)], out=out))
+    assert record == {"ratios": [], "recovery_failed": False, "run_failures": 0}
+
+
 def test_singular_base_is_reported_before_a_strict_gamma_error():
     g = MixedGraph(3, [(0, 2), (1, 2)])
     # gamma=0.5 breaks the strict bound n^-4 on its first draw.
@@ -486,7 +506,7 @@ def test_in_place_condition_estimate_has_the_bits_of_the_per_draw_loop(case, mon
     if "three-chunks" in case:  # 3 read-stack slots of 8 (K + |E|) bytes, 2 dense draw slots of 8 n^2
         read_slot = 8 * (recovery_plan(g).read_rows.size + g.source.size)
         assert 2 * 8 * g.n**2 < 4 * read_slot
-        monkeypatch.setattr(recovery, "STACK_BYTES", max(3 * read_slot, 2 * 8 * g.n**2))
+        monkeypatch.setattr(robustness, "STACK_BYTES", max(3 * read_slot, 2 * 8 * g.n**2))
     stacks, fills = [], []
 
     def counting(g, sigma):
