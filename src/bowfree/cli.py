@@ -200,14 +200,14 @@ def _cmd_condition(args) -> int:
             "bound": bound,
         }
     )
-    write_report(report, args.out)
-    if args.trials_csv:
+    if args.trials_csv:  # before the report, so that a failed write leaves none
         lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed,vertex"]  # vertex: 1-based, of a failed draw
         for rec in estimate.records:
             vertex = None if rec.vertex is None else rec.vertex + 1
             cells = (rec.gamma, rec.trial, rec.ratio, rec.rel_sigma, rec.rel_lambda, int(rec.failed), vertex)
             lines.append(",".join("" if c is None else str(c) for c in cells))
         Path(args.trials_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_report(report, args.out)
     return 0
 
 

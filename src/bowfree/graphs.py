@@ -205,13 +205,10 @@ class MixedGraph:
 
     @cached_property
     def _bows(self) -> tuple[tuple[int, int], ...]:
-        # A bow's (min, max) key is both an undirected edge key and a pair key;
-        # each set is duplicate-free, so it shows as a repeat in their union.
-        span = max(self.n, 1)
-        edges = _unique(np.minimum(self.source, self.target) * span + np.maximum(self.source, self.target))
-        keys = np.sort(np.concatenate([edges, self.pairs[:, 0] * span + self.pairs[:, 1]]))
-        bows = keys[1:][keys[1:] == keys[:-1]]
-        return tuple(zip((bows // span).tolist(), (bows % span).tolist()))
+        # A pair (u, v), u < v, is a bow when u -> v or v -> u is an edge (none without edges).
+        (u, v), edges = self.pairs.T, np.ones(self.edge_keys.size)
+        bow = self.edge_weights(edges, np.stack([u, v]), np.stack([v, u])).any(axis=0) if edges.size else u < 0
+        return tuple(zip(u[bow].tolist(), v[bow].tolist()))
 
     def bow_violations(self) -> list[tuple[int, int]]:
         """Vertex pairs carrying both a directed and a bidirected edge, sorted."""
@@ -331,5 +328,5 @@ def load_graph(path) -> MixedGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             return graph_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # the latter: bytes that are not UTF-8
             raise GraphStructureError(f"{path}: not valid JSON: {exc}") from exc

@@ -241,20 +241,26 @@ def _solve(a, b, vertex):
     if m == 0:
         return np.zeros(a.shape[:-1]), np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])
     svals = np.linalg.svd(a, compute_uv=False)
-    s_max, s_min = svals[..., 0][()], svals[..., -1][()]  # numpy scalars for one system
+    if a.ndim == 2:  # one system: its tests on Python floats
+        s_max, s_min = svals[0].item(), svals[-1].item()
+        if s_min <= SING_TOL * s_max:
+            raise NearSingularError(f"vertex {vertex + 1}: system is numerically singular "
+                                    f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})", vertex=vertex)
+        weights = np.linalg.solve(a, b)
+        r = (a @ weights[:, None])[:, 0] - b
+        residual = math.sqrt(np.add.reduce(r * r).item())
+        if not 2.0**-480 < residual < 2.0**500 and r.any():  # squares out of range, or NaN
+            r, e = pow2_rows(r)
+            residual = np.ldexp(math.sqrt(np.add.reduce(r * r).item()), e).item()
+        return weights, residual, s_max / s_min if s_min else math.nan  # s_min is 0 here only under a NaN s_max
+    s_max, s_min = svals[..., 0], svals[..., -1]
     singular = s_min <= SING_TOL * s_max
-    if singular.ndim == 0 and singular:
-        raise NearSingularError(
-            f"vertex {vertex + 1}: system is numerically singular "
-            f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})",
-            vertex=vertex,
-        )
-    if singular.ndim and singular.any():  # a stack's singular trials solve the identity and report NaN
+    if singular.any():  # singular trials solve the identity and report NaN
         weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
         weights[singular] = np.nan
         s_max, s_min = np.where(s_min == 0, [[np.inf], [1.0]], [s_max, s_min])  # condition inf, even for 0/0
     else:
-        weights = np.linalg.solve(a, b[..., None])[..., 0] if b.ndim > 1 else np.linalg.solve(a, b)
+        weights = np.linalg.solve(a, b[..., None])[..., 0]
     r = (a @ weights[..., None])[..., 0] - b
     residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
     inside = (2.0**-480 < residual) & (residual < 2.0**500)

@@ -199,6 +199,9 @@ def check_assumptions(
     keys = _unique(np.repeat(g.target, k) * span + grand)
     second, spa_ptr = keys % span, _row_pointers(keys // span, g.n)
     sizes = indeg * span + np.diff(spa_ptr)  # (|pa|, |spa|) as one number
+    cells = np.diff(spa_ptr) * indeg  # v's spa x pa weight block: all blocks in one edge lookup
+    at, cell, start = np.repeat(np.arange(g.n), cells), _runs(0, cells), np.cumsum(cells) - cells
+    blocks = g.edge_weights(weights, second[spa_ptr[at] + cell // indeg[at]], parents[ptr[at] + cell % indeg[at]])
     per_vertex: dict[int, VertexAssumptions] = {}
     for size in _unique(sizes[ptr[1:] > ptr[:-1]]).tolist():
         vs = np.flatnonzero(sizes == size)
@@ -211,7 +214,7 @@ def check_assumptions(
         norms = np.stack([_row_norms(sig[..., pa, vs[:, None]]), snorm(sig[..., spa[:, :, None], pa[:, None, :]]),
                           _row_norms(sig[..., spa, vs[:, None]])], axis=1)  # 0 where spa is empty
         ratios = np.divide(norms, denom[:, None], out=np.full_like(norms, np.inf), where=denom[:, None] > 0)
-        betas = snorm(g.edge_weights(weights, spa[:, :, None], pa[:, None, :]))
+        betas = snorm(blocks[start[vs, None] + np.arange(cells[vs[0]])].reshape(*spa.shape, pa.shape[1]))
         floors = np.abs(weights[pa_edges]).tolist()
         for v, kappa, r, beta_v, floor in zip(vs.tolist(), kappas.tolist(), ratios.tolist(), betas.tolist(), floors):
             pass_a1 = math.isfinite(kappa) and kappa <= kappa_cap
@@ -226,11 +229,15 @@ def check_assumptions(
     return AssumptionProfile(alpha, beta, kappa0, lambda_floor, g.max_degree(), per_vertex)
 
 
+@np.errstate(over="ignore")  # an overflowed square is rescaled below
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """2-norm of each row of ``x``, bitwise np.linalg.norm's where that one
     neither overflows nor underflows: matmul takes BLAS's dot per row as
-    norm does, where a sum over an axis would not."""
-    x, e = pow2_rows(x)
+    norm does, where a sum over an axis would not; rescaled where one is 0 or out of range."""
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    if not x.size or 2.0**-480 < norms.min() and norms.max() < 2.0**500:
+        return norms
+    x, e = pow2_rows(x)  # the bits above wherever the squares neither overflowed nor underflowed
     return np.ldexp(np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), e)
 
 

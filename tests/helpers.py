@@ -27,6 +27,17 @@ def in_edges(g: MixedGraph, v) -> np.ndarray:
     return np.flatnonzero(g.target == v)
 
 
+def reference_bows(g: MixedGraph) -> list[tuple[int, int]]:
+    """bow_violations by sorting: a bow's (min, max) key is both an undirected
+    edge key and a pair key, and each set is duplicate-free, so it shows as a
+    repeat in their sorted union. The reference for the key lookup."""
+    span = max(g.n, 1)
+    edges = np.unique(np.minimum(g.source, g.target) * span + np.maximum(g.source, g.target))
+    keys = np.sort(np.concatenate([edges, g.pairs[:, 0] * span + g.pairs[:, 1]]))
+    bows = keys[1:][keys[1:] == keys[:-1]]
+    return list(zip((bows // span).tolist(), (bows % span).tolist()))
+
+
 def spa(g: MixedGraph, v) -> tuple[int, ...]:
     """Second parents: union of parents of parents of v."""
     out = set()

@@ -563,6 +563,36 @@ def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, messa
     assert capsys.readouterr().err.splitlines() == [f"bowfree: {prefix}{message}"]
 
 
+@pytest.mark.parametrize("command", ["recover", "reduce"])
+def test_cli_rejects_a_graph_file_that_is_not_utf8_in_one_line(tmp_path, capsys, command):
+    # It ended in a UnicodeDecodeError traceback, which load_graph did not catch.
+    graph = tmp_path / "g.json"
+    graph.write_bytes(b"\xff\xfe" + '{"n": 2, "directed": [[1, 2]]}'.encode("utf-16-le"))
+    sigma = tmp_path / "s.csv"
+    np.savetxt(sigma, 2.0 * np.eye(2), delimiter=",")
+    out = tmp_path / "out"
+    tail = ["--out", str(out)] if command == "recover" else ["--out-dir", str(out)]
+    assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"bowfree: {graph}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ]
+    assert not out.exists()
+
+
+def test_cli_condition_with_trials_csv_in_a_missing_directory_writes_no_report(tmp_path, capsys):
+    # It exited 1 only after it had written --out.
+    inst = tmp_path / "inst"
+    assert main(["generate", "--kind", "generative", "--n", "12", "--k", "2", "--p", "0.7", "--seed", "5",
+                 "--out-dir", str(inst)]) == 0
+    report, csv = tmp_path / "cond.json", tmp_path / "missing" / "trials.csv"
+    assert main([
+        "condition", "--graph", str(inst / "graph.json"), "--sigma", str(inst / "sigma.csv"),
+        "--trials", "2", "--seed", "1", "--out", str(report), "--trials-csv", str(csv),
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: [Errno 2] No such file or directory: '{csv}'"]
+    assert not report.exists() and not csv.parent.exists()
+
+
 _PATH2 = {"n": 2, "directed": [[1, 2]]}
 
 

@@ -11,8 +11,9 @@ from bowfree.generators import RandomGraphConfig, gen_random_bowfree_graph
 from bowfree.experiments import write_report
 from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph
 from bowfree.recovery import recovery_plan
+from bowfree.reduction import reduce_graph
 
-from helpers import in_edges, spa
+from helpers import in_edges, reference_bows, spa
 
 
 def test_bow_violation_detected():
@@ -163,6 +164,35 @@ def test_layering_and_bow_check_are_computed_once():
     found.clear()
     assert bow.bow_violations() == [(0, 1)]
     assert bow.bow_violations() is not bow.bow_violations()
+
+
+def _bow_lookup_cases():
+    """The reduced reduce-verify pool graphs as they are, then with 40 edges
+    mirrored as pairs (either orientation) and 40 random pairs added; graphs
+    without edges, pairs or vertices; bows on and beside the largest edge key."""
+    rng = np.random.default_rng(7)
+    for seed in range(5):
+        g = reduce_graph(gen_random_bowfree_graph(RandomGraphConfig(26, 0.4, seed=seed)))[0]
+        e = rng.choice(g.source.size, 40, replace=False)
+        mirrored = np.where(rng.random((40, 1)) < 0.5, np.stack([g.source[e], g.target[e]], 1),
+                            np.stack([g.target[e], g.source[e]], 1))
+        drawn = rng.integers(0, g.n, (40, 2))
+        pairs = np.concatenate([g.pairs, mirrored, drawn[drawn[:, 0] != drawn[:, 1]]])
+        yield g
+        yield MixedGraph.from_arrays(g.n, g.source, g.target, g.forced, pairs)
+    yield from (MixedGraph(0), MixedGraph(1), MixedGraph(3, [], [(0, 1), (1, 2)]), MixedGraph(3, [(0, 1), (1, 2)]))
+    yield MixedGraph(4, [(0, 1), (3, 2)], [(2, 3)])  # the bow's lookup is the largest possible edge key, 3 * 4 + 2
+    yield MixedGraph(4, [(2, 3)], [(2, 3), (0, 1)])  # (2, 3) is the only and largest edge key
+    yield MixedGraph(4, [(0, 1)], [(2, 3)])  # both lookups lie above every edge key
+    yield MixedGraph(4, [(2, 3)], [(0, 1)])  # both lookups lie below every edge key
+
+
+def test_bow_lookup_equals_the_sort_based_definition():
+    cases = list(_bow_lookup_cases())
+    found = [g.bow_violations() for g in cases]
+    assert found == [reference_bows(g) for g in cases]
+    assert sum(map(bool, found)) == 7 and max(map(len, found)) >= 40
+    assert found[-4:] == [[(2, 3)], [(2, 3)], [], []]
 
 
 def test_edge_keys_are_kept_sorted_and_read_only():

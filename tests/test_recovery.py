@@ -712,6 +712,36 @@ def test_recovery_and_profile_survive_a_covariance_scaled_by_a_power_of_two(kind
     assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("e", [-900, -540, 0, 520, 600, 900])
+@pytest.mark.parametrize("kind", ["generative", "sdd"])
+def test_one_system_solves_with_the_bits_of_a_one_slot_stack(kind, e):
+    if kind == "generative":
+        inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    else:
+        inst = gen_sdd_instance(n=12, k=2, p=0.6, weight_range=1.0, seed=4)
+    result = recover_all(inst.graph, inst.sigma * 2.0**e)
+    assert len(result.systems) >= 5
+    for system in result.systems.values():
+        with np.errstate(over="ignore"):  # squares that overflow are rescaled, as recover_all expects
+            weights, residual, condition = recover_vertex(system)
+            stacked = recover_vertex(RecoverySystem(system.vertex, system.y_set, system.parents,
+                                                    system.a_matrix[None], system.b_vector[None]))
+        assert type(residual) is float and type(condition) is float
+        assert weights.shape == system.b_vector.shape and weights.tobytes() == stacked[0][0].tobytes()
+        assert np.float64(residual).tobytes() == stacked[1].tobytes()
+        assert np.float64(condition).tobytes() == stacked[2].tobytes()
+
+
+def test_one_singular_system_raises_with_its_singular_values_and_a_stack_masks_it():
+    a, b = np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0])
+    with pytest.raises(NearSingularError) as err:
+        recover_vertex(RecoverySystem(3, (0, 1), (0, 1), a, b))
+    assert str(err.value) == "vertex 4: system is numerically singular (sigma_min=0.000e+00, sigma_max=2.000e+00)"
+    assert err.value.vertex == 3
+    weights, residual, condition = recover_vertex(RecoverySystem(3, (0, 1), (0, 1), a[None], b[None]))
+    assert np.isnan(weights).all() and np.isnan(residual).all() and condition.tolist() == [np.inf]
+
+
 def test_a_stack_rescales_its_residuals_only_when_one_is_out_of_range(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
     g, sigma = inst.graph, inst.sigma

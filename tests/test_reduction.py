@@ -275,6 +275,45 @@ def test_verify_reduction_compares_the_kept_systems_and_builds_none(monkeypatch)
         assert list(map(id, built)) == list(map(id, assemblies))
 
 
+@pytest.mark.parametrize("side", ["original", "reduced"])
+@pytest.mark.parametrize("change", ["nan-a", "nan-b", "1e-6-a", "1e-6-b", "1e-10-a", "size"])
+def test_verify_reduction_flags_exactly_the_vertex_whose_kept_system_changed(monkeypatch, side, change):
+    g, sigma = _random_instance(3, n=12)
+    red = reduce_instance(g, sigma)
+    clean = verify_reduction(g, sigma, red)
+    assert clean.all_ok
+    kept = {id(h): recover_all(h, cov) for h, cov in ((g, sigma), (red.g_prime, red.sigma_prime))}
+    changed = []
+
+    def recover_changed(h, cov):  # the kept result, with one system of the chosen side changed
+        result = kept[id(h)]
+        if (h is red.g_prime) != (side == "reduced"):
+            return result
+        v, rng = changed[-1], np.random.default_rng(changed[-1])
+        system = result.systems[v]
+        if change == "size":  # one unknown fewer
+            system = dataclasses.replace(system, y_set=system.y_set[1:], parents=system.parents[1:],
+                                         a_matrix=system.a_matrix[1:, 1:], b_vector=system.b_vector[1:])
+        else:
+            what, field = change.rsplit("-", 1)
+            name = "a_matrix" if field == "a" else "b_vector"
+            values = getattr(system, name).copy()
+            at = np.unravel_index(rng.integers(values.size), values.shape)
+            values[at] = np.nan if what == "nan" else values[at] + float(what)
+            system = dataclasses.replace(system, **{name: values})
+        return dataclasses.replace(result, systems={**result.systems, v: system})
+
+    monkeypatch.setattr(reduction, "recover_all", recover_changed)
+    vertices = sorted(kept[id(g)].systems)
+    assert max(len(kept[id(g)].systems[v].y_set) for v in vertices) >= 3  # a permutation to follow
+    for v in vertices:
+        changed.append(v)
+        report = verify_reduction(g, sigma, red)
+        flagged = () if change == "1e-10-a" else (v,)  # within VERIFY_TOL
+        assert report.mismatched_systems == flagged and report.systems_match == (not flagged)
+        assert report.collector_weights_ok and report.max_weight_error == clean.max_weight_error
+
+
 def test_reduce_rejects_forced_input():
     g = MixedGraph(2, [(0, 1, 0.5)])
     with pytest.raises(Exception):

@@ -250,6 +250,25 @@ def test_check_assumptions_scale_invariant():
     assert base.kappa0 == pytest.approx(scaled.kappa0, rel=1e-10)
 
 
+def test_the_profile_rescales_its_row_norms_only_when_one_is_out_of_range(monkeypatch):
+    inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
+    g, sigma = inst.graph, inst.sigma
+    weights = recover_all(g, sigma).weights
+    want = [repr(check_assumptions(g, s, weights)) for s in (sigma, sigma * 2.0**600)]
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return robustness_pow2_rows(x)
+
+    robustness_pow2_rows = robustness.pow2_rows
+    monkeypatch.setattr(robustness, "pow2_rows", counting)
+    assert repr(check_assumptions(g, sigma, weights)) == want[0]
+    assert calls == []  # every norm in range: none rescaled
+    assert repr(check_assumptions(g, sigma * 2.0**600, weights)) == want[1]
+    assert calls and "inf" not in want[1]
+
+
 def test_check_assumptions_flags_singular_block():
     g = MixedGraph(3, [(0, 2), (1, 2)], [])
     sigma = np.ones((3, 3))  # parent block singular
