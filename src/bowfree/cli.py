@@ -9,6 +9,7 @@ output directory can be set through BOWFREE_OUT_DIR.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ from .errors import (
     NearSingularError,
     PremiseError,
 )
-from .experiments import ExperimentConfig, run_experiment, summary_csv_lines, write_report
+from .experiments import ExperimentConfig, report_bytes, run_experiment, summary_csv_lines
 from .generators import (
     RandomGraphConfig,
     gen_generative_instance,
@@ -30,9 +31,9 @@ from .generators import (
     gen_sdd_instance,
 )
 from .graphs import graph_to_dict, load_graph
-from .lsem import check_pattern, load_covariance_csv, load_params, save_matrix_csv, save_params
+from .lsem import check_pattern, load_covariance_csv, load_params, params_bytes, save_matrix_csv
 from .recovery import recover_all, recovery_to_dict
-from .reduction import reduce_instance, save_reduction
+from .reduction import reduce_instance, reduction_manifest
 from .robustness import check_assumptions, condition_bound, estimate_condition_number, eta_bound, stability_premise
 
 USAGE_EXIT = 64
@@ -62,18 +63,14 @@ def nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _out_dir(path_arg) -> Path:
-    base = path_arg or os.environ.get("BOWFREE_OUT_DIR", ".")
-    out = Path(base)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bowfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)  # the inputs of recover, condition, check and reduce
+    instance.add_argument("--graph", required=True)
+    instance.add_argument("--sigma", required=True)
 
-    gen = sub.add_parser("generate", parents=[], help="generate a random instance")
+    gen = sub.add_parser("generate", help="generate a random instance")
     gen.add_argument("--kind", choices=["bowfree", "layered", "generative", "sdd"], default="generative")
     gen.add_argument("--n", type=positive_int, required=True)
     gen.add_argument("--k", type=int, default=2)
@@ -85,14 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=nonnegative_int, required=True)
     gen.add_argument("--out-dir", default=None)
 
-    rec = sub.add_parser("recover", help="recover edge weights from a covariance")
-    rec.add_argument("--graph", required=True)
-    rec.add_argument("--sigma", required=True)
+    rec = sub.add_parser("recover", parents=[instance], help="recover edge weights from a covariance")
     rec.add_argument("--out", required=True)
 
-    cond = sub.add_parser("condition", help="Monte Carlo condition-number estimate")
-    cond.add_argument("--graph", required=True)
-    cond.add_argument("--sigma", required=True)
+    cond = sub.add_parser("condition", parents=[instance], help="Monte Carlo condition-number estimate")
     cond.add_argument("--trials", type=positive_int, default=20)
     cond.add_argument("--gammas", type=float, nargs="+", default=None)
     cond.add_argument("--tight", action="store_true")
@@ -101,15 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--out", required=True)
     cond.add_argument("--trials-csv", default=None)
 
-    chk = sub.add_parser("check", help="evaluate the structural assumptions")
-    chk.add_argument("--graph", required=True)
-    chk.add_argument("--sigma", required=True)
+    chk = sub.add_parser("check", parents=[instance], help="evaluate the structural assumptions")
     chk.add_argument("--params", default=None, help="parameter JSON; recovered when omitted")
     chk.add_argument("--out", required=True)
 
-    red = sub.add_parser("reduce", help="reduce to a layered instance")
-    red.add_argument("--graph", required=True)
-    red.add_argument("--sigma", required=True)
+    red = sub.add_parser("reduce", parents=[instance], help="reduce to a layered instance")
     red.add_argument("--out-dir", required=True)
 
     exp = sub.add_parser("experiment", help="run an experiment pipeline")
@@ -131,19 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args) -> int:
-    out = _out_dir(args.out_dir)
-    manifest = {
-        "kind": args.kind,
-        "n": args.n,
-        "k": args.k,
-        "p": args.p,
-        "seed": args.seed,
-    }
+def _instance(args):
+    """The graph and covariance named by --graph and --sigma."""
+    return load_graph(args.graph), load_covariance_csv(args.sigma)
+
+
+def _cmd_generate(args) -> dict:
+    out = Path(args.out_dir or os.environ.get("BOWFREE_OUT_DIR", "."))
+    manifest = {"kind": args.kind, "n": args.n, "k": args.k, "p": args.p, "seed": args.seed}
+    model = {}
     if args.kind == "bowfree":
-        g = gen_random_bowfree_graph(
-            RandomGraphConfig(args.n, args.p, args.extra_bidirected_p, args.seed)
-        )
+        g = gen_random_bowfree_graph(RandomGraphConfig(args.n, args.p, args.extra_bidirected_p, args.seed))
     elif args.kind == "layered":
         g = gen_layered_bowfree_graph(args.n, args.k, args.p, args.seed, args.extra_bidirected_p)
     else:
@@ -151,35 +138,26 @@ def _cmd_generate(args) -> int:
             inst = gen_generative_instance(args.n, args.k, args.p, args.seed, mu=args.mu, d=args.d)
             manifest.update({"mu": args.mu, "d": args.d})
         else:  # sdd
-            inst = gen_sdd_instance(
-                args.n, args.k, args.p, args.weight_range, args.seed, extra_bidirected_p=args.extra_bidirected_p
-            )
+            inst = gen_sdd_instance(args.n, args.k, args.p, args.weight_range, args.seed,
+                                    extra_bidirected_p=args.extra_bidirected_p)
             manifest.update({"range": args.weight_range})
         g = inst.graph
-        save_params(inst.params, out / "params.json")
-        save_matrix_csv(inst.sigma, out / "sigma.csv")
-    write_report(graph_to_dict(g), out / "graph.json")
-    write_report(manifest, out / "manifest.json")
-    return 0
+        model = {out / "params.json": params_bytes(inst.params),
+                 out / "sigma.csv": lambda fh: save_matrix_csv(inst.sigma, fh)}
+    return {out / "graph.json": report_bytes(graph_to_dict(g)), out / "manifest.json": report_bytes(manifest), **model}
 
 
-def _cmd_recover(args) -> int:
-    g = load_graph(args.graph)
-    sigma = load_covariance_csv(args.sigma)
-    result = recover_all(g, sigma)
-    write_report(recovery_to_dict(result), args.out)
-    return 0
+def _cmd_recover(args) -> dict:
+    return {Path(args.out): report_bytes(recovery_to_dict(recover_all(*_instance(args))))}
 
 
-def _cmd_condition(args) -> int:
-    g = load_graph(args.graph)
-    sigma = load_covariance_csv(args.sigma)
+def _cmd_condition(args) -> dict:
+    g, sigma = _instance(args)
     n = g.n
     gammas = args.gammas if args.gammas else [0.5 * n**-4, 0.1 * n**-4]
     strict = not args.no_strict
-    estimate = estimate_condition_number(
-        g, sigma, args.trials, gammas, args.seed, enforce_tight=args.tight, strict=strict
-    )
+    estimate = estimate_condition_number(g, sigma, args.trials, gammas, args.seed,
+                                         enforce_tight=args.tight, strict=strict)
     profile = check_assumptions(g, sigma, estimate.base_weights)
     premise = stability_premise(profile)
     eta = bound = None
@@ -188,32 +166,21 @@ def _cmd_condition(args) -> int:
         constants = eta_bound(profile, n, k, max(gammas))
         eta = constants.eta
         bound = condition_bound(constants, profile, n, k)
-    report = estimate.to_dict()
-    report.update(
-        {
-            "schema": 1,
-            "seed": args.seed,
-            "strict": strict,
-            "profile": profile.to_dict(),
-            "premise": premise.to_dict(),
-            "eta": eta,
-            "bound": bound,
-        }
-    )
-    if args.trials_csv:  # before the report, so that a failed write leaves none
+    report = estimate.to_dict() | {"schema": 1, "seed": args.seed, "strict": strict, "profile": profile.to_dict(),
+                                   "premise": premise.to_dict(), "eta": eta, "bound": bound}
+    outputs = {Path(args.out): report_bytes(report)}
+    if args.trials_csv:
         lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed,vertex"]  # vertex: 1-based, of a failed draw
         for rec in estimate.records:
             vertex = None if rec.vertex is None else rec.vertex + 1
             cells = (rec.gamma, rec.trial, rec.ratio, rec.rel_sigma, rec.rel_lambda, int(rec.failed), vertex)
             lines.append(",".join("" if c is None else str(c) for c in cells))
-        Path(args.trials_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_report(report, args.out)
-    return 0
+        outputs[Path(args.trials_csv)] = ("\n".join(lines) + "\n").encode()
+    return outputs
 
 
-def _cmd_check(args) -> int:
-    g = load_graph(args.graph)
-    sigma = load_covariance_csv(args.sigma)
+def _cmd_check(args) -> dict:
+    g, sigma = _instance(args)
     if args.params:
         params = load_params(args.params)
         check_pattern(g, params)
@@ -223,19 +190,21 @@ def _cmd_check(args) -> int:
     profile = check_assumptions(g, sigma, weights)
     payload = profile.to_dict()
     payload["premise"] = stability_premise(profile).to_dict()
-    write_report(payload, args.out)
-    return 0
+    return {Path(args.out): report_bytes(payload)}
 
 
-def _cmd_reduce(args) -> int:
-    g = load_graph(args.graph)
-    sigma = load_covariance_csv(args.sigma)
-    red = reduce_instance(g, sigma)
-    save_reduction(red, args.out_dir)
-    return 0
+def _cmd_reduce(args) -> dict:
+    red = reduce_instance(*_instance(args))
+    out = Path(args.out_dir)
+    return {
+        out / "g_prime.json": report_bytes(graph_to_dict(red.g_prime)),
+        # Streamed row by row: the dense n' x n' matrix is about 809 MB of text at n' = 5,635.
+        out / "sigma_prime.csv": lambda fh: save_matrix_csv(red.sigma_prime.sigma, fh),
+        out / "manifest.json": report_bytes(reduction_manifest(red)),
+    }
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> dict:
     cfg = ExperimentConfig(
         mode=args.mode,
         seed=args.seed,
@@ -251,17 +220,44 @@ def _cmd_experiment(args) -> int:
         normalize=not args.no_normalize,
         graph_offset=args.graph_offset,
     )
-    start = time.monotonic()
     report = run_experiment(cfg)
-    elapsed = time.monotonic() - start
-    write_report(report, args.out)
+    outputs = {Path(args.out): report_bytes(report)}
     if args.summary_csv:
-        Path(args.summary_csv).write_text(
-            "\n".join(summary_csv_lines(report)) + "\n", encoding="utf-8"
-        )
-    # Wall time goes to the log, not the report, to keep replays byte-identical.
-    print(f"experiment {args.mode}: wrote {args.out} in {elapsed:.2f}s", file=sys.stderr)
-    return 0
+        outputs[Path(args.summary_csv)] = ("\n".join(summary_csv_lines(report)) + "\n").encode()
+    return outputs
+
+
+def _write(outputs: dict):
+    """Put a command's outputs in place, all or nothing: each target maps to
+    its bytes or to a function that streams them to an open binary file. The
+    first target is the main output, whose directory is made; the others'
+    directories must exist. Every file goes to a temporary sibling, and the
+    siblings replace their targets once all are written."""
+    made = next(iter(outputs)).parent
+    for target in outputs:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        if target.parent != made and not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
+    made.mkdir(parents=True, exist_ok=True)
+    temps = {}
+    try:
+        for target, data in outputs.items():
+            temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            try:
+                with open(temps[target], "wb") as fh:
+                    if callable(data):
+                        data(fh)
+                    else:
+                        fh.write(data)
+            except OSError as exc:
+                exc.filename = str(target)  # the target, not its temporary sibling
+                raise
+        for target, temp in temps.items():
+            os.replace(temp, target)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 _COMMANDS = {
@@ -275,16 +271,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.monotonic()
     try:
-        return _COMMANDS[args.command](args)
+        _write(_COMMANDS[args.command](args))
     except NUMERIC_ERRORS as exc:
         print(f"bowfree: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (BowfreeError, OSError) as exc:
         print(f"bowfree: {exc}", file=sys.stderr)
         return 1
+    if args.command == "experiment":  # wall time goes to the log, not the report, to keep replays byte-identical
+        print(f"experiment {args.mode}: wrote {args.out} in {time.monotonic() - start:.2f}s", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

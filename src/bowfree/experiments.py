@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -307,11 +306,6 @@ def summarise(report: dict) -> dict:
 
 def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
-
-
-def write_report(report: dict, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(report_bytes(report))
 
 
 def summary_csv_lines(report: dict) -> list[str]:

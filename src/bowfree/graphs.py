@@ -198,6 +198,8 @@ class MixedGraph:
         none, as the n x n matrix would read them: ``weights[..., e]`` is edge
         e's, found by a search of the sorted edge_keys."""
         want = u * max(self.n, 1) + v
+        if not self.edge_keys.size:
+            return np.zeros(np.shape(weights)[:-1] + np.shape(want))
         pos = np.minimum(np.searchsorted(self.edge_keys, want), self.edge_keys.size - 1)
         return np.where(self.edge_keys[pos] == want, weights[..., pos], 0.0)
 
@@ -205,9 +207,9 @@ class MixedGraph:
 
     @cached_property
     def _bows(self) -> tuple[tuple[int, int], ...]:
-        # A pair (u, v), u < v, is a bow when u -> v or v -> u is an edge (none without edges).
-        (u, v), edges = self.pairs.T, np.ones(self.edge_keys.size)
-        bow = self.edge_weights(edges, np.stack([u, v]), np.stack([v, u])).any(axis=0) if edges.size else u < 0
+        # A pair (u, v), u < v, is a bow when u -> v or v -> u is an edge.
+        u, v = self.pairs.T
+        bow = self.edge_weights(np.ones(self.edge_keys.size), np.stack([u, v]), np.stack([v, u])).any(axis=0)
         return tuple(zip(u[bow].tolist(), v[bow].tolist()))
 
     def bow_violations(self) -> list[tuple[int, int]]:
@@ -292,36 +294,41 @@ def graph_to_dict(g: MixedGraph) -> dict:
     return {"n": g.n, "directed": directed, "bidirected": (g.pairs + 1).tolist()}
 
 
-def _integer(x, what: str) -> int:
-    # int() would read 2.7 as 2 and true as 1; neither is a count or a vertex.
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _vertex(x) -> int:
-    return _integer(x, "vertex") - 1
-
-
 def _weight(x) -> float:
-    w = float(x)
+    w = float(x) if type(x) in (int, float) else math.nan  # a JSON number; float() would read "2" and true
     if not math.isfinite(w):  # NaN would read as a free edge
-        raise ValueError(f"forced weight must be finite, got {x!r}")
+        raise ValueError(f"forced weight must be a finite number, got {x!r}")
     return w
+
+
+def _edge_rows(data: dict, key: str, widths: tuple[int, ...]) -> list[tuple]:
+    """The edges under ``key`` as rows of 0-based vertices and a forced
+    weight, if any. The vertex check is inline: a call per vertex doubled the time."""
+    edges = data.get(key, [])
+    if type(edges) is not list:
+        raise ValueError(f"{key} must be a list of edges, got {edges!r}")
+    rows = []
+    for i, e in enumerate(edges, 1):
+        if type(e) is not list or len(e) not in widths:
+            raise ValueError(f"{key} edge {i} must have {' or '.join(map(str, widths))} entries, got {e!r}")
+        u, v = e[0], e[1]
+        if type(u) is not int or type(v) is not int:  # int() would read 2.7 as 2 and true as 1
+            raise ValueError(f"vertex must be an integer, got {v if type(u) is int else u!r}")
+        rows.append((u - 1, v - 1) if len(e) == 2 else (u - 1, v - 1, _weight(e[2])))
+    return rows
 
 
 def graph_from_dict(data: dict) -> MixedGraph:
     try:
-        n = _integer(data["n"], "n")
-        rows = [
-            (_vertex(e[0]), _vertex(e[1]), _weight(e[2]) if len(e) > 2 else math.nan)
-            for e in data.get("directed", [])
-        ]
-        bidirected = [(_vertex(u), _vertex(v)) for u, v in data.get("bidirected", [])]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        n = data.get("n")
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        directed, bidirected = _edge_rows(data, "directed", (2, 3)), _edge_rows(data, "bidirected", (2,))
+    except (TypeError, ValueError, OverflowError) as exc:  # the last: an integer weight beyond float
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
-    source, target, forced = zip(*rows) if rows else ((), (), ())
-    return MixedGraph.from_arrays(n, source, target, forced, bidirected)
+    return MixedGraph(n, directed, bidirected)
 
 
 def load_graph(path) -> MixedGraph:

@@ -217,8 +217,9 @@ def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> np.ndarray
 # -- serialization ---------------------------------------------------------
 
 
-def save_matrix_csv(a: np.ndarray, path):
-    np.savetxt(path, np.asarray(a, dtype=float), delimiter=",")
+def save_matrix_csv(a: np.ndarray, fh):
+    """Write ``a`` as CSV, one row at a time, to the open binary file ``fh``."""
+    np.savetxt(fh, np.asarray(a, dtype=float), delimiter=",")
 
 
 def _read_csv(path) -> np.ndarray:
@@ -265,14 +266,13 @@ def load_covariance_csv(path) -> np.ndarray:
     return a
 
 
-def save_params(params: ParamSet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"lambda": params.lam.tolist(), "omega": params.omega.tolist()}, fh, sort_keys=True)
-        fh.write("\n")
+def params_bytes(params: ParamSet) -> bytes:
+    """The parameter document load_params reads."""
+    return (json.dumps({"lambda": params.lam.tolist(), "omega": params.omega.tolist()}, sort_keys=True) + "\n").encode()
 
 
 def load_params(path) -> ParamSet:
-    """Parameters as save_params writes them; IngestionError for a document
+    """Parameters as params_bytes encodes them; IngestionError for a document
     without numeric "lambda" and "omega" arrays or with non-finite entries.
     Shapes are checked against a graph by check_pattern."""
     try:

@@ -229,6 +229,7 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
     return RecoverySystem(v, tuple(rows.tolist()), tuple(parents.tolist()), full[..., :m], b)
 
 
+@np.errstate(over="ignore")  # squares out of range are rescaled below
 def _solve(a, b, vertex):
     """Solve A x = b, with or without a trial axis, and return
     ``(weights, residual, condition)``.

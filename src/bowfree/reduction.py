@@ -18,22 +18,20 @@ Bidirected edges incident on a gadget's head or tail are mirrored onto the
 collector; the reduced covariance is read off the equivalent linear system
 (inner variables are 1/r copies of the head, collectors are exact copies).
 Its rank is at most n, so it stays implicit (a ReducedCovariance): recovery
-gathers the entries it reads, and only save_reduction builds the n' x n' matrix.
+gathers the entries it reads, and only ``bowfree reduce`` builds the n' x n' matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, GraphStructureError, NearSingularError
-from .experiments import write_report
-from .graphs import MixedGraph, _runs, graph_to_dict
-from .lsem import ReducedCovariance, _checked_covariance, as_matrix, save_matrix_csv
+from .graphs import MixedGraph, _runs
+from .lsem import ReducedCovariance, _checked_covariance, as_matrix
 from .recovery import recover_all
 
 VERIFY_TOL = 1e-8  # absolute
@@ -241,11 +239,3 @@ def reduction_manifest(red: ReductionOutput) -> dict:
         "k_layers": red.k_layers,
         "gadgets": gadgets,
     }
-
-
-def save_reduction(red: ReductionOutput, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(graph_to_dict(red.g_prime), out / "g_prime.json")
-    save_matrix_csv(red.sigma_prime.sigma, out / "sigma_prime.csv")
-    write_report(reduction_manifest(red), out / "manifest.json")

@@ -2,7 +2,7 @@
 public method and property of its classes, is used by the package itself
 or by the benchmark harness; helpers only tests need live in tests/. A
 module's private names are its own, apart from the shared helpers of the
-base modules graphs and lsem."""
+base modules graphs and lsem. Only the command line writes files."""
 
 import ast
 from pathlib import Path
@@ -69,4 +69,22 @@ def test_package_modules_import_private_names_only_from_graphs_and_lsem():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.attr.startswith("_"):
                 if node.value.id in modules - shared:  # a module imported whole, as in ``from . import recovery``
                     found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert found == []
+
+
+def test_only_the_command_line_writes_files():
+    writes = {"mkdir", "write_bytes", "write_text"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            # A mode is the first or second argument, as in open(path, "w") and path.open("w"), or ``mode=``.
+            modes = [m.value for m in node.args[:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                     if isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) <= set("rwxabt+")]
+            if name in writes or name == "open" and any(set(m) & set("wax+") for m in modes):
+                found.append(f"{path.stem}:{node.lineno}: {name}")
     assert found == []

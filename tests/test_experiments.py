@@ -22,7 +22,6 @@ from bowfree.experiments import (
     run_simulated,
     summarise,
     summary_csv_lines,
-    write_report,
 )
 from bowfree.graphs import load_graph
 from bowfree.lsem import load_covariance_csv
@@ -216,7 +215,7 @@ def test_cli_generate_recover_round_trip(tmp_path):
 def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
     from bowfree.generators import gen_sdd_instance
     from bowfree.graphs import graph_to_dict
-    from bowfree.lsem import save_matrix_csv, save_params
+    from bowfree.lsem import params_bytes, save_matrix_csv
 
     assert main([
         "generate", "--kind", "sdd", "--n", "15", "--k", "3", "--p", "0.6", "--range", "0.7",
@@ -225,9 +224,10 @@ def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
     inst = gen_sdd_instance(15, 3, 0.6, 0.7, 5, extra_bidirected_p=0.3)
     want = tmp_path / "direct"
     want.mkdir()
-    write_report(graph_to_dict(inst.graph), want / "graph.json")
-    save_params(inst.params, want / "params.json")
-    save_matrix_csv(inst.sigma, want / "sigma.csv")
+    (want / "graph.json").write_bytes(report_bytes(graph_to_dict(inst.graph)))
+    (want / "params.json").write_bytes(params_bytes(inst.params))
+    with open(want / "sigma.csv", "wb") as fh:
+        save_matrix_csv(inst.sigma, fh)
     for name in ("graph.json", "params.json", "sigma.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (want / name).read_bytes()
     # the flag reaches the graph: the default 0.1 gives other bidirected edges
@@ -250,7 +250,8 @@ def test_cli_reduce_writes_artifacts(tmp_path):
     g = load_graph(graph)
     omega = np.eye(4)
     omega[0, 2] = omega[2, 0] = 0.2
-    save_matrix_csv(forward_map(g, ParamSet(lam, omega)), sigma)
+    with open(sigma, "wb") as fh:
+        save_matrix_csv(forward_map(g, ParamSet(lam, omega)), fh)
     out = tmp_path / "red"
     assert main(["reduce", "--graph", str(graph), "--sigma", str(sigma), "--out-dir", str(out)]) == 0
     for name in ("g_prime.json", "sigma_prime.csv", "manifest.json"):
@@ -549,8 +550,21 @@ def test_cli_recover_reads_a_saved_reduction(tmp_path):
         ('{"n": 3, "directed": [[1, 2], [2', "not valid JSON: Expecting ',' delimiter: line 1 column 33 (char 32)"),
         ('{"n": 2.7, "directed": [[1, 2]]}', "malformed graph document: n must be an integer, got 2.7"),
         ('{"n": 3, "directed": [[true, 2], [2, 3]]}', "malformed graph document: vertex must be an integer, got True"),
+        # The next five gave Python's wording; the last two passed, the 9 dropped and the string read as 0.5.
+        ('[[1, 2]]', "malformed graph document: expected an object, got list"),
+        ('{"n": 3, "directed": null}', "malformed graph document: directed must be a list of edges, got None"),
+        ('{"n": 3, "directed": [[1, 2], [1]]}',
+         "malformed graph document: directed edge 2 must have 2 or 3 entries, got [1]"),
+        ('{"n": 3, "bidirected": [[1, 2, 3]]}',
+         "malformed graph document: bidirected edge 1 must have 2 entries, got [1, 2, 3]"),
+        ('{"directed": [[1, 2]]}', "malformed graph document: n must be an integer, got None"),
+        ('{"n": 3, "directed": [[1, 2, 0.5, 9]]}',
+         "malformed graph document: directed edge 1 must have 2 or 3 entries, got [1, 2, 0.5, 9]"),
+        ('{"n": 3, "directed": [[1, 2, "0.5"]]}',
+         "malformed graph document: forced weight must be a finite number, got '0.5'"),
     ],
-    ids=["truncated", "float_n", "bool_vertex"],
+    ids=["truncated", "float_n", "bool_vertex", "top_level_list", "null_directed", "short_edge", "long_bidirected",
+         "missing_n", "long_directed", "string_weight"],
 )
 def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, message):
     graph = tmp_path / "g.json"
@@ -591,6 +605,60 @@ def test_cli_condition_with_trials_csv_in_a_missing_directory_writes_no_report(t
     ]) == 1
     assert capsys.readouterr().err.splitlines() == [f"bowfree: [Errno 2] No such file or directory: '{csv}'"]
     assert not report.exists() and not csv.parent.exists()
+
+
+def test_cli_condition_with_out_an_existing_directory_writes_no_trials_csv(tmp_path, capsys, small_instance):
+    # It exited 1 only after it had written --trials-csv.
+    report, csv = tmp_path / "cond", tmp_path / "t.csv"
+    report.mkdir()
+    inputs = ["--graph", str(small_instance / "graph.json"), "--sigma", str(small_instance / "sigma.csv")]
+    argv = ["condition", *inputs, "--trials", "2", "--seed", "1", "--out", str(report), "--trials-csv", str(csv)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: [Errno 21] Is a directory: '{report}'"]
+    assert not csv.exists()
+
+
+# Every command line with outputs under {o}, and those outputs, the main one first.
+_INSTANCE = ["--graph", "{graph}", "--sigma", "{sigma}"]
+_OUTPUTS = {
+    "generate": (["--kind", "sdd", "--n", "6", "--seed", "1", "--out-dir", "{o}"],
+                 ["graph.json", "manifest.json", "params.json", "sigma.csv"]),
+    "recover": ([*_INSTANCE, "--out", "{o}/r.json"], ["r.json"]),
+    "condition": ([*_INSTANCE, "--trials", "2", "--seed", "1", "--out", "{o}/c.json", "--trials-csv", "{o}/t.csv"],
+                  ["c.json", "t.csv"]),
+    "check": ([*_INSTANCE, "--out", "{o}/k.json"], ["k.json"]),
+    "reduce": ([*_INSTANCE, "--out-dir", "{o}"], ["g_prime.json", "sigma_prime.csv", "manifest.json"]),
+    "experiment": (["--mode", "simulated", "--n", "6", "--graphs", "1", "--runs-per-graph", "1", "--seed", "1",
+                    "--out", "{o}/e.json", "--summary-csv", "{o}/s.csv"], ["e.json", "s.csv"]),
+}
+# A target that is a directory, for every output; a missing directory, for the secondary ones.
+_FAILED_WRITES = [(c, name, "directory") for c, (_, names) in _OUTPUTS.items() for name in names] + [
+    ("condition", "t.csv", "missing"), ("experiment", "s.csv", "missing")]
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, target, how", _FAILED_WRITES, ids=["-".join(case) for case in _FAILED_WRITES])
+def test_cli_a_failed_write_leaves_every_output_as_it_was(tmp_path, capsys, small_instance, command, target, how):
+    template, names = _OUTPUTS[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in names:  # outputs of an earlier run
+        (out / name).write_bytes(f"earlier {name}".encode())
+    if how == "directory":
+        (out / target).unlink()
+        (out / target).mkdir()
+        want = f"[Errno 21] Is a directory: '{out / target}'"
+    else:
+        template = [arg.replace(target, f"missing/{target}") for arg in template]
+        want = f"[Errno 2] No such file or directory: '{out / 'missing' / target}'"
+    before = _tree(tmp_path)
+    fill = {"o": str(out), "graph": str(small_instance / "graph.json"), "sigma": str(small_instance / "sigma.csv")}
+    assert main([command, *(arg.format(**fill) for arg in template)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: {want}"]
+    assert _tree(tmp_path) == before  # no file changed or added, no temporary sibling left
 
 
 _PATH2 = {"n": 2, "directed": [[1, 2]]}

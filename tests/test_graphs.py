@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bowfree.errors import BowViolationError, CycleError, GraphStructureError
 from bowfree.generators import RandomGraphConfig, gen_random_bowfree_graph
-from bowfree.experiments import write_report
+from bowfree.experiments import report_bytes
 from bowfree.graphs import MixedGraph, graph_from_dict, graph_to_dict, load_graph
 from bowfree.recovery import recovery_plan
 from bowfree.reduction import reduce_graph
@@ -134,7 +134,7 @@ def test_json_round_trip(tmp_path, chain3):
     assert graph_from_dict(doc) == g
 
     path = tmp_path / "g.json"
-    write_report(graph_to_dict(g), path)
+    path.write_bytes(report_bytes(graph_to_dict(g)))
     assert load_graph(path) == g
     # forced weights survive as the optional third element
     forced = MixedGraph(2, [(0, 1, 0.5)])
@@ -193,6 +193,21 @@ def test_bow_lookup_equals_the_sort_based_definition():
     assert found == [reference_bows(g) for g in cases]
     assert sum(map(bool, found)) == 7 and max(map(len, found)) >= 40
     assert found[-4:] == [[(2, 3)], [(2, 3)], [], []]
+
+
+@pytest.mark.parametrize("g", [MixedGraph(3), MixedGraph(3, [(0, 1), (1, 2)], [(0, 2)])], ids=["no_edges", "edges"])
+def test_edge_weights_read_the_dense_matrix_with_or_without_edges(g):
+    # A graph without edges raised IndexError: index -1 is out of bounds.
+    stack = np.arange(2.0 * g.source.size).reshape(2, -1) + 1
+    dense = np.zeros((2, 3, 3))
+    dense[:, g.source, g.target] = stack
+    u, v = np.array([[0, 1, 2], [1, 0, 0]]), np.array([[1, 2, 0], [2, 0, 1]])
+    assert g.edge_weights(stack[0], u, v).tolist() == dense[0][u, v].tolist()
+    assert g.edge_weights(stack, u, v).tolist() == dense[:, u, v].tolist()  # a trial axis
+    assert g.edge_weights(stack[0], 0, 1).tolist() == dense[0, 0, 1]
+    empty = np.zeros(0, dtype=np.int64)
+    assert g.edge_weights(stack, empty, empty).shape == (2, 0)
+    assert g.bow_violations() == []
 
 
 def test_edge_keys_are_kept_sorted_and_read_only():

@@ -23,8 +23,8 @@ from bowfree.lsem import (
     project_omega_pattern,
     recover_omega,
     sample_covariance,
+    params_bytes,
     save_matrix_csv,
-    save_params,
 )
 
 from conftest import graph_from_lambda, random_dag_lambda
@@ -284,12 +284,13 @@ def test_spectral_norm_exact_above_64(rng):
 def test_matrix_and_params_serialization(tmp_path, rng):
     a = rng.standard_normal((4, 4))
     path = tmp_path / "m.csv"
-    save_matrix_csv(a, path)
+    with open(path, "wb") as fh:
+        save_matrix_csv(a, fh)
     np.testing.assert_allclose(load_matrix_csv(path), a)
 
     params = ParamSet(np.eye(3), np.eye(3) * 2)
     ppath = tmp_path / "p.json"
-    save_params(params, ppath)
+    ppath.write_bytes(params_bytes(params))
     loaded = load_params(ppath)
     np.testing.assert_allclose(loaded.lam, params.lam)
     np.testing.assert_allclose(loaded.omega, params.omega)

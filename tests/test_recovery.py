@@ -17,7 +17,7 @@ from bowfree.generators import (
     gen_sdd_instance,
 )
 from bowfree.cli import main
-from bowfree.experiments import write_report
+from bowfree.experiments import report_bytes
 from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, project_omega_pattern, save_matrix_csv
 from bowfree import recovery, robustness
@@ -220,8 +220,9 @@ def test_a_forced_parent_is_folded_into_the_right_hand_side(tmp_path):
         assert (got.y_set, got.parents) == (want.y_set, want.parents) == ((1, 2), (1, 2))
         assert got.a_matrix.tobytes() == want.a_matrix.tobytes() and got.b_vector.tobytes() == want.b_vector.tobytes()
     graph, sig, out = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "o.json"
-    write_report(graph_to_dict(g), graph)
-    save_matrix_csv(sigma, sig)
+    graph.write_bytes(report_bytes(graph_to_dict(g)))
+    with open(sig, "wb") as fh:
+        save_matrix_csv(sigma, fh)
     assert main(["recover", "--graph", str(graph), "--sigma", str(sig), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["lambda"] == result.lambda_hat.tolist()
 
@@ -722,10 +723,9 @@ def test_one_system_solves_with_the_bits_of_a_one_slot_stack(kind, e):
     result = recover_all(inst.graph, inst.sigma * 2.0**e)
     assert len(result.systems) >= 5
     for system in result.systems.values():
-        with np.errstate(over="ignore"):  # squares that overflow are rescaled, as recover_all expects
-            weights, residual, condition = recover_vertex(system)
-            stacked = recover_vertex(RecoverySystem(system.vertex, system.y_set, system.parents,
-                                                    system.a_matrix[None], system.b_vector[None]))
+        weights, residual, condition = recover_vertex(system)
+        stacked = recover_vertex(RecoverySystem(system.vertex, system.y_set, system.parents,
+                                                system.a_matrix[None], system.b_vector[None]))
         assert type(residual) is float and type(condition) is float
         assert weights.shape == system.b_vector.shape and weights.tobytes() == stacked[0][0].tobytes()
         assert np.float64(residual).tobytes() == stacked[1].tobytes()
