@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import (
     BowfreeError,
+    ConfigError,
     ConvergenceError,
     DefinitenessError,
     NearSingularError,
@@ -125,10 +126,10 @@ def _instance(args):
     return load_graph(args.graph), load_covariance_csv(args.sigma)
 
 
-def _cmd_generate(args) -> dict:
+def _cmd_generate(args) -> list:
     out = Path(args.out_dir or os.environ.get("BOWFREE_OUT_DIR", "."))
     manifest = {"kind": args.kind, "n": args.n, "k": args.k, "p": args.p, "seed": args.seed}
-    model = {}
+    model = []
     if args.kind == "bowfree":
         g = gen_random_bowfree_graph(RandomGraphConfig(args.n, args.p, args.extra_bidirected_p, args.seed))
     elif args.kind == "layered":
@@ -142,16 +143,17 @@ def _cmd_generate(args) -> dict:
                                     extra_bidirected_p=args.extra_bidirected_p)
             manifest.update({"range": args.weight_range})
         g = inst.graph
-        model = {out / "params.json": params_bytes(inst.params),
-                 out / "sigma.csv": lambda fh: save_matrix_csv(inst.sigma, fh)}
-    return {out / "graph.json": report_bytes(graph_to_dict(g)), out / "manifest.json": report_bytes(manifest), **model}
+        model = [(out / "params.json", params_bytes(inst.params)),
+                 (out / "sigma.csv", lambda fh: save_matrix_csv(inst.sigma, fh))]
+    return [(out / "graph.json", report_bytes(graph_to_dict(g))), (out / "manifest.json", report_bytes(manifest)),
+            *model]
 
 
-def _cmd_recover(args) -> dict:
-    return {Path(args.out): report_bytes(recovery_to_dict(recover_all(*_instance(args))))}
+def _cmd_recover(args) -> list:
+    return [(Path(args.out), report_bytes(recovery_to_dict(recover_all(*_instance(args)))))]
 
 
-def _cmd_condition(args) -> dict:
+def _cmd_condition(args) -> list:
     g, sigma = _instance(args)
     n = g.n
     gammas = args.gammas if args.gammas else [0.5 * n**-4, 0.1 * n**-4]
@@ -168,18 +170,18 @@ def _cmd_condition(args) -> dict:
         bound = condition_bound(constants, profile, n, k)
     report = estimate.to_dict() | {"schema": 1, "seed": args.seed, "strict": strict, "profile": profile.to_dict(),
                                    "premise": premise.to_dict(), "eta": eta, "bound": bound}
-    outputs = {Path(args.out): report_bytes(report)}
+    outputs = [(Path(args.out), report_bytes(report))]
     if args.trials_csv:
         lines = ["gamma,trial,ratio,rel_sigma,rel_lambda,failed,vertex"]  # vertex: 1-based, of a failed draw
         for rec in estimate.records:
             vertex = None if rec.vertex is None else rec.vertex + 1
             cells = (rec.gamma, rec.trial, rec.ratio, rec.rel_sigma, rec.rel_lambda, int(rec.failed), vertex)
             lines.append(",".join("" if c is None else str(c) for c in cells))
-        outputs[Path(args.trials_csv)] = ("\n".join(lines) + "\n").encode()
+        outputs.append((Path(args.trials_csv), ("\n".join(lines) + "\n").encode()))
     return outputs
 
 
-def _cmd_check(args) -> dict:
+def _cmd_check(args) -> list:
     g, sigma = _instance(args)
     if args.params:
         params = load_params(args.params)
@@ -188,23 +190,21 @@ def _cmd_check(args) -> dict:
     else:
         weights = recover_all(g, sigma).weights
     profile = check_assumptions(g, sigma, weights)
-    payload = profile.to_dict()
-    payload["premise"] = stability_premise(profile).to_dict()
-    return {Path(args.out): report_bytes(payload)}
+    return [(Path(args.out), report_bytes(profile.to_dict() | {"premise": stability_premise(profile).to_dict()}))]
 
 
-def _cmd_reduce(args) -> dict:
+def _cmd_reduce(args) -> list:
     red = reduce_instance(*_instance(args))
     out = Path(args.out_dir)
-    return {
-        out / "g_prime.json": report_bytes(graph_to_dict(red.g_prime)),
+    return [
+        (out / "g_prime.json", report_bytes(graph_to_dict(red.g_prime))),
         # Streamed row by row: the dense n' x n' matrix is about 809 MB of text at n' = 5,635.
-        out / "sigma_prime.csv": lambda fh: save_matrix_csv(red.sigma_prime.sigma, fh),
-        out / "manifest.json": report_bytes(reduction_manifest(red)),
-    }
+        (out / "sigma_prime.csv", lambda fh: save_matrix_csv(red.sigma_prime.sigma, fh)),
+        (out / "manifest.json", report_bytes(reduction_manifest(red))),
+    ]
 
 
-def _cmd_experiment(args) -> dict:
+def _cmd_experiment(args) -> list:
     cfg = ExperimentConfig(
         mode=args.mode,
         seed=args.seed,
@@ -221,20 +221,22 @@ def _cmd_experiment(args) -> dict:
         graph_offset=args.graph_offset,
     )
     report = run_experiment(cfg)
-    outputs = {Path(args.out): report_bytes(report)}
+    outputs = [(Path(args.out), report_bytes(report))]
     if args.summary_csv:
-        outputs[Path(args.summary_csv)] = ("\n".join(summary_csv_lines(report)) + "\n").encode()
+        outputs.append((Path(args.summary_csv), ("\n".join(summary_csv_lines(report)) + "\n").encode()))
     return outputs
 
 
-def _write(outputs: dict):
-    """Put a command's outputs in place, all or nothing: each target maps to
-    its bytes or to a function that streams them to an open binary file. The
+def _write(outputs: list):
+    """Put a command's (target, data) outputs in place, all or nothing: data
+    is bytes or a function that streams them to an open binary file. The
     first target is the main output, whose directory is made; the others'
-    directories must exist. Every file goes to a temporary sibling, and the
-    siblings replace their targets once all are written."""
-    made = next(iter(outputs)).parent
-    for target in outputs:
+    directories must exist, and no two targets may be one file. Every file
+    goes to a temporary sibling; the siblings replace their targets once all are written."""
+    made, seen = outputs[0][0].parent, {}
+    for target, _ in outputs:
+        if seen.setdefault(target.resolve(), target) is not target:
+            raise ConfigError(f"two outputs name one file: '{target}'")
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         if target.parent != made and not target.parent.is_dir():
@@ -242,7 +244,7 @@ def _write(outputs: dict):
     made.mkdir(parents=True, exist_ok=True)
     temps = {}
     try:
-        for target, data in outputs.items():
+        for target, data in outputs:
             temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             try:
                 with open(temps[target], "wb") as fh:

@@ -53,7 +53,9 @@ class ConvergenceError(BowfreeError):
 
 
 class OrderingError(BowfreeError):
-    """Recovery invoked before upstream layers were solved."""
+    """A recovery input that does not fit the graph: a covariance or edge
+    weights of the wrong shape, a cyclic forced-edge chain, or the closed
+    form asked of a vertex with grandparents or forced in-edges."""
 
 
 class PremiseError(BowfreeError):

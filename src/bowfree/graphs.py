@@ -103,8 +103,9 @@ class MixedGraph:
         return g
 
     def _build(self, n, source, target, forced, bidirected):
-        if n < 0:
-            raise GraphStructureError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= 3_037_000_499:  # the largest n whose edge keys source * n + target fit in int64
+            bound = "nonnegative" if n < 0 else "at most 3037000499"
+            raise GraphStructureError(f"vertex count must be {bound}, got {n}")
         source, target, pairs = _vertex_ids(source), _vertex_ids(target), _vertex_ids(bidirected, 2)
         forced = np.full(source.size, np.nan) if forced is None else np.asarray(forced, dtype=float)
         if not source.shape == target.shape == forced.shape:

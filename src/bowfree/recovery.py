@@ -28,8 +28,8 @@ Weights are held in the graph's edge order: ``weights[..., e]`` belongs to
 ``g.source[e] -> g.target[e]``, so ``lam[pa(y), y]`` is ``weights[..., e]``
 over y's in-edges e, one run of the graph's in-edge index. No n x n weight
 matrix is built, which a reduced graph with tens of thousands of vertices
-could not afford; ``RecoveryResult.lambda_hat`` scatters the weights into
-one on first read.
+could not afford, and the ``recover`` report lists the weights by edge;
+``RecoveryResult.lambda_hat`` scatters them into one on first read.
 
 Every function here also accepts a stack of covariances (T, n, n), or of
 their reads (T, K): one layer-ordered pass solves each vertex's T systems in
@@ -73,7 +73,6 @@ class VertexDiagnostics:
     # residual and condition are per-trial arrays when recovering a stack
     residual: float
     condition: float
-    used_partial_form: bool
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,10 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
     of another shape raises OrderingError, and one with a non-finite entry
     ConfigError, before any solve.
     """
-    g.require_bow_free()
+    g.require_bow_free()  # then the covariance, before the plan allocates arrays of length n
+    sigma = sigma if isinstance(sigma, PlanReads) else _checked_covariance(sigma, g.n, stack=True)
     plan = recovery_plan(g)
-    reads = sigma if isinstance(sigma, PlanReads) else plan.gather(_checked_covariance(sigma, g.n, stack=True))
+    reads = sigma if isinstance(sigma, PlanReads) else plan.gather(sigma)
     trials = reads.values.shape[:-1]
 
     recovered = np.where(np.isnan(g.forced), 0.0, np.broadcast_to(g.forced, trials + g.forced.shape))
@@ -330,7 +330,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
             # Zero weights keep the failed trials' later systems finite.
             weights = np.where(singular[..., None], 0.0, weights)
         recovered[..., plan.free_edges[r0:r1]] = weights
-        per_vertex[v] = VertexDiagnostics(residual, condition, closed)
+        per_vertex[v] = VertexDiagnostics(residual, condition)
 
     recovered[failed >= 0] = np.nan  # no-op on a single covariance, which raises instead
     return RecoveryResult(g, recovered, per_vertex, failed if trials else None, systems)
@@ -344,15 +344,9 @@ def recover_full_params(g: MixedGraph, sigma) -> ParamSet:
 
 
 def recovery_to_dict(result: RecoveryResult) -> dict:
-    """CLI-facing JSON form; vertices are 1-based in the diagnostics keys."""
-    return {
-        "lambda": result.lambda_hat.tolist(),
-        "diagnostics": {
-            str(v + 1): {
-                "residual": d.residual,
-                "condition": d.condition,
-                "partial_form": d.used_partial_form,
-            }
-            for v, d in sorted(result.per_vertex.items())
-        },
-    }
+    """CLI-facing JSON form, vertices 1-based: each directed edge's [source,
+    target, weight] in the graph's edge order, forced edges included, and
+    each free vertex's diagnostics keyed by the vertex."""
+    g, diagnostics = result.graph, sorted(result.per_vertex.items())
+    return {"weights": list(zip((g.source + 1).tolist(), (g.target + 1).tolist(), result.weights.tolist())),
+            "diagnostics": {str(v + 1): {"residual": d.residual, "condition": d.condition} for v, d in diagnostics}}

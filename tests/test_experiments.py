@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +195,11 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _recovered(path) -> dict:
+    """A recover report's weights by their 1-based edge (source, target)."""
+    return {(u, v): w for u, v, w in _read_json(path)["weights"]}
+
+
 def test_cli_generate_recover_round_trip(tmp_path):
     out = tmp_path / "inst"
     assert main([
@@ -207,9 +213,11 @@ def test_cli_generate_recover_round_trip(tmp_path):
         "recover", "--graph", str(out / "graph.json"),
         "--sigma", str(out / "sigma.csv"), "--out", str(result),
     ]) == 0
-    payload = _read_json(result)
-    truth = _read_json(out / "params.json")
-    assert np.max(np.abs(np.array(payload["lambda"]) - np.array(truth["lambda"]))) <= 1e-8
+    truth = np.array(_read_json(out / "params.json")["lambda"])
+    lam = np.zeros_like(truth)
+    for (u, v), w in _recovered(result).items():
+        lam[u - 1, v - 1] = w
+    assert np.max(np.abs(lam - truth)) <= 1e-8
 
 
 def test_cli_generate_sdd_matches_gen_sdd_instance(tmp_path):
@@ -538,9 +546,9 @@ def test_cli_recover_reads_a_saved_reduction(tmp_path):
     assert main(["recover", "--graph", str(red / "g_prime.json"), "--sigma", str(red / "sigma_prime.csv"),
                  "--out", str(out)]) == 0
     (gadget,) = _read_json(red / "manifest.json")["gadgets"]
-    want = _read_json(base)["lambda"][0][3]
+    want = _recovered(base)[1, 4]
     assert want != 0.0
-    assert _read_json(out)["lambda"][gadget["collector"] - 1][3] == pytest.approx(want, abs=1e-8)
+    assert _recovered(out)[gadget["collector"], 4] == pytest.approx(want, abs=1e-8)
 
 
 @pytest.mark.parametrize("command", ["recover", "reduce"])
@@ -659,6 +667,23 @@ def test_cli_a_failed_write_leaves_every_output_as_it_was(tmp_path, capsys, smal
     assert main([command, *(arg.format(**fill) for arg in template)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"bowfree: {want}"]
     assert _tree(tmp_path) == before  # no file changed or added, no temporary sibling left
+
+
+@pytest.mark.parametrize("spelling", ["{name}", "./{name}", "{cwd}/{name}"], ids=["same", "dot", "absolute"])
+@pytest.mark.parametrize("command", ["condition", "experiment"])
+def test_cli_two_outputs_that_name_one_file_exit_1(tmp_path, capsys, monkeypatch, small_instance, command, spelling):
+    # Both exited 0 and left only the secondary output; experiment even printed "wrote r.json".
+    monkeypatch.chdir(tmp_path)
+    if command == "condition":
+        name, argv = "x.csv", ["condition", "--graph", str(small_instance / "graph.json"), "--sigma",
+                               str(small_instance / "sigma.csv"), "--trials", "2", "--seed", "1", "--trials-csv"]
+    else:
+        name, argv = "r.json", ["experiment", "--mode", "simulated", "--n", "6", "--graphs", "1", "--runs-per-graph",
+                                "1", "--seed", "1", "--summary-csv"]
+    second = spelling.format(name=name, cwd=tmp_path)
+    assert main([*argv, second, "--out", name]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: two outputs name one file: '{Path(second)}'"]
+    assert _tree(tmp_path) == {}  # no output and no temporary sibling
 
 
 _PATH2 = {"n": 2, "directed": [[1, 2]]}
@@ -802,6 +827,19 @@ def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys, command, n, low):
     last_line = capsys.readouterr().err.splitlines()[-1]
     assert last_line == f"bowfree {command[0]}: error: argument --n: must be at least {low}, got {n}"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [2**62, 10**20], ids=["2**62", "10**20"])
+@pytest.mark.parametrize("command", ["recover", "check"])
+def test_cli_rejects_a_vertex_count_beyond_int64_edge_keys_in_one_line(tmp_path, capsys, small_instance, command, n):
+    # 2**62 ended in a 25-line "array is too big" traceback from the recovery plan, which
+    # recover_all compiled before it compared the covariance with n; 10**20 overflowed the
+    # edge keys source * n + target in an OverflowError traceback.
+    graph, out = tmp_path / "g.json", tmp_path / "o.json"
+    graph.write_text(json.dumps({"n": n, "directed": [], "bidirected": []}))
+    assert main([command, "--graph", str(graph), "--sigma", str(small_instance / "sigma.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: vertex count must be at most 3037000499, got {n}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["recover", "gene"])

@@ -411,3 +411,11 @@ def test_array_core_matches_the_per_edge_reference(inputs):
         assert got == MixedGraph.from_arrays(n, got.source, got.target, got.forced, got.pairs)
         assert graph_from_dict(graph_to_dict(got)) == got
         assert hash(graph_from_dict(graph_to_dict(got))) == hash(got)
+
+
+def test_a_vertex_count_whose_edge_keys_overflow_int64_is_rejected():
+    n = 3_037_000_499
+    assert MixedGraph(n, [(n - 1, n - 2)]).edge_keys.tolist() == [n * n - 2]  # the largest key, exact in int64
+    for n in (3_037_000_500, 2**62, 10**20):
+        with pytest.raises(GraphStructureError, match=f"vertex count must be at most 3037000499, got {n}"):
+            MixedGraph(n, [(0, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def test_recover_all_generative_round_trip():
     for v, diag in result.per_vertex.items():
         assert diag.residual <= 1e-9
         assert diag.condition >= 1.0
-        assert diag.used_partial_form == (not spa(inst.graph, v))
+        assert recovery_plan(inst.graph).spans[v][-1] == (not spa(inst.graph, v))  # the closed form's flag
 
 
 def test_recover_all_no_edges():
@@ -224,7 +225,19 @@ def test_a_forced_parent_is_folded_into_the_right_hand_side(tmp_path):
     with open(sig, "wb") as fh:
         save_matrix_csv(sigma, fh)
     assert main(["recover", "--graph", str(graph), "--sigma", str(sig), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["lambda"] == result.lambda_hat.tolist()
+    edges = zip((g.source + 1).tolist(), (g.target + 1).tolist(), result.weights.tolist())
+    assert json.loads(out.read_text())["weights"] == list(map(list, edges))
+
+
+def test_recover_all_checks_the_covariance_before_compiling_the_plan(monkeypatch):
+    # The plan holds arrays of length n: at n = 10**8 it took gigabytes before the check failed.
+    def no_plan(g):
+        raise AssertionError("the plan was compiled before the covariance check")
+
+    monkeypatch.setattr(recovery, "recovery_plan", no_plan)
+    for n in (10**8, 3_037_000_499):
+        with pytest.raises(OrderingError, match=f"covariance shape \\(6, 6\\) does not match n={n}"):
+            recover_all(MixedGraph(n, [(0, 1)], [(0, 2)]), np.eye(6))
 
 
 def test_recovery_plan_is_compiled_once_and_read_only():
@@ -301,7 +314,7 @@ def test_recover_all_keeps_each_system_as_build_system_assembles_it(kind):
     result = recover_all(g, sigma)
     assert result.failed_vertex is None or (result.failed_vertex < 0).all()
     assert list(result.systems) == list(recovery_plan(g).spans)
-    closed = np.array([d.used_partial_form for d in result.per_vertex.values()])
+    closed = np.array([span[-1] for span in recovery_plan(g).spans.values()])
     assert closed.any() and not closed.all()  # both forms are kept
     for v, kept in result.systems.items():
         fresh = build_system(g, sigma, result.weights, v)
@@ -363,10 +376,56 @@ def test_layer_monotone_recovery_reads_lower_layers_only():
 
 def test_recovery_to_dict_schema():
     g, lam, sigma = _chain3_sigma()
-    payload = recovery_to_dict(recover_all(g, sigma))
-    assert set(payload) == {"lambda", "diagnostics"}
+    result = recover_all(g, sigma)
+    payload = recovery_to_dict(result)
+    assert set(payload) == {"weights", "diagnostics"}
+    assert [list(t) for t in payload["weights"]] == [[1, 2, result.weights[0]], [2, 3, result.weights[1]]]
     assert set(payload["diagnostics"]) == {"2", "3"}
-    assert set(payload["diagnostics"]["2"]) == {"residual", "condition", "partial_form"}
+    assert set(payload["diagnostics"]["2"]) == {"residual", "condition"}
+
+
+@pytest.mark.parametrize("kind", ["sdd", "reduced", "no-edges"])
+def test_cli_recover_report_holds_recover_alls_weights_bitwise(tmp_path, kind):
+    if kind == "sdd":
+        inst = _golden_sdd()
+        g, sigma = inst.graph, inst.sigma
+    elif kind == "reduced":
+        red = reduce_instance(*_golden_reduced_instance())
+        g, sigma = red.g_prime, red.sigma_prime.sigma
+        assert (~np.isnan(g.forced)).any()
+    else:
+        g, sigma = MixedGraph(4, [], [(0, 1)]), np.eye(4) + 0.25 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    graph, sig, out = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "o.json"
+    graph.write_bytes(report_bytes(graph_to_dict(g)))
+    with open(sig, "wb") as fh:
+        save_matrix_csv(sigma, fh)
+    assert main(["recover", "--graph", str(graph), "--sigma", str(sig), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"weights", "diagnostics"}
+    source, target, weights = np.array(report["weights"], dtype=float).reshape(-1, 3).T
+    want = recover_all(g, red.sigma_prime if kind == "reduced" else sigma)
+    assert np.array_equal(source, g.source + 1) and np.array_equal(target, g.target + 1)  # edge order, 1-based
+    assert weights.tobytes() == want.weights.tobytes()
+    forced = ~np.isnan(g.forced)
+    assert weights[forced].tobytes() == g.forced[forced].tobytes()
+    assert report["diagnostics"] == {str(v + 1): {"residual": d.residual, "condition": d.condition}
+                                     for v, d in want.per_vertex.items()}
+
+
+@pytest.fixture(scope="module")
+def sdd_1000():
+    return gen_sdd_instance(1000, 3, 0.6, 1.0, seed=11)
+
+
+def test_recover_report_at_n_1000_is_small_and_fast(sdd_1000):
+    # The dense n x n lambda it replaced was 10.63 MiB and took 0.54-0.99 s to encode.
+    result = recover_all(sdd_1000.graph, sdd_1000.sigma)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        data = report_bytes(recovery_to_dict(result))
+        seconds.append(time.perf_counter() - start)
+    assert len(data) < 0.5 * 2**20 and min(seconds) < 0.050, (len(data), seconds)
 
 
 # -- stacks of covariances along a trial axis ------------------------------------
@@ -454,7 +513,6 @@ def test_stack_diagnostics_are_per_trial():
         assert diag.condition.shape == (3,) and diag.residual.shape == (3,)
         single = recover_all(inst.graph, stack[1]).per_vertex[v]
         assert diag.condition[1] == pytest.approx(single.condition, rel=1e-12)
-        assert diag.used_partial_form == single.used_partial_form
     forced = ~np.isnan(inst.graph.forced)
     assert np.all(batched.weights[..., forced] == inst.graph.forced[forced])
 
@@ -528,8 +586,8 @@ def test_a_read_stack_slot_costs_its_reads_and_weights(monkeypatch):
         assert _engine_run(g, stack, monkeypatch, slots * slot - 1)[1][0] == max(1, slots - 1)
 
 
-def test_one_read_stack_holds_every_draw_at_n_1000(monkeypatch):
-    inst = gen_sdd_instance(1000, 3, 0.6, 1.0, seed=11)
+def test_one_read_stack_holds_every_draw_at_n_1000(monkeypatch, sdd_1000):
+    inst = sdd_1000
     assert robustness.STACK_BYTES // _read_slot_bytes(inst.graph) >= 21  # the base and condition's 20 default draws
     stacks = []
 
@@ -818,6 +876,7 @@ def test_recover_all_assembles_each_free_vertex_once_through_the_module(monkeypa
     monkeypatch.setattr(recovery, "build_system", counted("general", build_system))
     monkeypatch.setattr(recovery, "recover_first_layers", counted("closed", recover_first_layers))
     result = recover_all(g, sigma)
-    closed = {v: d.used_partial_form for v, d in result.per_vertex.items()}
+    closed = {v: span[-1] for v, span in recovery_plan(g).spans.items()}
+    assert list(result.per_vertex) == list(closed)
     assert assembled == [("closed" if closed[v] else "general", v) for v in recovery_plan(g).spans]
     assert any(closed.values()) and not all(closed.values())
