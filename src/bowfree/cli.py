@@ -13,6 +13,7 @@ import errno
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -102,19 +103,21 @@ def build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", parents=[instance], help="reduce to a layered instance")
     red.add_argument("--out-dir", required=True)
 
-    exp = sub.add_parser("experiment", help="run an experiment pipeline")
+    # Each dest is the ExperimentConfig field the flag sets, and an omitted flag
+    # leaves the namespace without it, so the field's default is the only one.
+    exp = sub.add_parser("experiment", help="run an experiment pipeline", argument_default=argparse.SUPPRESS)
     exp.add_argument("--mode", choices=["gene", "simulated", "survey"], required=True)
-    exp.add_argument("--dataset", default=None)
-    exp.add_argument("--p", type=float, nargs="+", default=[0.2])
-    exp.add_argument("--k", type=int, default=2)
-    exp.add_argument("--n", type=nonnegative_int, nargs="+", default=[20])
-    exp.add_argument("--range", dest="weight_range", type=float, nargs="+", default=[1.0])
-    exp.add_argument("--noise-eps", type=float, default=0.1)
-    exp.add_argument("--graphs", type=int, default=10)
-    exp.add_argument("--runs-per-graph", type=int, default=10)
-    exp.add_argument("--samples", type=int, default=50)
-    exp.add_argument("--no-normalize", action="store_true")
-    exp.add_argument("--graph-offset", type=nonnegative_int, default=0)
+    exp.add_argument("--dataset", dest="dataset_path", metavar="DATASET")
+    exp.add_argument("--p", dest="p_grid", metavar="P", type=float, nargs="+")
+    exp.add_argument("--k", type=int)
+    exp.add_argument("--n", dest="n_grid", metavar="N", type=nonnegative_int, nargs="+")
+    exp.add_argument("--range", dest="range_grid", metavar="WEIGHT_RANGE", type=float, nargs="+")
+    exp.add_argument("--noise-eps", type=float)
+    exp.add_argument("--graphs", type=int)
+    exp.add_argument("--runs-per-graph", type=int)
+    exp.add_argument("--samples", type=int)
+    exp.add_argument("--no-normalize", dest="normalize", action="store_false")
+    exp.add_argument("--graph-offset", type=nonnegative_int)
     exp.add_argument("--seed", type=nonnegative_int, required=True)
     exp.add_argument("--out", required=True)
     exp.add_argument("--summary-csv", default=None)
@@ -205,21 +208,8 @@ def _cmd_reduce(args) -> list:
 
 
 def _cmd_experiment(args) -> list:
-    cfg = ExperimentConfig(
-        mode=args.mode,
-        seed=args.seed,
-        dataset_path=args.dataset,
-        p_grid=tuple(args.p),
-        k=args.k,
-        n_grid=tuple(args.n),
-        range_grid=tuple(args.weight_range),
-        noise_eps=args.noise_eps,
-        graphs=args.graphs,
-        runs_per_graph=args.runs_per_graph,
-        samples=args.samples,
-        normalize=not args.no_normalize,
-        graph_offset=args.graph_offset,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
+    cfg = ExperimentConfig(**{name: tuple(v) if isinstance(v, list) else v for name, v in given.items()})
     report = run_experiment(cfg)
     outputs = [(Path(args.out), report_bytes(report))]
     if args.summary_csv:

@@ -65,8 +65,7 @@ class ExperimentConfig:
         if not (0 <= self.noise_eps < math.inf):  # NaN too
             raise ConfigError(f"noise_eps must be finite and >= 0, got {self.noise_eps}")
         for w in self.range_grid:
-            if not (0 < w < math.inf):
-                raise ConfigError(f"weight range {w} must be positive and finite")
+            SDDNoiseConfig(w).validate()
         for name, values in (("p_grid", self.p_grid), ("range_grid", self.range_grid)):
             labels = [f"{x:g}" for x in values]  # the keys of the summary cells
             if len(set(labels)) < len(labels):
@@ -125,7 +124,18 @@ def gene_standin_dataset(seed: int = 0) -> np.ndarray:
     return sample_observations(sigma, m, derived_seed(seed, 3))
 
 
+def _observations(cfg: ExperimentConfig) -> np.ndarray:
+    """The observation matrix of a valid ``cfg``: its dataset, or the stand-in."""
+    cfg.validate()
+    return load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
+
+
 # -- pipelines ----------------------------------------------------------------
+
+
+def _report(mode: str, cfg: ExperimentConfig, records: list, **extra) -> dict:
+    """The summarised report of a ``mode`` run: schema, mode, config, records and ``extra`` keys."""
+    return summarise({"schema": SCHEMA_VERSION, "mode": mode, "config": asdict(cfg), "records": records, **extra})
 
 
 def _ratio_record(g, sigma: np.ndarray, runs: int, fill, **cell) -> dict:
@@ -157,8 +167,7 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
     than the covariance, so it is a different perturbation family than the
     entrywise covariance model; the report labels it as such.
     """
-    cfg.validate()
-    x = load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
+    x = _observations(cfg)
     n = x.shape[1]
     degenerate = cfg.noise_eps == 0.0
     runs = 0 if degenerate else cfg.runs_per_graph
@@ -179,15 +188,8 @@ def run_gene_style(cfg: ExperimentConfig) -> dict:
 
             records.append(_ratio_record(graph, sigma, runs, noisy, p=p, graph=gidx))
 
-    return summarise({
-        "schema": SCHEMA_VERSION,
-        "mode": "gene",
-        "perturbation": "observation-noise",
-        "degenerate_perturbation": degenerate,
-        "dataset_shape": list(x.shape),
-        "config": asdict(cfg),
-        "records": records,
-    })
+    return _report("gene", cfg, records, perturbation="observation-noise", degenerate_perturbation=degenerate,
+                   dataset_shape=list(x.shape))
 
 
 def run_simulated(cfg: ExperimentConfig) -> dict:
@@ -216,28 +218,20 @@ def run_simulated(cfg: ExperimentConfig) -> dict:
                     records.append(_ratio_record(graph, sigma, cfg.runs_per_graph, sampled,
                                                  n=n, p=p, range=weight_range, graph=gidx))
 
-    return summarise({
-        "schema": SCHEMA_VERSION,
-        "mode": "simulated",
-        "perturbation": "sample-covariance",
-        "config": asdict(cfg),
-        "records": records,
-    })
+    return _report("simulated", cfg, records, perturbation="sample-covariance")
 
 
 def run_assumption_survey(cfg: ExperimentConfig) -> dict:
     """Evaluate the structural assumptions over random graph hypotheses on
     normalized observational data."""
-    cfg.validate()
-    x = load_dataset(cfg.dataset_path) if cfg.dataset_path else gene_standin_dataset(seed=cfg.seed)
-    n = x.shape[1]
+    x = _observations(cfg)
     sigma = sample_covariance(x, normalize_rows=True)
 
     records = []
     p = cfg.p_grid[0]
     for gidx in range(cfg.graph_offset, cfg.graph_offset + cfg.graphs):
         graph = gen_random_bowfree_graph(
-            RandomGraphConfig(n, p, seed=derived_seed(cfg.seed, 4, gidx))
+            RandomGraphConfig(x.shape[1], p, seed=derived_seed(cfg.seed, 4, gidx))
         )
         record = {"graph": gidx, "recovery_failed": False}
         try:
@@ -257,21 +251,12 @@ def run_assumption_survey(cfg: ExperimentConfig) -> dict:
         record["kappa0"] = profile.kappa0 if np.isfinite(profile.kappa0) else None
         records.append(record)
 
-    return summarise({
-        "schema": SCHEMA_VERSION,
-        "mode": "survey",
-        "config": asdict(cfg),
-        "records": records,
-    })
+    return _report("survey", cfg, records)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
-    if cfg.mode == "gene":
-        return run_gene_style(cfg)
-    if cfg.mode == "simulated":
-        return run_simulated(cfg)
-    return run_assumption_survey(cfg)
+    return {"gene": run_gene_style, "simulated": run_simulated, "survey": run_assumption_survey}[cfg.mode](cfg)
 
 
 def summarise(report: dict) -> dict:

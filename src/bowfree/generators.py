@@ -79,8 +79,8 @@ class SDDNoiseConfig:
     seed: int = 0
 
     def validate(self):
-        if not (0 < self.range < math.inf):  # NaN too
-            raise ConfigError(f"weight range {self.range} must be positive and finite")
+        if not (0 < self.range <= np.finfo(float).max / 2):  # NaN too; uniform(-range, range) spans 2 * range
+            raise ConfigError(f"weight range {self.range} must be positive, and finite when doubled")
 
 
 def derived_seed(*parts) -> int:

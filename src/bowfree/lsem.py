@@ -142,7 +142,8 @@ def forward_map(g: MixedGraph, params: ParamSet) -> np.ndarray:
 
     Verifies the zero patterns and that omega is positive semidefinite,
     then evaluates the congruence through the triangular solve of
-    ``dag_inverse`` and symmetrizes the result. Eigenvalues are computed
+    ``dag_inverse`` and symmetrizes the result; ConfigError when it is not
+    finite, as when large weights overflow. Eigenvalues are computed
     only when Cholesky fails, as for a singular semidefinite omega.
     """
     check_pattern(g, params)
@@ -154,7 +155,11 @@ def forward_map(g: MixedGraph, params: ParamSet) -> np.ndarray:
         if eigs[0] < -PATTERN_ATOL * max(1.0, float(eigs[-1])):
             raise DefinitenessError("omega must be positive semidefinite") from None
     inv = dag_inverse(g, params.lam)
-    return symmetrize(inv.T @ params.omega @ inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = symmetrize(inv.T @ params.omega @ inv)
+    if not np.isfinite(sigma).all():
+        raise ConfigError("the model's covariance has non-finite entries")
+    return sigma
 
 
 def recover_omega(g: MixedGraph, lam: np.ndarray, sigma) -> np.ndarray:

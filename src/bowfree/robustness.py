@@ -365,12 +365,13 @@ def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
     bits it has alone. When the base fails nothing more is recovered and
     the per-draw values stay NaN and -1.
     """
-    g.require_bow_free()  # before the plan's layering raises for a cycle, as in recover_all
+    g.require_bow_free()  # then the covariance, before the plan and the scratch are sized, as in recover_all
+    sigma = _checked_covariance(sigma, g.n)
     plan = recovery_plan(g)
     slot = 8 * max(plan.read_rows.size + g.source.size, 1)
     stack = np.empty((max(1, min(STACK_BYTES // slot, draws + 1)), plan.read_rows.size))
     scratch = np.empty((max(1, min(STACK_BYTES // (8 * sigma.size), draws, len(stack))), *sigma.shape))
-    stack[0] = plan.gather(_checked_covariance(sigma, g.n)).values
+    stack[0] = plan.gather(sigma).values
     rel_sigma, rel_lambda, failed_vertex = np.full(draws, np.nan), np.full(draws, np.nan), np.full(draws, -1)
     for lo in range(0, draws + 1, len(stack)):  # positions in (sigma, *draws)
         first = int(lo == 0)

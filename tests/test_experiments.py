@@ -3,13 +3,13 @@ import json
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bowfree import recovery
+from bowfree import cli, recovery
 from bowfree.cli import build_parser, main
 from bowfree.errors import ConfigError, IngestionError
 from bowfree.experiments import (
@@ -861,6 +861,43 @@ def test_cli_reports_an_empty_covariance_file_in_one_line(tmp_path, command):
     assert proc.stderr.splitlines() == [f"bowfree: {sigma}: no numbers in the CSV file"]
 
 
+def test_cli_generate_rejects_a_model_whose_covariance_overflows(tmp_path, capsys):
+    # Weights up to 1e100 gave a sigma.csv of nan and inf, with exit 0 and a RuntimeWarning.
+    out = tmp_path / "inst"
+    argv = ["generate", "--kind", "sdd", "--n", "12", "--k", "2", "--p", "0.9", "--seed", "1", "--range", "1e100",
+            "--out-dir", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["bowfree: the model's covariance has non-finite entries"]
+    assert not out.exists()
+
+
+def _experiment_config(monkeypatch, argv) -> ExperimentConfig:
+    """The config that `bowfree experiment` runs for ``argv``."""
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or {"summary": {}})
+    cli._cmd_experiment(build_parser().parse_args(["experiment", *argv, "--out", "report.json"]))
+    return seen[0]
+
+
+def test_every_experiment_flag_sets_its_config_field(monkeypatch):
+    argv = ["--mode", "simulated", "--seed", "7", "--dataset", "x.csv", "--p", "0.3", "0.4", "--k", "3",
+            "--n", "5", "6", "--range", "2", "3", "--noise-eps", "0.5", "--graphs", "4", "--runs-per-graph", "5",
+            "--samples", "9", "--no-normalize", "--graph-offset", "2"]
+    cfg = _experiment_config(monkeypatch, argv)
+    assert cfg == ExperimentConfig("simulated", 7, "x.csv", (0.3, 0.4), 3, (5, 6), (2.0, 3.0), 0.5, 4, 5, 9, False, 2)
+    default = ExperimentConfig("simulated", 7)
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["mode", "seed"]
+
+
+def test_an_omitted_experiment_flag_keeps_the_config_default(monkeypatch):
+    cfg = _experiment_config(monkeypatch, ["--mode", "gene", "--seed", "3"])
+    assert asdict(cfg) == asdict(ExperimentConfig("gene", 3))
+
+
 def _float_flags():
     """(subcommand, flag) for every option of type float, read from the parser."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -886,9 +923,10 @@ def small_instance(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, flag", _float_flags(), ids=lambda x: x)
-@pytest.mark.parametrize("value", [None, "nan", "inf"], ids=["valid", "nan", "inf"])
+@pytest.mark.parametrize("value", [None, "nan", "inf", "1e308"], ids=["valid", "nan", "inf", "1e308"])
 def test_cli_float_flags_reject_nan_and_inf_in_one_line(tmp_path, capsys, small_instance, command, flag, value):
-    # None runs the valid line alone, which must succeed.
+    # None runs the valid line alone, which must succeed. 1e308 is finite, so
+    # a flag may accept it, but never with a traceback or a warning.
     template = _VALID_ARGV.get((command, flag), _VALID_ARGV[command])
     fill = {"out": str(tmp_path / "out"), "graph": str(small_instance / "graph.json"),
             "sigma": str(small_instance / "sigma.csv")}
@@ -901,7 +939,7 @@ def test_cli_float_flags_reject_nan_and_inf_in_one_line(tmp_path, capsys, small_
             code = exc.code
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
-    if value is None:
+    if value is None or (value == "1e308" and code == 0):
         assert code == 0, err
     else:
         assert code in (1, 64)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bowfree import lsem
-from bowfree.errors import ConvergenceError, DefinitenessError, PatternError, SampleSizeError
+from bowfree.errors import ConfigError, ConvergenceError, DefinitenessError, PatternError, SampleSizeError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -87,6 +87,15 @@ def test_forward_map_rejects_non_finite_parameters(where):
         warnings.simplefilter("error")
         with pytest.raises(PatternError, match="^lambda and omega must be finite$"):
             forward_map(MixedGraph(2, [(0, 1)]), ParamSet(lam, omega))
+
+
+def test_forward_map_rejects_a_covariance_that_overflows():
+    # Finite weights of 1e100 along a path give 1e200, then inf: only a RuntimeWarning before.
+    lam = np.diag([1e100, 1e100], k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^the model's covariance has non-finite entries$"):
+            forward_map(MixedGraph(3, [(0, 1), (1, 2)]), ParamSet(lam, np.eye(3)))
 
 
 def test_forward_map_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):

@@ -294,6 +294,16 @@ _NON_FINITE_ENTRY_POINTS = {
 }
 
 
+def test_perturbation_ratios_checks_the_covariance_before_compiling_the_plan(monkeypatch):
+    # The plan and the scratch are sized by n and sigma: at n = 10**8 the plan took gigabytes.
+    def no_plan(g):
+        raise AssertionError("the plan was compiled before the covariance check")
+
+    monkeypatch.setattr(robustness, "recovery_plan", no_plan)
+    with pytest.raises(OrderingError, match="covariance shape \\(6, 6\\) does not match n=100000000"):
+        perturbation_ratios(MixedGraph(10**8, [(0, 1)], [(0, 2)]), np.eye(6), 2, lambda out, lo: None)
+
+
 @pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRY_POINTS))
 @pytest.mark.parametrize("entry_ij", [(1, 2), (1, 1)], ids=["rhs", "system"])
 def test_non_finite_covariance_is_rejected_in_one_line(entry, entry_ij):
