@@ -149,9 +149,11 @@ def _ratio_record(g, sigma: np.ndarray, runs: int, fill, **cell) -> dict:
     base, base_failed, rel_sigma, rel_lambda, failed_vertex = perturbation_ratios(g, sigma, runs, fill)
     counted = not base_failed and bool(np.any(base != 0))
     ok = counted & (failed_vertex < 0) & (rel_sigma != 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # report_bytes refuses a ratio that is not finite
+        ratios = (rel_lambda[ok] / rel_sigma[ok]).tolist()
     return {
         **cell,
-        "ratios": (rel_lambda[ok] / rel_sigma[ok]).tolist(),
+        "ratios": ratios,
         "recovery_failed": base_failed,
         "run_failures": int(np.count_nonzero(failed_vertex >= 0)) if counted else 0,
     }
@@ -290,7 +292,11 @@ def summarise(report: dict) -> dict:
 
 
 def report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    """Canonical JSON; a NaN or an infinity, which JSON cannot hold, raises ConfigError."""
+    try:
+        return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise ConfigError(f"report not written: {exc}") from None
 
 
 def summary_csv_lines(report: dict) -> list[str]:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceError, DefinitenessError, IngestionError, OrderingError, PatternError,
                      SampleSizeError)
 from .graphs import MixedGraph
-from .linalg import symmetrize
+from .linalg import pow2_rows, symmetrize
 
 PATTERN_ATOL = 1e-9
 # project_omega_pattern stops once successive iterates differ by less than
@@ -200,11 +200,13 @@ def project_omega_pattern(omega_hat: np.ndarray, pairs: np.ndarray) -> np.ndarra
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a covariance out of range is non-finite, which its users reject
 def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> np.ndarray:
     """Empirical covariance of observation rows (mean-centered, divisor m-1).
 
     With ``normalize_rows`` every observation is first scaled to unit
-    2-norm; zero rows are left untouched.
+    2-norm, after an exact power-of-two scaling where its squares would
+    leave the float range; zero rows are left untouched.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -213,7 +215,10 @@ def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> np.ndarray
     if m < 2:
         raise SampleSizeError(f"need at least 2 observations, got {m}")
     if normalize_rows:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's bits, without its checks
+        if not (2.0**-480 < norms.min() and norms.max() < 2.0**500):  # squares out of range, or a zero row
+            x = np.where((2.0**-480 < norms) & (norms < 2.0**500), x, pow2_rows(x)[0])
+            norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
         x = np.where(norms > 0, x / np.where(norms == 0, 1.0, norms), x)
     centered = x - x.mean(axis=0, keepdims=True)
     return symmetrize(centered.T @ centered / (m - 1))

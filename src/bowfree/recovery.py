@@ -35,7 +35,8 @@ Every function here also accepts a stack of covariances (T, n, n), or of
 their reads (T, K): one layer-ordered pass solves each vertex's T systems in
 one batched call. A near-singular system raises NearSingularError for a
 single covariance; on a stack it fails only its own trial, whose weights
-become NaN.
+become NaN. _solve calls the LAPACK gufuncs behind np.linalg.svd and solve,
+whose checks cost more than LAPACK on these small systems.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # numpy >= 2.0: the gufuncs behind np.linalg.svd and solve
 
 from .errors import GraphStructureError, NearSingularError, OrderingError
 from .graphs import MixedGraph, _read_only, _runs
@@ -228,43 +230,40 @@ def build_system(g: MixedGraph, sigma, weights: np.ndarray, v: int) -> RecoveryS
     return RecoverySystem(v, tuple(rows.tolist()), tuple(parents.tolist()), full[..., :m], b)
 
 
-@np.errstate(over="ignore")  # squares out of range are rescaled below
+@np.errstate(all="ignore")  # LAPACK's failures come back as NaN; squares out of range are rescaled below
 def _solve(a, b, vertex):
     """Solve A x = b, with or without a trial axis, and return
     ``(weights, residual, condition)``.
 
     One SVD per system gives both the near-singular test and the condition
-    number. Near-singular trials of a stack get NaN weights; a single
-    near-singular system raises.
+    number. Near-singular or non-finite trials of a stack get NaN weights;
+    such a single system raises.
     """
     m = a.shape[-1]
     if m == 0:
         return np.zeros(a.shape[:-1]), np.zeros(a.shape[:-2]), np.ones(a.shape[:-2])
-    svals = np.linalg.svd(a, compute_uv=False)
+    svals = _umath_linalg.svd(a, signature="d->d")
     if a.ndim == 2:  # one system: its tests on Python floats
         s_max, s_min = svals[0].item(), svals[-1].item()
-        if s_min <= SING_TOL * s_max:
+        if not s_min > SING_TOL * s_max:  # NaN too
             raise NearSingularError(f"vertex {vertex + 1}: system is numerically singular "
                                     f"(sigma_min={s_min:.3e}, sigma_max={s_max:.3e})", vertex=vertex)
-        weights = np.linalg.solve(a, b)
+        weights = _umath_linalg.solve1(a, b, signature="dd->d")
         r = (a @ weights[:, None])[:, 0] - b
         residual = math.sqrt(np.add.reduce(r * r).item())
         if not 2.0**-480 < residual < 2.0**500 and r.any():  # squares out of range, or NaN
             r, e = pow2_rows(r)
             residual = np.ldexp(math.sqrt(np.add.reduce(r * r).item()), e).item()
-        return weights, residual, s_max / s_min if s_min else math.nan  # s_min is 0 here only under a NaN s_max
+        return weights, residual, s_max / s_min
     s_max, s_min = svals[..., 0], svals[..., -1]
-    singular = s_min <= SING_TOL * s_max
-    if singular.any():  # singular trials solve the identity and report NaN
-        weights = np.linalg.solve(np.where(singular[..., None, None], np.eye(m), a), b[..., None])[..., 0]
+    weights = _umath_linalg.solve(a, b[..., None], signature="dd->d")[..., 0]
+    if (singular := ~(s_min > SING_TOL * s_max)).any():  # NaN too; their solves may be NaN or junk
         weights[singular] = np.nan
         s_max, s_min = np.where(s_min == 0, [[np.inf], [1.0]], [s_max, s_min])  # condition inf, even for 0/0
-    else:
-        weights = np.linalg.solve(a, b[..., None])[..., 0]
     r = (a @ weights[..., None])[..., 0] - b
     residual = np.sqrt(np.add.reduce(r * r, axis=-1))  # np.linalg.norm's bits, without its checks
-    inside = (2.0**-480 < residual) & (residual < 2.0**500)
-    if not (inside.all() or (inside | ~r.any(axis=-1)).all()):  # squares out of range, or NaN
+    if not (2.0**-480 < residual.min() and residual.max() < 2.0**500) and not (
+            (2.0**-480 < residual) & (residual < 2.0**500) | ~r.any(axis=-1)).all():  # squares out of range, or NaN
         r, e = pow2_rows(r)  # the bits above wherever the squares neither overflowed nor underflowed
         residual = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=-1)), e)
     return weights, residual, s_max / s_min
@@ -321,8 +320,7 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
         system = systems[v] = recover_first_layers(g, reads, v) if closed else build_system(g, reads, recovered, v)
         weights, residual, condition = recover_vertex(system)
         # Near-singular trials and non-finite weights or systems leave the residual non-finite.
-        if not trials:
-            residual, condition = float(residual), float(condition)
+        if not trials:  # _solve's Python floats
             if not math.isfinite(residual):
                 raise NearSingularError(f"vertex {v + 1}: solve gave non-finite values", vertex=v)
         elif (singular := ~np.isfinite(residual)).any():

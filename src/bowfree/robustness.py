@@ -24,6 +24,7 @@ from .lsem import _checked_covariance, as_matrix
 from .recovery import PlanReads, recover_all, recovery_plan
 
 
+@np.errstate(over="ignore")  # a deviation beyond the largest float is an infinite distance
 def relative_distance(a, b) -> float | np.ndarray:
     """Max entrywise relative deviation of b from a over nonzero entries of a.
 

@@ -88,3 +88,20 @@ def test_only_the_command_line_writes_files():
             if name in writes or name == "open" and any(set(m) & set("wax+") for m in modes):
                 found.append(f"{path.stem}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_recovery_imports_numpy_private_linalg():
+    # _solve calls the gufuncs behind np.linalg.svd and np.linalg.solve; the
+    # module is private to numpy, so one module of the package leans on it.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if any("_umath_linalg" in name.split(".") for name in names):
+                found.append(path.stem)
+    assert sorted(set(found)) == ["recovery"]

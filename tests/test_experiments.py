@@ -875,6 +875,45 @@ def test_cli_generate_rejects_a_model_whose_covariance_overflows(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_experiment_with_subnormal_weights_exits_1_without_a_nan_report(tmp_path, capsys):
+    # Subnormal weights overflowed both relative distances: the run exited 0
+    # with two RuntimeWarnings and five NaN tokens in its report.
+    out = tmp_path / "e.json"
+    argv = ["experiment", "--mode", "simulated", "--n", "6", "--graphs", "1", "--runs-per-graph", "2", "--seed", "1",
+            "--range", "1e-320", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("bowfree: report not written: Out of range float values are not JSON compliant")
+    assert not out.exists()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="^report not written: "):
+            report_bytes({"summary": {"mean": bad}})
+
+
+def test_cli_gene_experiment_with_huge_noise_normalizes_rows_without_overflow(tmp_path, capsys):
+    # The noisy rows' squares overflowed in np.linalg.norm: numpy's warning
+    # reached stderr and both runs failed. Rows scaled by powers of two
+    # normalize as the same noise at 1e150 does, to the ulp.
+    reports = []
+    for eps in ("1e300", "1e150"):
+        out = tmp_path / f"{eps}.json"
+        argv = ["experiment", "--mode", "gene", "--graphs", "1", "--runs-per-graph", "2", "--seed", "1",
+                "--noise-eps", eps, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not caught, [str(w.message) for w in caught]
+        assert [line.split(": wrote")[0] for line in capsys.readouterr().err.splitlines()] == ["experiment gene"]
+        reports.append(json.loads(out.read_text())["records"])
+    (huge,), (large,) = reports
+    assert huge["run_failures"] == 0 and len(huge["ratios"]) == 2
+    np.testing.assert_allclose(huge["ratios"], large["ratios"], rtol=1e-14)
+
+
 def _experiment_config(monkeypatch, argv) -> ExperimentConfig:
     """The config that `bowfree experiment` runs for ``argv``."""
     seen = []

@@ -259,6 +259,20 @@ def test_sample_covariance_normalizes_rows():
     np.testing.assert_allclose(cov, centered.T @ centered / 2)
 
 
+@pytest.mark.parametrize("e", [-1000, -600, 0, 600, 1020])
+def test_sample_covariance_normalizes_rows_out_of_range_by_powers_of_two(e):
+    # Rows whose squares leave the float range normalize as the same rows
+    # scaled into range do; rows in range keep np.linalg.norm's bits.
+    x = np.random.default_rng(5).normal(size=(7, 4))
+    x[0] = 0.0
+    scaled = x.copy()
+    scaled[1::2] *= 2.0**e
+    assert sample_covariance(scaled, normalize_rows=True).tobytes() == sample_covariance(x, normalize_rows=True).tobytes()
+    rows = x[1:] / np.linalg.norm(x[1:], axis=1, keepdims=True)
+    centered = np.vstack([x[:1], rows]) - np.vstack([x[:1], rows]).mean(axis=0)
+    assert sample_covariance(x, normalize_rows=True).tobytes() == symmetrize(centered.T @ centered / 6).tobytes()
+
+
 def test_sample_covariance_needs_two_rows():
     with pytest.raises(SampleSizeError):
         sample_covariance(np.ones((1, 3)))

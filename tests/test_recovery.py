@@ -800,6 +800,25 @@ def test_one_singular_system_raises_with_its_singular_values_and_a_stack_masks_i
     assert np.isnan(weights).all() and np.isnan(residual).all() and condition.tolist() == [np.inf]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_system_raises_near_singular_and_fails_only_its_trial(bad):
+    # LAPACK gives such a matrix NaN singular values: the near-singular test
+    # fails it, where the SVD raised LinAlgError (NaN) or the residual warned (inf).
+    good, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, 0.3])
+    a = np.array([[2.0, 0.5], [0.5, bad]])
+    with pytest.raises(NearSingularError) as err:
+        recover_vertex(RecoverySystem(3, (0, 1), (0, 1), a, b))
+    assert str(err.value) == "vertex 4: system is numerically singular (sigma_min=nan, sigma_max=nan)"
+    assert err.value.vertex == 3
+    weights, residual, condition = recover_vertex(RecoverySystem(3, (0, 1), (0, 1), np.stack([good, a, good]),
+                                                                 np.stack([b, b, b])))
+    alone = recover_vertex(RecoverySystem(3, (0, 1), (0, 1), good, b))
+    assert np.isnan(weights[1]).all() and np.isnan(residual[1]) and np.isnan(condition[1])
+    for t in (0, 2):
+        assert weights[t].tobytes() == alone[0].tobytes()
+        assert (residual[t], condition[t]) == alone[1:]
+
+
 def test_a_stack_rescales_its_residuals_only_when_one_is_out_of_range(monkeypatch):
     inst = gen_generative_instance(n=12, k=2, p=0.7, seed=41)
     g, sigma = inst.graph, inst.sigma
