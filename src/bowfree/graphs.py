@@ -256,6 +256,14 @@ class MixedGraph:
         every call returns the same array."""
         return self._layering
 
+    def _claim_layering(self, layer) -> None:
+        """Keep a copy of ``layer`` as the layering if each parentless vertex is in layer 1 and each
+        edge goes one layer down, as only the longest-path layering of a DAG does; else keep nothing."""
+        layer = np.array(layer, dtype=np.int64)
+        if layer.shape == (self.n,) and (layer[self._in_degree == 0] == 1).all() and (
+                layer[self.target] == layer[self.source] + 1).all():
+            self._layering = _read_only(layer)
+
     @cached_property
     def _layering(self) -> np.ndarray:
         # Kahn frontier rounds: the vertices freed by round d are exactly

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError, NearSingularError
+from .errors import ConfigError, GraphStructureError, NearSingularError, OrderingError
 from .graphs import MixedGraph, _runs
 from .lsem import ReducedCovariance, _checked_covariance, as_matrix
 from .recovery import recover_all
@@ -63,11 +63,11 @@ def build_gadgets(heads, tails, qs, r: int, start: int):
     """Create the forced-weight path structures for replaced edges.
 
     Gadget i replaces heads[i] -> tails[i] and takes the next consecutive
-    block of ids from ``start`` on. Returns (gadgets, (source, target,
-    forced)), the edges as arrays, gadget by gadget, with NaN marking each
-    free collector -> tail edge. q >= 1 builds q inner stages feeding the
-    collector through 1/r weights; q = 0 wires the head straight to the
-    collector at forced weight 1.
+    block of ids from ``start`` on. Returns (gadgets, (source, target, forced),
+    stage): the edges as arrays, gadget by gadget, with NaN marking each free
+    collector -> tail edge, and each new id's stage below its head (q + 1 for the
+    collector). q >= 1 builds q inner stages feeding the collector through 1/r
+    weights; q = 0 wires the head straight to the collector at forced weight 1.
     """
     heads, tails, qs = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (heads, tails, qs))
     if (qs < 0).any() or r < 1:
@@ -91,7 +91,8 @@ def build_gadgets(heads, tails, qs, r: int, start: int):
     block = np.repeat(np.arange(np.count_nonzero(s)), width[s])
     row = _runs(0, width[s])
     cols = width[t][block]
-    return gadgets, (np.repeat(lo[s][block] + row, cols), _runs(lo[t][block], cols), np.repeat(into[t][block], cols))
+    edges = np.repeat(lo[s][block] + row, cols), _runs(lo[t][block], cols), np.repeat(into[t][block], cols)
+    return gadgets, edges, np.repeat(j[s & t], width[s & t])  # s & t: the ranges of new ids, in id order
 
 
 def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
@@ -109,7 +110,7 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
 
     span = layer[g.target] - layer[g.source]
     skip = span >= 2  # gadgets come in (head, tail) order, as edges do
-    gadgets, (source, target, forced) = build_gadgets(g.source[skip], g.target[skip], span[skip] - 2, r, g.n)
+    gadgets, (source, target, forced), stage = build_gadgets(g.source[skip], g.target[skip], span[skip] - 2, r, g.n)
     if not skip.any():
         return g, gadgets, r
 
@@ -125,6 +126,9 @@ def reduce_graph(g: MixedGraph) -> tuple[MixedGraph, Gadgets, int]:
         np.concatenate([np.full(np.count_nonzero(~skip), np.nan), forced]),
         np.concatenate([g.pairs, np.stack([w, gadgets.collector[gadget]], axis=1)]),
     )
+    # Original vertices keep their layers; a new one sits its stage below its gadget's head.
+    head_layer = np.repeat(layer[gadgets.head], gadgets.collector + 1 - gadgets.first)
+    g_prime._claim_layering(np.concatenate([layer, head_layer + stage]))
     return g_prime, gadgets, r
 
 
@@ -173,12 +177,16 @@ class ReductionReport:
 
 def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionReport:
     """Itemized checks that the reduction preserves structure and recovery,
-    the latter to VERIFY_TOL in weights and system entries."""
+    the latter to VERIFY_TOL in weights and system entries. A covariance of another
+    shape, or the reduction of a graph on another vertex count, raises OrderingError."""
+    sigma = _checked_covariance(sigma, g.n)
+    if red.original_n != g.n:
+        raise OrderingError(f"reduction of a graph on {red.original_n} vertices does not match n={g.n}")
     notes = []
     bow_free = not red.g_prime.bow_violations()
     layered = red.g_prime.is_k_layered()
 
-    base = recover_all(g, as_matrix(sigma))
+    base = recover_all(g, sigma)
     try:
         reduced = recover_all(red.g_prime, red.sigma_prime)
     except NearSingularError as exc:
@@ -199,18 +207,19 @@ def verify_reduction(g: MixedGraph, sigma, red: ReductionOutput) -> ReductionRep
     # Recovery kept the systems it solved. v's equation rows on g' are the
     # heads of its parents there (a collector copies its gadget's head), so
     # sorting them puts its unknowns in the order of v's parents on g. All the
-    # systems are compared at once, each a run of entries; one of another size mismatches.
-    same = [v for v in sorted(base.systems) if len(base.systems[v].y_set) == len(reduced.systems[v].y_set)]
+    # systems are compared at once, each a run of entries; one of another size or on one side only mismatches.
+    kept = reduced.systems
+    same = [v for v in sorted(base.systems) if v in kept and len(base.systems[v].y_set) == len(kept[v].y_set)]
     m = np.array([len(base.systems[v].y_set) for v in same], dtype=np.int64)
     row_at, entry_at, system = np.cumsum(m) - m, np.cumsum(m * m) - m * m, np.repeat(np.arange(m.size), m)
-    rows = np.lexsort((np.fromiter((y for v in same for y in reduced.systems[v].y_set), np.int64), system))
+    rows = np.lexsort((np.fromiter((y for v in same for y in kept[v].y_set), np.int64), system))
     pos, width = rows - row_at[system], m[system]  # each row's position on g'
     entries = np.repeat(entry_at[system] + pos * width, width) + pos[_runs(row_at[system], width)]
     a_flat, b_flat = ([np.concatenate([np.zeros(0), *(getattr(r.systems[v], x) for v in same)], axis=None)
                        for r in (base, reduced)] for x in ("a_matrix", "b_vector"))
     worst = np.maximum(np.maximum.reduceat(np.abs(a_flat[0] - a_flat[1][entries]), entry_at),
                        np.maximum.reduceat(np.abs(b_flat[0] - b_flat[1][rows]), row_at))  # NaN propagates, and fails
-    mismatched = sorted(base.systems.keys() - same | set(np.compress(~(worst <= VERIFY_TOL), same).tolist()))
+    mismatched = sorted((base.systems.keys() | kept.keys()) - set(np.compress(worst <= VERIFY_TOL, same).tolist()))
     return ReductionReport(bow_free, layered, collector_ok, not mismatched, max_err, tuple(mismatched), tuple(notes))
 
 

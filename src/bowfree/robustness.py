@@ -381,7 +381,10 @@ def perturbation_ratios(g: MixedGraph, sigma: np.ndarray, draws: int, fill):
         rel = np.empty(len(chunk) - first)
         for d in range(0, len(rel), len(scratch)):  # draws at.start + d, ... into the scratch
             fill(out := scratch[: min(len(scratch), len(rel) - d)], at.start + d)
-            rel[d : d + len(out)] = relative_distance(sigma, _checked_covariance(out, g.n, stack=True))
+            if not (finite := np.isfinite(out).all(axis=(1, 2))).all():  # a draw overflowed, not the input
+                draw = at.start + d + int(np.argmin(finite)) + 1
+                raise ConfigError(f"perturbed covariance of draw {draw} has non-finite entries")
+            rel[d : d + len(out)] = relative_distance(sigma, out)
             chunk[first + d : first + d + len(out)] = plan.gather(out).values
         result = recover_all(g, PlanReads(chunk))
         if first:

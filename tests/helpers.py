@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bowfree.errors import NearSingularError
+from bowfree.errors import ConfigError, NearSingularError
 from bowfree.generators import derived_seed
 from bowfree.graphs import MixedGraph
 from bowfree.linalg import symmetrize
@@ -193,7 +193,9 @@ def reference_condition_estimate(g, sigma, trials, gammas, seed, enforce_tight=F
     perturbed = [reference_sample_perturbation(sig, spec) for spec in specs]
     records = []
     kappa_hat = 0.0
-    for (gamma, _, t), draw in zip(draws, perturbed):
+    for d, ((gamma, _, t), draw) in enumerate(zip(draws, perturbed), 1):
+        if not np.isfinite(draw).all():
+            raise ConfigError(f"perturbed covariance of draw {d} has non-finite entries")
         lam, failed = recover_alone(g, draw)
         rel_sig = reference_relative_distance(sig, draw)
         if failed >= 0:

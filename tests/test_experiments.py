@@ -295,7 +295,8 @@ def test_cli_condition_and_check(tmp_path):
     assert profile["all_pass"] is True
 
 
-@pytest.mark.parametrize("bad", ["nan-weight", "wrong-shape", "graph-json", "off-pattern"])
+@pytest.mark.parametrize("bad", ["nan-weight", "wrong-shape", "graph-json", "off-pattern", "empty", "top-level-list",
+                                 "string-omega", "ragged-omega"])
 def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
     # The first three ended in a LinAlgError, IndexError or KeyError traceback;
     # a weight on a non-edge was read as if it were not there.
@@ -310,20 +311,30 @@ def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
         params = {"lambda": np.zeros((2, 2)).tolist(), "omega": np.eye(2).tolist()}
     elif bad == "graph-json":
         params = _read_json(out / "graph.json")
-    else:
+    elif bad == "off-pattern":
         lam[7, 0] = 0.5
         params["lambda"] = lam.tolist()
+    elif bad == "top-level-list":
+        params = [params["lambda"], params["omega"]]
+    elif bad != "empty":
+        params["omega"] = "omega" if bad == "string-omega" else [[1.0, 0.0], [1.0]]
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(params))  # NaN is written as the JSON extension NaN
+    path.write_text("" if bad == "empty" else json.dumps(params))  # NaN is written as the JSON extension NaN
     report = tmp_path / "check.json"
     capsys.readouterr()
     assert main(["check", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
                  "--params", str(path), "--out", str(report)]) == 1
+    malformed = f"bowfree: {path}: malformed parameter document: "
     assert capsys.readouterr().err.splitlines() == [{
         "nan-weight": f"bowfree: {path}: parameters have non-finite entries",
         "wrong-shape": "bowfree: parameter shapes (2, 2), (2, 2) do not match n=8",
-        "graph-json": f"bowfree: {path}: malformed parameter document: 'lambda'",
+        "graph-json": malformed + "'lambda'",
         "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (8, 1)",
+        "empty": malformed + "Expecting value: line 1 column 1 (char 0)",
+        "top-level-list": malformed + "list indices must be integers or slices, not str",
+        "string-omega": malformed + "could not convert string to float: 'omega'",
+        "ragged-omega": malformed + "setting an array element with a sequence. The requested array has an "
+        "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.",
     }[bad]]
     assert not report.exists()
 
@@ -799,16 +810,27 @@ def test_cli_reduce_rejects_a_covariance_of_another_size(tmp_path, capsys, size)
         assert not out.exists(), command
 
 
-@pytest.mark.parametrize("gamma", ["nan", "inf"])
-def test_cli_condition_rejects_a_non_finite_gamma(tmp_path, capsys, gamma):
+@pytest.mark.parametrize(
+    "gamma, message",
+    [("nan", "gamma must be positive and finite, got nan"), ("inf", "gamma must be positive and finite, got inf"),
+     ("0", "gamma must be positive and finite, got 0.0"),
+     ("0.5", "gamma=0.5 exceeds the strict bound n^-4=4.82253e-05"),
+     ("1e308", "gamma=1e+308 exceeds the strict bound n^-4=4.82253e-05"),
+     ("1e-320", None)],  # subnormal, positive and within the bound: accepted
+    ids=["nan", "inf", "0", "0.5", "1e308", "1e-320"],
+)
+def test_cli_condition_rejects_a_non_finite_gamma(tmp_path, capsys, gamma, message):
     out = tmp_path / "inst"
     main(["generate", "--kind", "sdd", "--n", "12", "--k", "2", "--p", "0.5", "--seed", "5", "--out-dir", str(out)])
     capsys.readouterr()
     report = tmp_path / "cond.json"
     code = main(["condition", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
                  "--gammas", gamma, "--seed", "1", "--out", str(report)])
+    if message is None:
+        assert code == 0 and report.exists()
+        return
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == [f"bowfree: gamma must be positive and finite, got {gamma}"]
+    assert capsys.readouterr().err.splitlines() == [f"bowfree: {message}"]
     assert not report.exists()
 
 
@@ -912,6 +934,29 @@ def test_cli_gene_experiment_with_huge_noise_normalizes_rows_without_overflow(tm
     (huge,), (large,) = reports
     assert huge["run_failures"] == 0 and len(huge["ratios"]) == 2
     np.testing.assert_allclose(huge["ratios"], large["ratios"], rtol=1e-14)
+
+
+@pytest.mark.parametrize("source", ["draw", "base"])
+def test_cli_gene_experiment_names_the_covariance_that_is_not_finite(tmp_path, capsys, source):
+    # A draw whose noise overflowed was reported as "covariance has non-finite
+    # entries", as if the command had read a bad covariance.
+    argv = ["experiment", "--mode", "gene", "--graphs", "1", "--runs-per-graph", "2", "--seed", "1"]
+    if source == "draw":
+        argv += ["--noise-eps", "1e308"]
+        message = "bowfree: perturbed covariance of draw 1 has non-finite entries"
+    else:  # a dataset whose unnormalized sample covariance overflows
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(20, 4)) * 1e200, delimiter=",")
+        argv += ["--dataset", str(data), "--no-normalize"]
+        message = "bowfree: covariance has non-finite entries"
+    out = tmp_path / "e.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(out)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
 
 
 def _experiment_config(monkeypatch, argv) -> ExperimentConfig:

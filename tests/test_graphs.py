@@ -118,6 +118,40 @@ def test_layers_consistent_with_edges(n, p, seed):
         assert position[e.source] < position[e.target]
 
 
+def _layered_graph():
+    """0 -> 1 -> 2 and 3 -> 4 -> 2, each edge one layer down; 5 has no edges."""
+    return MixedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 2)], [(0, 3)])
+
+
+def test_a_longest_path_layering_claim_is_kept_as_a_read_only_copy():
+    g, claim = _layered_graph(), np.array([1, 2, 3, 1, 2, 1])
+    g._claim_layering(claim)
+    claim[0] = 7
+    layer = g.layer_decomposition()
+    assert vars(g)["_layering"] is layer and layer.tolist() == [1, 2, 3, 1, 2, 1]
+    assert layer.dtype == np.int64 and not layer.flags.writeable
+
+
+@pytest.mark.parametrize("claim", [[1, 2, 3, 1, 3, 1], [1, 2, 3, 1, 2, 2], [1, 2, 3, 1, 2], [1, 2, 3, 1, 2, 1, 1],
+                                   [2, 3, 4, 2, 3, 2]],
+                         ids=["off-by-one", "parentless-in-layer-2", "short", "long", "shifted"])
+def test_a_wrong_layering_claim_is_refused_and_kahn_gives_the_layering(claim):
+    g = _layered_graph()
+    g._claim_layering(np.array(claim))
+    assert "_layering" not in vars(g)
+    assert g.layer_decomposition().tolist() == [1, 2, 3, 1, 2, 1]
+
+
+def test_a_graph_that_is_not_layered_refuses_every_claim():
+    skip = MixedGraph(3, [(0, 1), (1, 2), (0, 2)])
+    skip._claim_layering(np.array([1, 2, 3]))  # its layering, but 0 -> 2 spans two layers
+    assert "_layering" not in vars(skip) and skip.layer_decomposition().tolist() == [1, 2, 3]
+    cycle = MixedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    cycle._claim_layering(np.array([1, 2, 3]))
+    with pytest.raises(CycleError):
+        cycle.layer_decomposition()
+
+
 def test_determinism_same_input_same_output():
     cfg = RandomGraphConfig(12, 0.4, seed=9)
     a, b = gen_random_bowfree_graph(cfg), gen_random_bowfree_graph(cfg)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bowfree.errors import ConfigError
+from bowfree.errors import ConfigError, OrderingError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -34,7 +34,7 @@ from helpers import reference_build_gadgets, reference_verify_reduction
 
 
 def _gadget_graph(u, v, q, r, n_original=2):
-    gadgets, edges = build_gadgets(u, v, q, r, n_original)
+    gadgets, edges, _ = build_gadgets(u, v, q, r, n_original)
     g = MixedGraph.from_arrays(int(gadgets.collector[-1]) + 1, *edges)
     return gadgets, g
 
@@ -100,7 +100,7 @@ def _by_edge(edges):
 @example(3, [])
 def test_one_pass_gadgets_equal_the_per_q_templates(r, rows):
     heads, tails, qs = (list(col) for col in zip(*rows)) if rows else ([], [], [])
-    gadgets, edges = build_gadgets(heads, tails, qs, r, 10)
+    gadgets, edges, _ = build_gadgets(heads, tails, qs, r, 10)
     want, want_edges = reference_build_gadgets(heads, tails, qs, r, 10)
     for got, ref in zip(gadgets, want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -312,6 +312,59 @@ def test_verify_reduction_flags_exactly_the_vertex_whose_kept_system_changed(mon
         flagged = () if change == "1e-10-a" else (v,)  # within VERIFY_TOL
         assert report.mismatched_systems == flagged and report.systems_match == (not flagged)
         assert report.collector_weights_ok and report.max_weight_error == clean.max_weight_error
+
+
+def _assert_reduction_claims_the_layering(g):
+    g_prime = reduce_graph(g)[0]
+    # reduce_graph keeps the layering it derived, so the Kahn sweep never runs on g'
+    assert "_layering" in vars(g_prime)
+    fresh = MixedGraph.from_arrays(g_prime.n, g_prime.source, g_prime.target, g_prime.forced, g_prime.pairs)
+    got, want = g_prime.layer_decomposition(), fresh.layer_decomposition()
+    assert got.dtype == want.dtype == np.int64 and not got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduced_pool_graph_carries_the_layering_of_a_fresh_copy(seed):  # reduce-verify's pool, n' up to 5,635
+    _assert_reduction_claims_the_layering(gen_random_bowfree_graph(RandomGraphConfig(26, 0.4, seed=seed)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 16), st.floats(0.1, 0.9), st.integers(0, 10_000))  # more than half the draws need gadgets
+@example(0, 0.0, 0)
+@example(12, 1.0, 0)
+def test_reduced_random_graph_carries_the_layering_of_a_fresh_copy(n, p, seed):
+    _assert_reduction_claims_the_layering(gen_random_bowfree_graph(RandomGraphConfig(n, p, seed=seed)))
+
+
+def test_verify_reduction_rejects_a_covariance_stack():
+    # reduce_instance takes a stack; verify_reduction then ended in a TypeError
+    # from float() of the per-trial weight errors.
+    g, sigma = _random_instance(2)
+    stack = np.stack([sigma, 2.0 * sigma])
+    red = reduce_instance(g, stack)
+    with pytest.raises(OrderingError, match=rf"^covariance shape \(2, {g.n}, {g.n}\) does not match n={g.n}$"):
+        verify_reduction(g, stack, red)
+
+
+def test_verify_reduction_rejects_the_reduction_of_a_graph_on_another_vertex_count():
+    g, sigma = _random_instance(2)
+    h, sigma_h = _random_instance(2, n=9)
+    with pytest.raises(OrderingError, match=f"^reduction of a graph on 9 vertices does not match n={g.n}$"):
+        verify_reduction(g, sigma, reduce_instance(h, sigma_h))
+
+
+def test_verify_reduction_of_another_graph_counts_a_missing_system_as_a_mismatch():
+    # A vertex without a reduced system raised KeyError. Vertex 3 has a system
+    # on g only and 0 on h only; 2 has one unknown on g and two on h; 1 has
+    # one on both, but on h it corrects for 0's parent 3, so its entries differ.
+    g = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    h = MixedGraph(4, [(3, 0), (0, 1), (1, 2), (3, 2)])
+    lam = np.zeros((4, 4))
+    lam[g.source, g.target] = 0.3
+    sigma = forward_map(g, ParamSet(lam, np.eye(4)))
+    report = verify_reduction(g, sigma, reduce_instance(h, sigma))
+    assert report.mismatched_systems == (0, 1, 2, 3) and not report.systems_match
 
 
 def test_reduce_rejects_forced_input():

@@ -304,6 +304,24 @@ def test_perturbation_ratios_checks_the_covariance_before_compiling_the_plan(mon
         perturbation_ratios(MixedGraph(10**8, [(0, 1)], [(0, 2)]), np.eye(6), 2, lambda out, lo: None)
 
 
+@pytest.mark.parametrize("bad", range(5))
+def test_perturbation_ratios_names_the_draw_that_is_not_finite(monkeypatch, bad):
+    # Scratch and read stack of two slots: the draws come in chunks of 1, 2 and 2.
+    g, sigma = MixedGraph(3, [(0, 1), (1, 2)]), 2.0 * np.eye(3)
+    monkeypatch.setattr(robustness, "STACK_BYTES", 2 * sigma.nbytes)
+    starts = []
+
+    def fill(out, lo):
+        starts.append(lo)
+        out[...] = sigma
+        if lo <= bad < lo + len(out):
+            out[bad - lo, 1, 1] = np.inf
+
+    with pytest.raises(ConfigError, match=f"^perturbed covariance of draw {bad + 1} has non-finite entries$"):
+        perturbation_ratios(g, sigma, 5, fill)
+    assert starts == [0, 1, 3][: 1 + (bad >= 1) + (bad >= 3)]
+
+
 @pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRY_POINTS))
 @pytest.mark.parametrize("entry_ij", [(1, 2), (1, 1)], ids=["rhs", "system"])
 def test_non_finite_covariance_is_rejected_in_one_line(entry, entry_ij):
@@ -312,7 +330,8 @@ def test_non_finite_covariance_is_rejected_in_one_line(entry, entry_ij):
     g = MixedGraph(3, [(0, 1), (1, 2)])
     sigma = 2.0 * np.eye(3)
     sigma[entry_ij] = sigma[entry_ij[::-1]] = np.nan
-    with pytest.raises(ConfigError, match=r"^covariance has non-finite entries$"):
+    what = "perturbed covariance of draw 1" if entry == "perturbation_ratios-draw" else "covariance"  # not the input
+    with pytest.raises(ConfigError, match=f"^{what} has non-finite entries$"):
         _NON_FINITE_ENTRY_POINTS[entry](g, sigma)
 
 
@@ -554,7 +573,7 @@ def test_in_place_condition_estimate_has_the_bits_of_the_per_draw_loop(case, mon
             got = _condition_outcome(lambda: estimate_condition_number(g, sigma, **kwargs))
     assert got == want
     if case == "variance-1e308":
-        assert want == "ConfigError: covariance has non-finite entries"
+        assert want == "ConfigError: perturbed covariance of draw 1 has non-finite entries"
         return
     assert stacks == ([3, 3, 3] if "three-chunks" in case else [9])
     assert fills == ([2, 2, 1, 2, 1] if "three-chunks" in case else [8])
