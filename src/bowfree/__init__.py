@@ -7,7 +7,7 @@ imported from its submodule (``bowfree.recovery``, ``bowfree.reduction``, ...).
 from .errors import BowfreeError, NearSingularError
 from .graphs import MixedGraph, load_graph
 from .lsem import ParamSet, forward_map, sample_covariance
-from .recovery import recover_all, recover_full_params
+from .recovery import recover_all
 from .robustness import check_assumptions, estimate_condition_number, eta_bound
 from .reduction import reduce_instance, verify_reduction
 

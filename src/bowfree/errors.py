@@ -45,11 +45,7 @@ class NearSingularError(BowfreeError):
 
 
 class ConvergenceError(BowfreeError):
-    """Iterative scheme failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        self.last_iterate = last_iterate
-        super().__init__(message)
+    """Iterative scheme failed to converge."""
 
 
 class OrderingError(BowfreeError):

@@ -344,5 +344,6 @@ def load_graph(path) -> MixedGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             return graph_from_dict(json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # the latter: bytes that are not UTF-8
+        # UnicodeDecodeError: bytes that are not UTF-8; RecursionError: arrays nested past the parser's depth
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise GraphStructureError(f"{path}: not valid JSON: {exc}") from exc

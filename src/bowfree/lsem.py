@@ -1,5 +1,5 @@
-"""Linear SEM algebra: parameter sets, the forward covariance map and its
-companions.
+"""Linear SEM algebra: parameter sets, the forward covariance map,
+covariances and their files.
 
 A model is the pair (lam, omega): edge weights on the directed part and the
 noise covariance on the bidirected part. The observational covariance is
@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceError, DefinitenessError, IngestionError, OrderingError, PatternError,
-                     SampleSizeError)
+from .errors import ConfigError, DefinitenessError, IngestionError, OrderingError, PatternError, SampleSizeError
 from .graphs import MixedGraph
 from .linalg import pow2_rows, symmetrize
 
 PATTERN_ATOL = 1e-9
-# project_omega_pattern stops once successive iterates differ by less than
-# PROJECT_TOL in Frobenius norm, and fails after PROJECT_MAX_ITERS iterations.
-PROJECT_TOL, PROJECT_MAX_ITERS = 1e-10, 10_000
 
 
 @dataclass(frozen=True)
@@ -162,44 +158,6 @@ def forward_map(g: MixedGraph, params: ParamSet) -> np.ndarray:
     return sigma
 
 
-def recover_omega(g: MixedGraph, lam: np.ndarray, sigma) -> np.ndarray:
-    """Noise covariance implied by edge weights: (I-lam)^T sigma (I-lam).
-
-    No pattern is enforced here; use project_omega_pattern for that.
-    """
-    sig = as_matrix(sigma)
-    factor = np.eye(g.n) - np.asarray(lam, dtype=float)
-    return symmetrize(factor.T @ sig @ factor)
-
-
-def project_omega_pattern(omega_hat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Alternating projections onto the zero-pattern subspace, the diagonal
-    plus the (m, 2) integer array ``pairs`` of bidirected edges, and the
-    PSD cone.
-
-    Stops when successive iterates differ by less than PROJECT_TOL in
-    Frobenius norm; raises ConvergenceError (carrying the last iterate)
-    after PROJECT_MAX_ITERS iterations.
-    """
-    x = symmetrize(np.asarray(omega_hat, dtype=float))
-    n = x.shape[0]
-    mask = np.eye(n, dtype=bool)
-    us, vs = np.asarray(pairs).T
-    mask[us, vs] = mask[vs, us] = True
-
-    for _ in range(PROJECT_MAX_ITERS):
-        masked = np.where(mask, x, 0.0)
-        vals, vecs = np.linalg.eigh(symmetrize(masked))
-        clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        clipped = symmetrize(clipped)
-        if np.linalg.norm(clipped - x, ord="fro") < PROJECT_TOL:
-            return np.where(mask, clipped, 0.0)
-        x = clipped
-    raise ConvergenceError(
-        f"pattern projection did not converge in {PROJECT_MAX_ITERS} iterations", last_iterate=x
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a covariance out of range is non-finite, which its users reject
 def sample_covariance(x: np.ndarray, normalize_rows: bool = False) -> np.ndarray:
     """Empirical covariance of observation rows (mean-centered, divisor m-1).
@@ -282,15 +240,25 @@ def params_bytes(params: ParamSet) -> bytes:
 
 
 def load_params(path) -> ParamSet:
-    """Parameters as params_bytes encodes them; IngestionError for a document
-    without numeric "lambda" and "omega" arrays or with non-finite entries.
-    Shapes are checked against a graph by check_pattern."""
+    """Parameters as params_bytes encodes them; IngestionError naming the
+    invalid JSON, the missing object or key, the key whose value is not a
+    2-d array of numbers, or non-finite entries. check_pattern checks shapes."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        params = ParamSet(np.array(data["lambda"], dtype=float), np.array(data["omega"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers malformed JSON
-        raise IngestionError(f"{path}: malformed parameter document: {exc}") from exc
+            doc = json.load(fh, parse_int=float)  # an integer beyond the float range reads as inf
+    # UnicodeDecodeError: bytes that are not UTF-8; RecursionError: arrays nested past the parser's depth
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise IngestionError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IngestionError(f'{path}: expected an object with "lambda" and "omega", got {type(doc).__name__}')
+    for key in ("lambda", "omega"):
+        if key not in doc:
+            raise IngestionError(f'{path}: missing key "{key}"')
+        rows = doc[key]
+        if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
+                and all(type(x) is float for r in rows for x in r)):
+            raise IngestionError(f'{path}: "{key}" must be a 2-d array of numbers')
+    params = ParamSet(doc["lambda"], doc["omega"])
     if not (np.isfinite(params.lam).all() and np.isfinite(params.omega).all()):
         raise IngestionError(f"{path}: parameters have non-finite entries")
     return params

@@ -52,7 +52,7 @@ from numpy.linalg import _umath_linalg  # numpy >= 2.0: the gufuncs behind np.li
 from .errors import GraphStructureError, NearSingularError, OrderingError
 from .graphs import MixedGraph, _read_only, _runs
 from .linalg import pow2_rows
-from .lsem import ParamSet, _checked_covariance, gatherable, project_omega_pattern, recover_omega
+from .lsem import _checked_covariance, gatherable
 
 # A system is near-singular when sigma_min <= SING_TOL * sigma_max.
 SING_TOL = 1e-10
@@ -332,13 +332,6 @@ def recover_all(g: MixedGraph, sigma) -> RecoveryResult:
 
     recovered[failed >= 0] = np.nan  # no-op on a single covariance, which raises instead
     return RecoveryResult(g, recovered, per_vertex, failed if trials else None, systems)
-
-
-def recover_full_params(g: MixedGraph, sigma) -> ParamSet:
-    """Full parameter recovery: weights, implied noise covariance, pattern
-    projection."""
-    lam = recover_all(g, sigma).lambda_hat
-    return ParamSet(lam, project_omega_pattern(recover_omega(g, lam, sigma), g.pairs))
 
 
 def recovery_to_dict(result: RecoveryResult) -> dict:

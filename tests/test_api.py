@@ -1,27 +1,30 @@
 """Every public module-level function and class of the package, and every
 public method and property of its classes, is used by the package itself
-or by the benchmark harness; helpers only tests need live in tests/. A
+or by the benchmark harness; helpers only tests need live in tests/.
+Importing or re-exporting a name is not using it. A
 module's private names are its own, apart from the shared helpers of the
 base modules graphs and lsem. Only the command line writes files."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bowfree"
 
 
 def _names(node) -> set[str]:
-    """Identifiers a node refers to: names, attributes, imported names and
-    the dotted parts of strings such as the benchmark tracer's targets."""
+    """Identifiers a node refers to: names, attributes and the dotted parts
+    of strings such as the benchmark tracer's targets. An import is not a
+    use, so neither a re-export nor an import that nothing reads keeps a
+    definition alive."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.name.rpartition(".")[2])
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out.update(sub.value.split("."))
     return out
@@ -31,13 +34,13 @@ def _public(stmt) -> bool:
     return isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
 
 
-def _unused_public_definitions() -> list[str]:
+def _unused_public_definitions(package=PACKAGE, users=ROOT / "perfbench") -> list[str]:
     defs = {}  # public definition -> (the name that refers to it, the names its own body refers to)
     roots = set()  # names referred to outside those definitions
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    files = sorted(package.glob("*.py")) + sorted(users.glob("*.py"))
     for path in files:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not (_public(stmt) and path.parent == PACKAGE):
+            if not (_public(stmt) and path.parent == package):
                 roots |= _names(stmt)
                 continue
             methods = [m for m in stmt.body if isinstance(stmt, ast.ClassDef) and _public(m)]
@@ -56,6 +59,29 @@ def _unused_public_definitions() -> list[str]:
 
 def test_every_public_definition_is_used_outside_tests():
     assert _unused_public_definitions() == []
+
+
+def test_a_re_exported_or_imported_definition_is_unused_until_something_reads_it(tmp_path):
+    package, users = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    users.mkdir()
+    (package / "__init__.py").write_text("from .a import exported, read, read_by_bench\n")
+    (package / "a.py").write_text("def exported():\n    pass\n\n\ndef read():\n    pass\n\n\n"
+                                  "def read_by_bench():\n    pass\n")
+    (package / "b.py").write_text("from .a import exported, read\n\nVALUE = read()\n")
+    (users / "run.py").write_text("import pkg\nfrom pkg.a import exported\n\npkg.read_by_bench()\n")
+    assert _unused_public_definitions(package, users) == ["exported"]
+
+
+@pytest.mark.parametrize("source, used", [
+    ("import numpy as np", set()),
+    ("from .recovery import recover_all as ra", set()),
+    ("recover_all(g, sigma)", {"recover_all", "g", "sigma"}),
+    ("recovery.recover_all", {"recovery", "recover_all"}),
+    ("TARGET = 'bowfree.recovery.recover_all'", {"TARGET", "bowfree", "recovery", "recover_all"}),
+], ids=["import", "from-import", "call", "attribute", "dotted-string"])
+def test_names_counts_reads_and_not_imports(source, used):
+    assert _names(ast.parse(source)) == used
 
 
 def test_package_modules_import_private_names_only_from_graphs_and_lsem():

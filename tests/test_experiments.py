@@ -324,17 +324,15 @@ def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
     capsys.readouterr()
     assert main(["check", "--graph", str(out / "graph.json"), "--sigma", str(out / "sigma.csv"),
                  "--params", str(path), "--out", str(report)]) == 1
-    malformed = f"bowfree: {path}: malformed parameter document: "
     assert capsys.readouterr().err.splitlines() == [{
         "nan-weight": f"bowfree: {path}: parameters have non-finite entries",
         "wrong-shape": "bowfree: parameter shapes (2, 2), (2, 2) do not match n=8",
-        "graph-json": malformed + "'lambda'",
+        "graph-json": f'bowfree: {path}: missing key "lambda"',
         "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (8, 1)",
-        "empty": malformed + "Expecting value: line 1 column 1 (char 0)",
-        "top-level-list": malformed + "list indices must be integers or slices, not str",
-        "string-omega": malformed + "could not convert string to float: 'omega'",
-        "ragged-omega": malformed + "setting an array element with a sequence. The requested array has an "
-        "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.",
+        "empty": f"bowfree: {path}: not valid JSON: Expecting value: line 1 column 1 (char 0)",
+        "top-level-list": f'bowfree: {path}: expected an object with "lambda" and "omega", got list',
+        "string-omega": f'bowfree: {path}: "omega" must be a 2-d array of numbers',
+        "ragged-omega": f'bowfree: {path}: "omega" must be a 2-d array of numbers',
     }[bad]]
     assert not report.exists()
 
@@ -594,6 +592,24 @@ def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, messa
     assert main([command, "--graph", str(graph), "--sigma", str(sigma)] + tail) == 1
     prefix = f"{graph}: " if message.startswith("not valid") else ""
     assert capsys.readouterr().err.splitlines() == [f"bowfree: {prefix}{message}"]
+
+
+@pytest.mark.parametrize("document", ["graph", "params"])
+def test_cli_rejects_json_nested_past_the_parsers_depth_in_one_line(tmp_path, capsys, document):
+    # Both loaders ended in a RecursionError traceback.
+    out = tmp_path / "inst"
+    assert main(["generate", "--kind", "sdd", "--n", "4", "--k", "1", "--p", "0.9", "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    files = {"graph": out / "graph.json", "params": out / "params.json", document: deep}
+    report = tmp_path / "check.json"
+    capsys.readouterr()
+    assert main(["check", "--graph", str(files["graph"]), "--sigma", str(out / "sigma.csv"),
+                 "--params", str(files["params"]), "--out", str(report)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"bowfree: {deep}: not valid JSON: ")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", ["recover", "reduce"])

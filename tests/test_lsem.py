@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bowfree import lsem
-from bowfree.errors import ConfigError, ConvergenceError, DefinitenessError, PatternError, SampleSizeError
+from bowfree.errors import ConfigError, DefinitenessError, IngestionError, PatternError, SampleSizeError
 from bowfree.generators import (
     RandomGraphConfig,
     SDDNoiseConfig,
@@ -20,8 +19,6 @@ from bowfree.lsem import (
     forward_map,
     load_matrix_csv,
     load_params,
-    project_omega_pattern,
-    recover_omega,
     sample_covariance,
     params_bytes,
     save_matrix_csv,
@@ -171,69 +168,6 @@ def test_forward_map_positive_definite(rng):
         assert np.linalg.eigvalsh(cov)[0] > 0
 
 
-def test_recover_omega_identity():
-    g = MixedGraph(2, [], [(0, 1)])
-    sigma = np.array([[1.0, 0.2], [0.2, 2.0]])
-    np.testing.assert_allclose(recover_omega(g, np.zeros((2, 2)), sigma), sigma)
-
-
-def test_recover_omega_round_trip(rng):
-    lam = random_dag_lambda(5, 0.6, rng)
-    g = graph_from_lambda(lam, [(0, 4)])
-    omega = np.eye(5)
-    omega[0, 4] = omega[4, 0] = 0.3
-    sigma = forward_map(g, ParamSet(lam, omega))
-    np.testing.assert_allclose(recover_omega(g, lam, sigma), omega, atol=1e-10)
-
-
-def test_recover_omega_perturbation_norm_bound(rng):
-    lam = random_dag_lambda(5, 0.6, rng)
-    g = graph_from_lambda(lam)
-    sigma = forward_map(g, ParamSet(lam, np.eye(5)))
-    noise = rng.standard_normal((5, 5))
-    noise = (noise + noise.T) / 2
-    noise *= 1e-6 / snorm(noise)
-    base = recover_omega(g, lam, sigma)
-    shifted = recover_omega(g, lam, sigma + noise)
-    c = (1.0 + snorm(lam)) ** 2
-    assert np.max(np.abs(shifted - base)) <= c * 1e-6 * (1 + 1e-9)
-
-
-def test_project_omega_feasible_fixed_point():
-    omega = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    out = project_omega_pattern(omega, np.array([[0, 1]]))
-    np.testing.assert_allclose(out, omega, atol=1e-9)
-
-
-def test_project_omega_masks_and_keeps_psd():
-    omega = np.array([[1.0, 0.1], [0.1, 1.0]])
-    out = project_omega_pattern(omega, np.zeros((0, 2), dtype=int))
-    np.testing.assert_allclose(np.diag(out), [1.0, 1.0], atol=1e-9)
-    assert abs(out[0, 1]) <= 1e-12
-    assert np.linalg.eigvalsh(out)[0] >= -1e-12
-
-
-def test_project_omega_clips_rank_deficient(rng):
-    a = rng.standard_normal((4, 2))
-    low_rank = a @ a.T - 0.5 * np.eye(4)  # indefinite
-    full = np.argwhere(np.triu(np.ones((4, 4), dtype=bool), k=1))
-    out = project_omega_pattern(low_rank, full)
-    assert np.linalg.eigvalsh(out)[0] >= -1e-10
-    # eigenvalue-clip oracle: with the full pattern one clip step suffices
-    vals, vecs = np.linalg.eigh((low_rank + low_rank.T) / 2)
-    oracle = (vecs * np.clip(vals, 0, None)) @ vecs.T
-    np.testing.assert_allclose(out, oracle, atol=1e-8)
-
-
-def test_project_omega_convergence_error(monkeypatch):
-    monkeypatch.setattr(lsem, "PROJECT_TOL", 1e-14)
-    monkeypatch.setattr(lsem, "PROJECT_MAX_ITERS", 1)
-    omega = np.array([[1.0, 0.9], [0.9, 1.0]])
-    with pytest.raises(ConvergenceError) as err:
-        project_omega_pattern(omega, np.zeros((0, 2), dtype=int))
-    assert err.value.last_iterate is not None
-
-
 def test_sample_covariance_identical_rows():
     x = np.tile([1.0, 2.0, 3.0], (5, 1))
     np.testing.assert_allclose(sample_covariance(x), np.zeros((3, 3)))
@@ -318,3 +252,35 @@ def test_matrix_and_params_serialization(tmp_path, rng):
     np.testing.assert_allclose(loaded.lam, params.lam)
     np.testing.assert_allclose(loaded.omega, params.omega)
 
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"", "not valid JSON: "),
+    (b'{"lambda": [[0.0', "not valid JSON: "),
+    (b"\xff\xfe", "not valid JSON: "),
+    (b"[" * 100_000, "not valid JSON: "),
+    (b"[]", 'expected an object with "lambda" and "omega", got list'),
+    (b'{"omega": [[1.0]]}', 'missing key "lambda"'),
+    (b'{"lambda": [[0.0]]}', 'missing key "omega"'),
+    (b'{"lambda": [[0.0]], "omega": "eye"}', '"omega" must be a 2-d array of numbers'),
+    (b'{"lambda": [[0.0]], "omega": [[1.0, 0.0], [0.0]]}', '"omega" must be a 2-d array of numbers'),
+    (b'{"lambda": [0.0], "omega": [[1.0]]}', '"lambda" must be a 2-d array of numbers'),
+    (b'{"lambda": [[true]], "omega": [[1.0]]}', '"lambda" must be a 2-d array of numbers'),
+    (b'{"lambda": [[0.0]], "omega": [[NaN]]}', "parameters have non-finite entries"),
+    (b'{"lambda": [[1' + b"0" * 400 + b']], "omega": [[1.0]]}', "parameters have non-finite entries"),
+], ids=["empty", "truncated", "not-utf8", "nested-past-depth", "top-level-list", "missing-lambda", "missing-omega",
+        "string-omega", "ragged-omega", "flat-lambda", "bool-lambda", "nan-omega", "int-beyond-float"])
+def test_load_params_names_what_is_wrong(tmp_path, text, message):
+    path = tmp_path / "p.json"
+    path.write_bytes(text)
+    with pytest.raises(IngestionError) as info:
+        load_params(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+def test_load_params_reads_integers_as_floats(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"lambda": [[0, 2], [0, 0]], "omega": [[1, 0], [0, 3]]}')
+    params = load_params(path)
+    assert params.lam.dtype == params.omega.dtype == np.float64
+    assert params.lam.tolist() == [[0.0, 2.0], [0.0, 0.0]] and params.omega.tolist() == [[1.0, 0.0], [0.0, 3.0]]

@@ -20,14 +20,13 @@ from bowfree.generators import (
 from bowfree.cli import main
 from bowfree.experiments import report_bytes
 from bowfree.graphs import MixedGraph, graph_to_dict
-from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, project_omega_pattern, save_matrix_csv
+from bowfree.lsem import ParamSet, ReducedCovariance, forward_map, save_matrix_csv
 from bowfree import recovery, robustness
 from bowfree.recovery import (
     RecoverySystem,
     build_system,
     recover_all,
     recover_first_layers,
-    recover_full_params,
     recover_vertex,
     recovery_plan,
     recovery_to_dict,
@@ -161,6 +160,18 @@ def test_recover_all_generative_round_trip():
         assert diag.residual <= 1e-9
         assert diag.condition >= 1.0
         assert recovery_plan(inst.graph).spans[v][-1] == (not spa(inst.graph, v))  # the closed form's flag
+
+
+@pytest.mark.parametrize("inst", [
+    gen_generative_instance(n=20, k=2, p=0.7, seed=11),
+    gen_sdd_instance(n=12, k=2, p=0.6, weight_range=1.0, seed=4),
+], ids=["generative", "sdd"])
+def test_the_noise_covariance_follows_from_the_recovered_weights(inst):
+    # omega is not recovered: a caller gets it from the weights by the congruence (I - L)^T sigma (I - L).
+    lam = recover_all(inst.graph, inst.sigma).lambda_hat
+    eye = np.eye(inst.graph.n)
+    omega = (eye - lam).T @ inst.sigma @ (eye - lam)
+    np.testing.assert_allclose(omega, inst.params.omega, rtol=0, atol=1e-12)
 
 
 def test_recover_all_no_edges():
@@ -336,31 +347,6 @@ def test_recover_all_solves_every_vertex_through_recover_vertex(monkeypatch):
     result = recover_all(g, sigma)
     assert [s.vertex for s in solved] == list(recovery_plan(g).spans)
     assert all(s is result.systems[s.vertex] for s in solved)
-
-
-def test_recover_full_params_round_trip():
-    inst = gen_generative_instance(n=12, k=2, p=0.6, seed=4)
-    params = recover_full_params(inst.graph, inst.sigma)
-    assert np.max(np.abs(params.lam - inst.params.lam)) <= 1e-8
-    assert np.max(np.abs(params.omega - inst.params.omega)) <= 1e-8
-
-
-def test_recover_full_params_zero_lambda():
-    g = MixedGraph(3, [], [(0, 1)])
-    omega = np.eye(3)
-    omega[0, 1] = omega[1, 0] = 0.4
-    sigma = forward_map(g, ParamSet(np.zeros((3, 3)), omega))
-    params = recover_full_params(g, sigma)
-    projected = project_omega_pattern(sigma, g.pairs)
-    np.testing.assert_allclose(params.omega, projected, atol=1e-9)
-
-
-def test_recover_full_params_perturbed_sigma():
-    inst = gen_generative_instance(n=12, k=2, p=0.6, seed=8)
-    spec = PerturbationSpec(gamma=1e-6, k=2, seed=3)
-    perturbed = sample_perturbation(inst.sigma, spec)
-    params = recover_full_params(inst.graph, perturbed)
-    assert np.max(np.abs(params.omega - inst.params.omega)) <= 1e-3
 
 
 def test_layer_monotone_recovery_reads_lower_layers_only():
@@ -706,38 +692,28 @@ def _golden_reduced():
     return recover_all(red.g_prime, red.sigma_prime)
 
 
-def _golden_full_params():
-    inst = _golden_sdd()
-    return recover_full_params(inst.graph, inst.sigma)
-
-
 def _golden_digest(out):
-    if isinstance(out, ParamSet):
-        arrays = [out.lam, out.omega]
-    else:
-        arrays = [out.lambda_hat]
-        for _, diag in sorted(out.per_vertex.items()):
-            arrays += [np.asarray(diag.residual, dtype=float), np.asarray(diag.condition, dtype=float)]
+    arrays = [out.lambda_hat]
+    for _, diag in sorted(out.per_vertex.items()):
+        arrays += [np.asarray(diag.residual, dtype=float), np.asarray(diag.condition, dtype=float)]
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
-# sha256 of lambda_hat and of every vertex's residual and condition (of lam
-# and omega for full parameters), recorded before the recovery options and
-# the explicit-row path were removed: the single assembly path moves no bit.
+# sha256 of lambda_hat and of every vertex's residual and condition, recorded
+# before the recovery options and the explicit-row path were removed: the
+# single assembly path moves no bit.
 GOLDEN_CASES = {
     "sdd": _golden_one,
     "stack-of-3": _golden_stack,
     "reduced": _golden_reduced,
-    "full-params": _golden_full_params,
 }
 GOLDEN_DIGESTS = {
     "sdd": "3b6f093293413feab065cbc1c02d31328703b05684c2974abbd62ef63ec6e38e",
     "stack-of-3": "cde500dec735a9e802237e33c6696b32195569c8afe65dda0b80b4bf820de56a",
     "reduced": "ab4bb8e5de193aa436c2b72367db267b2e799c71d8d22272ab06e69635715984",
-    "full-params": "095884ac3a78e6edbb48723f5241950e43845f0bd2b59a4a2224cc06687af1e5",
 }
 
 

@@ -20,7 +20,7 @@ from bowfree.generators import (
 from bowfree.graphs import MixedGraph, graph_to_dict
 from bowfree.lsem import ParamSet, ReducedCovariance, dag_inverse, forward_map
 from bowfree import recovery, reduction
-from bowfree.recovery import build_system, recover_all, recover_full_params, recovery_plan
+from bowfree.recovery import build_system, recover_all, recovery_plan
 from bowfree.reduction import (
     build_gadgets,
     reduce_covariance,
@@ -434,11 +434,7 @@ def test_recovery_on_the_implicit_reduced_covariance_is_bitwise_dense():
 def test_dense_callers_accept_the_implicit_reduced_covariance():
     g, sigma = _random_instance(3)
     red = reduce_instance(g, sigma)
-    implicit = recover_full_params(red.g_prime, red.sigma_prime)
-    dense = recover_full_params(red.g_prime, red.sigma_prime.sigma)
-    np.testing.assert_array_equal(implicit.lam, dense.lam)
-    np.testing.assert_array_equal(implicit.omega, dense.omega)
-    weights = dense.lam[red.g_prime.source, red.g_prime.target]
+    weights = recover_all(red.g_prime, red.sigma_prime.sigma).weights
     assert (check_assumptions(red.g_prime, red.sigma_prime, weights).to_dict()
             == check_assumptions(red.g_prime, red.sigma_prime.sigma, weights).to_dict())
 

@@ -68,6 +68,16 @@ def test_seeded_condition_and_experiment_reports_replay_their_pinned_bytes(tmp_p
     assert _replay(tmp_path, seed) == DIGESTS[seed]
 
 
+def test_a_23_digit_seed_replays_its_bytes(tmp_path):
+    # --seed takes any integer of at least 0, one wider than 64 bits included.
+    seed = 12345678901234567890123
+    runs = []
+    for run in (tmp_path / "a", tmp_path / "b"):
+        digests = _replay(run, seed)
+        runs.append(digests | {f"inst/{path.name}": _digest(path) for path in sorted((run / "inst").iterdir())})
+    assert len(runs[0]) == 8 and runs[0] == runs[1]
+
+
 FAILURE_DIGESTS = {
     1: {"simulated.json": "99a5cb1265a0ad7670d11641872418743de89bfe998fa30e54549a0ce900472a",
         "gene.json": "489c32e52df447ef2d370bc1340e712280d9223050f7f27df5aecf42e3e0060a"},
