@@ -223,19 +223,28 @@ class MixedGraph:
             raise BowViolationError(violations)
 
     def topological_order(self) -> list[int]:
-        """Kahn order with ties broken by ascending vertex index.
+        """Kahn order with ties broken by ascending vertex index, as a fresh list.
 
         Raises CycleError naming one directed cycle when none exists.
         """
+        return list(self._kahn[0])
+
+    @cached_property
+    def _kahn(self) -> tuple[list[int], np.ndarray]:
+        """One Kahn sweep, by a heap of the parentless vertices: the topological order and, as a
+        running max along it, the longest-path layering (Kahn 1962). CycleError when a cycle is left."""
         children, ptr = self.target.tolist(), self._out_ptr.tolist()
         indeg = self._in_degree.tolist()
-        heap = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(heap)
+        layer = [1] * self.n
+        heap = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so already a heap
         order = []
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
+            below = layer[v] + 1
             for c in children[ptr[v] : ptr[v + 1]]:
+                if layer[c] < below:
+                    layer[c] = below
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     heapq.heappush(heap, c)
@@ -248,7 +257,7 @@ class MixedGraph:
                 v = next(p for p in self.parents(v) if indeg[p])
             cycle = list(seen)[seen[v]:][::-1]
             raise CycleError(cycle + cycle[:1])
-        return order
+        return order, _read_only(np.array(layer, dtype=np.int64))
 
     def layer_decomposition(self) -> np.ndarray:
         """Longest-path layering as a read-only int64 array: layer[v] = 1 +
@@ -266,27 +275,7 @@ class MixedGraph:
 
     @cached_property
     def _layering(self) -> np.ndarray:
-        # Kahn frontier rounds: the vertices freed by round d are exactly
-        # longest-path layer d, so each layer costs one numpy step.
-        indeg, out_ptr = self._in_degree.copy(), self._out_ptr
-        out_degree = np.diff(out_ptr)
-        layer = np.zeros(self.n, dtype=np.int64)
-        slot = np.empty(self.n, dtype=np.int64)  # scratch: one position in kids per child
-        frontier = np.flatnonzero(indeg == 0)
-        depth = 0
-        while frontier.size:  # each round costs the frontier's out-edges, not n
-            depth += 1
-            layer[frontier] = depth
-            kids = self.target[_runs(out_ptr[frontier], out_degree[frontier])]  # the frontier's out-edges
-            slot[kids] = np.arange(kids.size)  # one writer wins per distinct child
-            hits = np.bincount(slot[kids])  # nonzero at the winners only: each child's in-edges from the frontier
-            first = np.flatnonzero(hits)
-            child = kids[first]
-            indeg[child] -= hits[first]
-            frontier = child[indeg[child] == 0]
-        if (layer == 0).any():
-            self.topological_order()  # raises CycleError
-        return _read_only(layer)
+        return self._kahn[1]  # unless _claim_layering kept a layering first
 
     def is_k_layered(self) -> bool:
         """True iff every directed edge goes from layer i to layer i + 1."""
@@ -301,6 +290,12 @@ def graph_to_dict(g: MixedGraph) -> dict:
         for u, v, w in zip((g.source + 1).tolist(), (g.target + 1).tolist(), g.forced.tolist())
     ]
     return {"n": g.n, "directed": directed, "bidirected": (g.pairs + 1).tolist()}
+
+
+def _json_type(x) -> str:
+    """The JSON name of a parsed value's type (Python's for a value JSON has no name for)."""
+    names = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
+    return names.get(type(x), type(x).__name__)
 
 
 def _weight(x) -> float:
@@ -330,7 +325,7 @@ def _edge_rows(data: dict, key: str, widths: tuple[int, ...]) -> list[tuple]:
 def graph_from_dict(data: dict) -> MixedGraph:
     try:
         if not isinstance(data, dict):
-            raise TypeError(f"expected an object, got {type(data).__name__}")
+            raise TypeError(f"expected an object, got {_json_type(data)}")
         n = data.get("n")
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")

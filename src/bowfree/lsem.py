@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DefinitenessError, IngestionError, OrderingError, PatternError, SampleSizeError
-from .graphs import MixedGraph
+from .graphs import MixedGraph, _json_type
 from .linalg import pow2_rows, symmetrize
 
 PATTERN_ATOL = 1e-9
@@ -250,7 +250,7 @@ def load_params(path) -> ParamSet:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise IngestionError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise IngestionError(f'{path}: expected an object with "lambda" and "omega", got {type(doc).__name__}')
+        raise IngestionError(f'{path}: expected an object with "lambda" and "omega", got {_json_type(doc)}')
     for key in ("lambda", "omega"):
         if key not in doc:
             raise IngestionError(f'{path}: missing key "{key}"')

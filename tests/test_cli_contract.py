@@ -3,7 +3,9 @@ exits 0, 1 or 2, never with a traceback; a failure prints one ``bowfree:``
 line and leaves no ``--out``; a success writes recover_all's weights.
 ``bowfree check --params`` on a mutated parameter document exits 0 or 1
 under the same contract, and a success writes strict JSON, without NaN
-or Infinity.
+or Infinity. ``bowfree reduce`` on the mutated graph and covariance keeps
+the contract too, leaves ``--out-dir`` empty on failure, and on success
+writes strict JSON whose reduced graph is layered.
 
 Hypothesis mutates one small valid instance: the graph document (keys,
 types, vertex ids, arity, forced weights, duplicates, self-loops, bows,
@@ -225,3 +227,24 @@ def test_check_on_a_mutated_params_file_keeps_the_cli_contract(params):
             return
         assert err == ""
         json.loads(paths["o.json"].read_bytes(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(graph=st.one_of(st.just(None), _graph_bytes()), csv=st.one_of(st.just(None), _csv_bytes()))
+@example(graph=json.dumps({**_GRAPH, "directed": _GRAPH["directed"] + [[4, 1]]}).encode(), csv=None)  # a cycle
+def test_reduce_on_a_mutated_input_keeps_the_cli_contract(graph, csv):
+    files = {"g.json": json.dumps(_GRAPH).encode() if graph is None else graph,
+             "s.csv": _valid_csv() if csv is None else csv}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "red"
+        code, err, _ = _run(Path(tmp), files, ["reduce", "--graph", "g.json", "--sigma", "s.csv",
+                                               "--out-dir", str(out)])
+        assert code in (0, 1, 2), (code, err)  # 64, the usage exit, needs a malformed command line
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("bowfree: "), err
+            assert not out.exists() or not any(out.iterdir())
+            return
+        assert err == ""
+        for name in ("g_prime.json", "manifest.json"):
+            json.loads((out / name).read_bytes(), parse_constant=_reject_constant)
+        assert load_graph(out / "g_prime.json").is_k_layered()

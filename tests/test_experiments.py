@@ -295,8 +295,11 @@ def test_cli_condition_and_check(tmp_path):
     assert profile["all_pass"] is True
 
 
+_TOP_LEVEL = {"top-level-null": None, "top-level-number": 3, "top-level-boolean": True, "top-level-string": "x"}
+
+
 @pytest.mark.parametrize("bad", ["nan-weight", "wrong-shape", "graph-json", "off-pattern", "empty", "top-level-list",
-                                 "string-omega", "ragged-omega"])
+                                 *_TOP_LEVEL, "string-omega", "ragged-omega"])
 def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
     # The first three ended in a LinAlgError, IndexError or KeyError traceback;
     # a weight on a non-edge was read as if it were not there.
@@ -316,6 +319,8 @@ def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
         params["lambda"] = lam.tolist()
     elif bad == "top-level-list":
         params = [params["lambda"], params["omega"]]
+    elif bad in _TOP_LEVEL:
+        params = _TOP_LEVEL[bad]
     elif bad != "empty":
         params["omega"] = "omega" if bad == "string-omega" else [[1.0, 0.0], [1.0]]
     path = tmp_path / "params.json"
@@ -330,7 +335,11 @@ def test_cli_check_rejects_a_bad_params_file(tmp_path, capsys, bad):
         "graph-json": f'bowfree: {path}: missing key "lambda"',
         "off-pattern": "bowfree: lambda has weight on non-edges, e.g. (8, 1)",
         "empty": f"bowfree: {path}: not valid JSON: Expecting value: line 1 column 1 (char 0)",
-        "top-level-list": f'bowfree: {path}: expected an object with "lambda" and "omega", got list',
+        "top-level-list": f'bowfree: {path}: expected an object with "lambda" and "omega", got array',
+        "top-level-null": f'bowfree: {path}: expected an object with "lambda" and "omega", got null',
+        "top-level-number": f'bowfree: {path}: expected an object with "lambda" and "omega", got number',
+        "top-level-boolean": f'bowfree: {path}: expected an object with "lambda" and "omega", got boolean',
+        "top-level-string": f'bowfree: {path}: expected an object with "lambda" and "omega", got string',
         "string-omega": f'bowfree: {path}: "omega" must be a 2-d array of numbers',
         "ragged-omega": f'bowfree: {path}: "omega" must be a 2-d array of numbers',
     }[bad]]
@@ -567,8 +576,12 @@ def test_cli_recover_reads_a_saved_reduction(tmp_path):
         ('{"n": 3, "directed": [[1, 2], [2', "not valid JSON: Expecting ',' delimiter: line 1 column 33 (char 32)"),
         ('{"n": 2.7, "directed": [[1, 2]]}', "malformed graph document: n must be an integer, got 2.7"),
         ('{"n": 3, "directed": [[true, 2], [2, 3]]}', "malformed graph document: vertex must be an integer, got True"),
-        # The next five gave Python's wording; the last two passed, the 9 dropped and the string read as 0.5.
-        ('[[1, 2]]', "malformed graph document: expected an object, got list"),
+        # The next nine gave Python's wording; the last two passed, the 9 dropped and the string read as 0.5.
+        ('[[1, 2]]', "malformed graph document: expected an object, got array"),
+        ("null", "malformed graph document: expected an object, got null"),
+        ("3", "malformed graph document: expected an object, got number"),
+        ("true", "malformed graph document: expected an object, got boolean"),
+        ('"x"', "malformed graph document: expected an object, got string"),
         ('{"n": 3, "directed": null}', "malformed graph document: directed must be a list of edges, got None"),
         ('{"n": 3, "directed": [[1, 2], [1]]}',
          "malformed graph document: directed edge 2 must have 2 or 3 entries, got [1]"),
@@ -580,7 +593,8 @@ def test_cli_recover_reads_a_saved_reduction(tmp_path):
         ('{"n": 3, "directed": [[1, 2, "0.5"]]}',
          "malformed graph document: forced weight must be a finite number, got '0.5'"),
     ],
-    ids=["truncated", "float_n", "bool_vertex", "top_level_list", "null_directed", "short_edge", "long_bidirected",
+    ids=["truncated", "float_n", "bool_vertex", "top_level_list", "top_level_null", "top_level_number",
+         "top_level_boolean", "top_level_string", "null_directed", "short_edge", "long_bidirected",
          "missing_n", "long_directed", "string_weight"],
 )
 def test_cli_rejects_malformed_graph_json(tmp_path, capsys, command, text, message):

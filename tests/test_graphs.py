@@ -60,6 +60,9 @@ def test_cycle_error_names_a_cycle():
 
 def test_layer_decomposition_chain(chain3):
     assert chain3.layer_decomposition().tolist() == [1, 2, 3]
+    long = MixedGraph.from_arrays(5000, np.arange(4999), np.arange(1, 5000))  # one layer per vertex
+    np.testing.assert_array_equal(long.layer_decomposition(), np.arange(1, 5001))
+    assert long.topological_order() == list(range(5000))
 
 
 def test_layer_decomposition_longest_path_wins():
@@ -191,6 +194,12 @@ def test_layering_and_bow_check_are_computed_once():
     assert layer.dtype == np.int64
     with pytest.raises(ValueError):
         layer[0] = 2  # shared by every caller, so read-only
+    want, before = g.topological_order(), layer.tolist()
+    order = g.topological_order()  # each caller's own list, from the same sweep
+    order.reverse()
+    order.append(-1)
+    assert g.topological_order() == want and g.topological_order() is not g.topological_order()
+    assert g.layer_decomposition() is layer and layer.tolist() == before
 
     bow = MixedGraph(3, [(0, 1), (1, 2)], [(0, 1), (0, 2)])
     found = bow.bow_violations()

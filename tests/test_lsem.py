@@ -259,7 +259,11 @@ def test_matrix_and_params_serialization(tmp_path, rng):
     (b'{"lambda": [[0.0', "not valid JSON: "),
     (b"\xff\xfe", "not valid JSON: "),
     (b"[" * 100_000, "not valid JSON: "),
-    (b"[]", 'expected an object with "lambda" and "omega", got list'),
+    (b"[]", 'expected an object with "lambda" and "omega", got array'),
+    (b"null", 'expected an object with "lambda" and "omega", got null'),
+    (b"3", 'expected an object with "lambda" and "omega", got number'),
+    (b"true", 'expected an object with "lambda" and "omega", got boolean'),
+    (b'"x"', 'expected an object with "lambda" and "omega", got string'),
     (b'{"omega": [[1.0]]}', 'missing key "lambda"'),
     (b'{"lambda": [[0.0]]}', 'missing key "omega"'),
     (b'{"lambda": [[0.0]], "omega": "eye"}', '"omega" must be a 2-d array of numbers'),
@@ -268,7 +272,8 @@ def test_matrix_and_params_serialization(tmp_path, rng):
     (b'{"lambda": [[true]], "omega": [[1.0]]}', '"lambda" must be a 2-d array of numbers'),
     (b'{"lambda": [[0.0]], "omega": [[NaN]]}', "parameters have non-finite entries"),
     (b'{"lambda": [[1' + b"0" * 400 + b']], "omega": [[1.0]]}', "parameters have non-finite entries"),
-], ids=["empty", "truncated", "not-utf8", "nested-past-depth", "top-level-list", "missing-lambda", "missing-omega",
+], ids=["empty", "truncated", "not-utf8", "nested-past-depth", "top-level-list", "top-level-null", "top-level-number",
+        "top-level-boolean", "top-level-string", "missing-lambda", "missing-omega",
         "string-omega", "ragged-omega", "flat-lambda", "bool-lambda", "nan-omega", "int-beyond-float"])
 def test_load_params_names_what_is_wrong(tmp_path, text, message):
     path = tmp_path / "p.json"

@@ -431,14 +431,6 @@ def test_recovery_on_the_implicit_reduced_covariance_is_bitwise_dense():
                 np.testing.assert_array_equal(a.b_vector, b.b_vector)
 
 
-def test_dense_callers_accept_the_implicit_reduced_covariance():
-    g, sigma = _random_instance(3)
-    red = reduce_instance(g, sigma)
-    weights = recover_all(red.g_prime, red.sigma_prime.sigma).weights
-    assert (check_assumptions(red.g_prime, red.sigma_prime, weights).to_dict()
-            == check_assumptions(red.g_prime, red.sigma_prime.sigma, weights).to_dict())
-
-
 def test_check_assumptions_reads_the_reduced_covariance_without_densifying(monkeypatch):
     g, sigma = _random_instance(3)
     red = reduce_instance(g, sigma)
